@@ -10,9 +10,9 @@ matrix times the codeword) is what the pilot-aided decoders exploit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .errors import DimensionMismatchError, TooManyTapsError
 
@@ -76,6 +76,18 @@ def sample_channel(q: int, n_taps: int, sigma2: float, kappa_db: float,
     return ChannelTaps(taps=taps, support=support, sigma2=sigma2, kappa_db=kappa_db)
 
 
+@lru_cache(maxsize=64)
+def _delay_index(m: int, d: int) -> np.ndarray:
+    """Gather index of the (m+d) x (d+1) delay matrix of a length-m vector.
+
+    Entry (i, j) points at v[i - j] inside [d zeros, v, d zeros], so that
+    column j of the gathered matrix is v delayed by j.
+    """
+    idx = d + np.arange(m + d)[:, None] - np.arange(d + 1)[None, :]
+    idx.setflags(write=False)
+    return idx
+
+
 def conv_matrix_from_code(c, q: int) -> np.ndarray:
     """(n+q) x (q+1) Toeplitz matrix whose column j is c delayed by j."""
     c = np.asarray(c, dtype=np.complex128)
@@ -83,10 +95,9 @@ def conv_matrix_from_code(c, q: int) -> np.ndarray:
         raise DimensionMismatchError("codeword must be a nonempty vector")
     if q < 0:
         raise ValueError("q must be nonnegative")
-    col = np.concatenate([c, np.zeros(q, dtype=np.complex128)])
-    row = np.zeros(q + 1, dtype=np.complex128)
-    row[0] = c[0]
-    return toeplitz(col, row)
+    padded = np.zeros(c.size + 2 * q, dtype=np.complex128)
+    padded[q:q + c.size] = c
+    return padded[_delay_index(c.size, q)]
 
 
 def _taps_of(g) -> np.ndarray:
@@ -112,8 +123,7 @@ def conv_matrix_from_channel(g, n_pilot: int, n_data: int) -> tuple[np.ndarray, 
     n = n_pilot + n_data
     if n_pilot < 0 or n_data < 0 or n < 1:
         raise DimensionMismatchError("pilot/data lengths must be nonnegative, n >= 1")
-    col = np.concatenate([taps, np.zeros(n - 1, dtype=np.complex128)])
-    row = np.zeros(n, dtype=np.complex128)
-    row[0] = taps[0]
-    full = toeplitz(col, row)
+    if taps.ndim != 1 or taps.size < 1:
+        raise DimensionMismatchError("channel taps must be a nonempty vector")
+    full = conv_matrix_from_code(taps, n - 1)
     return full[:, :n_pilot], full[:, n_pilot:]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace, asdict
 from functools import lru_cache
@@ -337,13 +338,23 @@ def _reduce(scheme: str, snr: SnrConfig, trial_results, trials: int,
     )
 
 
+def _worker_count(workers) -> int:
+    """Validated worker count, capped at the machine's CPU count."""
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
+        raise ConfigInvalidError(f"workers must be an integer, got {workers!r}")
+    _require(workers >= 1, f"workers must be >= 1, got {workers}")
+    return min(int(workers), os.cpu_count() or 1)
+
+
 def run_trials(cfg: ExperimentConfig, workers: int = 1,
                grid_offset: int = 0) -> list[MetricsRow]:
     """One MetricsRow per SNR grid point.
 
-    ``grid_offset`` shifts the substream index of the first grid point so a
-    sweep can give every axis position its own substreams.
+    ``workers`` must be at least 1; counts above ``os.cpu_count()`` are
+    capped at it.  ``grid_offset`` shifts the substream index of the first
+    grid point so a sweep can give every axis position its own substreams.
     """
+    workers = _worker_count(workers)
     validate_config(cfg)
     cfg_json = json.dumps(config_to_dict(cfg), sort_keys=True)
     ctx = _context_for(cfg_json)
@@ -398,8 +409,10 @@ def sweep(cfg: ExperimentConfig, axis: str, values=None,
 
     snr_sr/snr_str values couple the other link through rho_db; rho values
     hold the base grid point's direct-link SNR fixed; rate values resize the
-    codebooks (pilot-free) or the pilot split (pilot-aided).
+    codebooks (pilot-free) or the pilot split (pilot-aided).  ``workers`` is
+    validated and capped as in :func:`run_trials`.
     """
+    workers = _worker_count(workers)
     if values is None:
         values = cfg.axis_values
     if not values:

@@ -12,7 +12,10 @@ up to candidate-independent terms.  Joint decoding scores every pair with
 the channel fits at their per-candidate minimizers; disjoint decoding picks
 the tag codeword first by slow-time correlation energy, then the source
 codeword.  With phi = squared norm the channel fits are closed-form ridge
-solutions; with phi = l1 they are LASSO problems solved by FISTA.
+solutions, and a fit's value at its minimizer is the quadratic form
+||u||^2/L - Re(u^H Xi_c Op_c u) with Op_c = (L Xi_c^H Xi_c + lambda I)^{-1} Xi_c^H,
+so every candidate is scored by one matmul against a cached operator block
+per codebook.  With phi = l1 the fits are LASSO problems solved by FISTA.
 """
 
 from __future__ import annotations
@@ -58,38 +61,54 @@ class PilotFreeResult:
 
 
 @lru_cache(maxsize=64)
+def _cached_xi_stack(words_bytes: bytes, m: int, n: int, q: int) -> np.ndarray:
+    """Convolution matrices of every source codeword, stacked (Mc, n+q, q+1)."""
+    words = np.frombuffer(words_bytes, dtype=np.int64).reshape(m, n)
+    xis = np.stack([conv_matrix_from_code(word, q) for word in words])
+    xis.setflags(write=False)
+    return xis
+
+
+@lru_cache(maxsize=64)
 def _cached_source_ops(words_bytes: bytes, m: int, n: int, q: int, big_l: int,
                        lam_str: float, lam_sr: float):
-    """Per-codeword convolution matrices and ridge solve operators.
+    """Stacked operators of a source codebook: (xis, block, grams, lips).
 
-    The solve operators (L Xi^H Xi + lam I)^{-1} Xi^H are what every
-    per-candidate channel estimate applies to a slow-time-projected
-    observation, so they are computed once per (codebook, lambda, L).
+    ``block[c]`` is [Xi_c^H; Op_str; Op_sr], shape (3(q+1), n+q), with the
+    ridge solve operators Op = (L Xi_c^H Xi_c + lam I)^{-1} Xi_c^H.  One
+    matmul of the block against slow-time projections gives every
+    codeword's Xi^H u and both ridge channel estimates, so it is built once
+    per (codebook, q, L, lambdas).  ``xis`` is the shared Xi stack, ``grams``
+    the (Mc, q+1, q+1) stack L Xi^H Xi and ``lips`` their largest
+    eigenvalues.
     """
-    words = np.frombuffer(words_bytes, dtype=np.int64).reshape(m, n)
+    xis = _cached_xi_stack(words_bytes, m, n, q)
+    xi_h = xis.conj().transpose(0, 2, 1)
+    grams = big_l * (xi_h @ xis)
     eye = np.eye(q + 1)
-    xis, ops_str, ops_sr, grams, lips = [], [], [], [], []
-    for word in words:
-        xi = conv_matrix_from_code(word, q)
-        gram = big_l * (xi.conj().T @ xi)
-        try:
-            ops_str.append(np.linalg.solve(gram + lam_str * eye, xi.conj().T))
-            ops_sr.append(np.linalg.solve(gram + lam_sr * eye, xi.conj().T))
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(
-                "unregularized channel estimate needs full-column-rank "
-                "convolution matrices"
-            ) from exc
-        xis.append(xi)
-        grams.append(gram)
-        lips.append(_power_iteration_largest(gram))
-    return tuple(xis), tuple(ops_str), tuple(ops_sr), tuple(grams), tuple(lips)
+    try:
+        ops_str = np.linalg.solve(grams + lam_str * eye, xi_h)
+        ops_sr = np.linalg.solve(grams + lam_sr * eye, xi_h)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(
+            "unregularized channel estimate needs full-column-rank "
+            "convolution matrices"
+        ) from exc
+    block = np.concatenate([xi_h, ops_str, ops_sr], axis=1)
+    lips = np.array([_power_iteration_largest(gram) for gram in grams])
+    for arr in (block, grams, lips):
+        arr.setflags(write=False)
+    return xis, block, grams, lips
+
+
+def _words_key(source: SourceCodebook) -> tuple[bytes, int, int]:
+    words = np.ascontiguousarray(source.words, dtype=np.int64)
+    return words.tobytes(), words.shape[0], words.shape[1]
 
 
 def _source_ops(source: SourceCodebook, q: int, big_l: int, reg: RegularizationConfig):
-    words = np.ascontiguousarray(source.words, dtype=np.int64)
-    return _cached_source_ops(words.tobytes(), words.shape[0], words.shape[1], q,
-                              big_l, float(reg.lambda_str), float(reg.lambda_sr))
+    return _cached_source_ops(*_words_key(source), q, big_l,
+                              float(reg.lambda_str), float(reg.lambda_sr))
 
 
 def _str_fit(xi, op_str, gram, lipschitz, u_cols, big_l, reg):
@@ -132,59 +151,61 @@ def _sr_fit(xi, op_sr, gram, lipschitz, u_ones, big_l, reg):
     return gamma, fit
 
 
-def _all_candidate_fits(ops, u_cols, u_ones, big_l, reg):
+def _residual_fits(xis, u_cols, u_ones, gam_str, gam_sr, big_l, reg):
+    """Both families' fits L ||u/L - Xi_c g||^2 + lam phi(g) at given estimates."""
+    def fits(u, gam, lam):
+        resid = u[None, :, :] / big_l - xis @ gam
+        penalty = np.abs(gam) ** 2 if reg.kind == "l2" else np.abs(gam)
+        return big_l * np.sum(np.abs(resid) ** 2, axis=1) + lam * np.sum(penalty, axis=1)
+
+    return (fits(u_cols, gam_str, reg.lambda_str),
+            fits(u_ones[:, None], gam_sr[:, :, None], reg.lambda_sr)[:, 0])
+
+
+def _candidate_fits(ops, u_cols, u_ones, big_l, reg):
     """Channel fits of every source codeword against every projection column.
 
     Returns (f_str (Mc, r), gam_str (Mc, q+1, r), f_sr (Mc,), gam_sr
-    (Mc, q+1)).  The l2 path loops the small closed forms; the l1 path
-    solves all Mc codewords' LASSO families in one stacked FISTA run.
+    (Mc, q+1)).  ``f_str`` is the backscatter fit minus the projection
+    energy ||u||^2/L, i.e. the tag-dependent part of the joint objective;
+    ``f_sr`` is the direct fit.  One matmul of the operator block against
+    [u_cols, u_ones] gives Xi^H u and the ridge estimates of every
+    codeword.  With l2 those estimates are the minimizers and a fit is
+    ||u||^2/L - Re(u^H Xi Op u); with l1 they warm-start one stacked FISTA
+    run per family.
     """
-    xis, ops_str, ops_sr, grams, lips = ops
-    mc = len(xis)
-    xi_stack = np.stack(xis)
-    if reg.kind == "l2":
-        f_str = []
-        f_sr = []
-        gam_str = []
-        gam_sr = []
-        for ci in range(mc):
-            g_str, fs = _str_fit(xis[ci], ops_str[ci], grams[ci], lips[ci],
-                                 u_cols, big_l, reg)
-            g_sr, fr = _sr_fit(xis[ci], ops_sr[ci], grams[ci], lips[ci],
-                               u_ones, big_l, reg)
-            f_str.append(fs)
-            f_sr.append(fr)
-            gam_str.append(g_str)
-            gam_sr.append(g_sr)
-        return (np.stack(f_str), np.stack(gam_str),
-                np.asarray(f_sr), np.stack(gam_sr))
-
-    gram_stack = np.stack(grams)
-    lip_stack = np.asarray(lips)
-    xi_h = xi_stack.conj().transpose(0, 2, 1)
+    xis, block, grams, lips = ops
+    q1 = block.shape[1] // 3
     r = u_cols.shape[1]
-    # backscatter family: r columns per codeword
-    warm = np.stack(ops_str) @ u_cols
-    bn2 = np.broadcast_to(np.sum(np.abs(u_cols) ** 2, axis=0) / big_l, (mc, r))
-    gam_str = fista_stacked(gram_stack, xi_h @ u_cols, bn2, lip_stack,
-                            reg.lambda_str, reg, warm)
-    resid = u_cols[None, :, :] / big_l - xi_stack @ gam_str
-    f_str = (big_l * np.sum(np.abs(resid) ** 2, axis=1)
-             + reg.lambda_str * np.sum(np.abs(gam_str), axis=1))
-    # direct family: one column per codeword
-    warm1 = (np.stack(ops_sr) @ u_ones)[:, :, None]
+    # stacked, each BLAS call is one codeword in size; one 2-D product of the
+    # whole block is big enough for OpenBLAS to use worker threads, which
+    # stall for milliseconds when the other cores are busy
+    prod = block @ np.column_stack([u_cols, u_ones])
+    atb = prod[:, :q1]
+    gam_str = prod[:, q1:2 * q1, :r]
+    gam_sr = prod[:, 2 * q1:, r]
+    if reg.kind == "l2":
+        f_str = -np.einsum("cij,cij->cj", atb[:, :, :r].conj(), gam_str).real
+        f_sr = (float(np.sum(np.abs(u_ones) ** 2)) / big_l
+                - np.einsum("ci,ci->c", atb[:, :, r].conj(), gam_sr).real)
+        return f_str, gam_str, f_sr, gam_sr
+
+    mc = block.shape[0]
+    energy = np.sum(np.abs(u_cols) ** 2, axis=0) / big_l
+    gam_str = fista_stacked(grams, atb[:, :, :r], np.broadcast_to(energy, (mc, r)),
+                            lips, reg.lambda_str, reg, gam_str)
     bn1 = np.full((mc, 1), float(np.sum(np.abs(u_ones) ** 2)) / big_l)
-    gam_sr = fista_stacked(gram_stack, (xi_h @ u_ones)[:, :, None], bn1,
-                           lip_stack, reg.lambda_sr, reg, warm1)
-    resid1 = u_ones[None, :, None] / big_l - xi_stack @ gam_sr
-    f_sr = (big_l * np.sum(np.abs(resid1) ** 2, axis=(1, 2))
-            + reg.lambda_sr * np.sum(np.abs(gam_sr), axis=(1, 2)))
-    return f_str, gam_str, f_sr, gam_sr[:, :, 0]
+    gam_sr = fista_stacked(grams, atb[:, :, r:], bn1, lips, reg.lambda_sr, reg,
+                           gam_sr[:, :, None])[:, :, 0]
+    f_str, f_sr = _residual_fits(xis, u_cols, u_ones, gam_str, gam_sr, big_l, reg)
+    return f_str - energy, gam_str, f_sr, gam_sr
 
 
 def _frame_dims(y: np.ndarray, source: SourceCodebook, tag: TagCodebook) -> int:
     if len(source) < 1 or len(tag) < 1:
         raise EmptyCodebookError("both codebooks must be nonempty")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("frame contains non-finite samples")
     big_l, k = y.shape
     if tag.l != big_l:
         raise DimensionMismatchError(f"frame has {big_l} PRIs but tag words have {tag.l}")
@@ -227,8 +248,9 @@ def decode_joint(y, source: SourceCodebook, tag: TagCodebook,
     """Exhaustive joint decoding over all |C| x |X| candidate pairs.
 
     Ties break toward the smallest (source, tag) index pair.  With
-    ``cross_check`` and l2 regularization, the winner is verified against
-    the algebraically equivalent quadratic-form maximization.
+    ``cross_check`` and l2 regularization, the quadratic-form winner is
+    verified against the argmin of the residual-form objective evaluated at
+    the same channel estimates.  Raises ``ValueError`` on a non-finite frame.
     """
     y = np.asarray(y, dtype=np.complex128)
     if cross_check and reg.kind != "l2":
@@ -239,25 +261,21 @@ def decode_joint(y, source: SourceCodebook, tag: TagCodebook,
 
     u_cols = y.T @ tag.words.T.astype(np.complex128)  # (k, |X|); words are real
     u_ones = y.sum(axis=0)
-    tag_term = -np.sum(np.abs(u_cols) ** 2, axis=0) / big_l
 
-    f_str, gam_str, f_sr, gam_sr = _all_candidate_fits(ops, u_cols, u_ones,
-                                                       big_l, reg)
-    metric = tag_term[None, :] + f_str + f_sr[:, None]
+    f_str, gam_str, f_sr, gam_sr = _candidate_fits(ops, u_cols, u_ones, big_l, reg)
+    metric = f_str + f_sr[:, None]
 
     flat = int(np.argmin(metric))
     ci, xi_idx = divmod(flat, len(tag))
     if cross_check:
-        xi_stack = np.stack(ops[0])
-        quad_str = np.real(np.einsum("kj,skj->sj", u_cols.conj(),
-                                     xi_stack @ gam_str))
-        quad_sr = np.real(np.einsum("k,sk->s", u_ones.conj(),
-                                    (xi_stack @ gam_sr[:, :, None])[:, :, 0]))
-        flat_max = int(np.argmax(quad_str + quad_sr[:, None]))
-        if flat_max != flat:
+        r_str, r_sr = _residual_fits(ops[0], u_cols, u_ones, gam_str, gam_sr,
+                                     big_l, reg)
+        tag_term = -np.sum(np.abs(u_cols) ** 2, axis=0) / big_l
+        flat_resid = int(np.argmin(tag_term[None, :] + r_str + r_sr[:, None]))
+        if flat_resid != flat:
             raise RadarTagError(
-                f"joint-decoding cross-check failed: decomposed argmin {divmod(flat, len(tag))}"
-                f" != quadratic-form argmax {divmod(flat_max, len(tag))}"
+                f"joint-decoding cross-check failed: quadratic-form argmin {divmod(flat, len(tag))}"
+                f" != residual-form argmin {divmod(flat_resid, len(tag))}"
             )
     if metric.min() == metric.max():
         log.debug("degenerate joint decode: all %d candidate metrics equal", metric.size)
@@ -276,7 +294,8 @@ def decode_disjoint(y, source: SourceCodebook, tag: TagCodebook,
 
     The tag stage needs no source knowledge; the source stage scores each
     codeword by the direct-link fit plus, unless ``use_str_for_source`` is
-    off, the backscatter fit at the decoded tag codeword.
+    off, the backscatter fit at the decoded tag codeword.  Raises
+    ``ValueError`` on a non-finite frame.
     """
     y = np.asarray(y, dtype=np.complex128)
     q = _frame_dims(y, source, tag)
@@ -289,14 +308,12 @@ def decode_disjoint(y, source: SourceCodebook, tag: TagCodebook,
     u_x = u_cols[:, xi_idx:xi_idx + 1]
     u_ones = y.sum(axis=0)
 
-    f_str, gam_str, f_sr, gam_sr = _all_candidate_fits(ops, u_x, u_ones,
-                                                       big_l, reg)
-    fits_str = f_str[:, 0]
-    scores = f_sr + (fits_str if use_str_for_source else 0.0)
+    f_str, gam_str, f_sr, gam_sr = _candidate_fits(ops, u_x, u_ones, big_l, reg)
+    scores = f_sr + (f_str[:, 0] if use_str_for_source else 0.0)
     ci = int(np.argmin(scores))
 
     # report the full joint objective at the returned pair either way
-    metric = float(-energies[xi_idx] / big_l + fits_str[ci] + f_sr[ci])
+    metric = float(f_str[ci, 0] + f_sr[ci])
     return PilotFreeResult(
         c_index=ci, x_index=xi_idx,
         c_hat=source.words[ci].copy(), x_hat=tag.words[xi_idx].copy(),
@@ -307,23 +324,29 @@ def decode_disjoint(y, source: SourceCodebook, tag: TagCodebook,
 
 def decode_perfect_csi(y, source: SourceCodebook, tag: TagCodebook,
                        g_str: ChannelTaps, g_sr: ChannelTaps) -> PilotFreeResult:
-    """Benchmark decoder: exhaustive data-fidelity minimization at known channels."""
+    """Benchmark decoder: exhaustive data-fidelity minimization at known channels.
+
+    Every pair is scored in closed form from the pulse shapes a_c = Xi_c g_str
+    and b_c = Xi_c g_sr: ||y - x a_c^T - 1 b_c^T||^2 = ||y - 1 b_c^T||^2
+    + L ||a_c||^2 - 2 Re x^T (y - 1 b_c^T) a_c^*, as tag words are +/-1.
+    Raises ``ValueError`` on a non-finite frame.
+    """
     y = np.asarray(y, dtype=np.complex128)
     q = _frame_dims(y, source, tag)
     if g_str.taps.size != q + 1 or g_sr.taps.size != q + 1:
         raise DimensionMismatchError("channel length inconsistent with frame width")
-    big_l = y.shape[0]
-    words_conj = tag.words.astype(np.complex128)  # real +/-1, conjugation free
+    big_l, k = y.shape
+    xis = _cached_xi_stack(*_words_key(source), q)
+    mc = xis.shape[0]
+    a = (xis.reshape(mc * k, q + 1) @ g_str.taps).reshape(mc, k)
+    b = (xis.reshape(mc * k, q + 1) @ g_sr.taps).reshape(mc, k)
+    a_conj = a.conj()
 
-    metric = np.empty((len(source), len(tag)))
-    for ci, word in enumerate(source.words):
-        xi = conv_matrix_from_code(word, q)
-        a = xi @ g_str.taps
-        b = xi @ g_sr.taps
-        z = y - np.outer(np.ones(big_l), b)
-        base = float(np.sum(np.abs(z) ** 2)) + big_l * float(np.sum(np.abs(a) ** 2))
-        cross = np.real(words_conj @ (z @ a.conj()))
-        metric[ci] = base - 2.0 * cross
+    # ||y - 1 b^T||^2 expanded, plus L ||a||^2
+    base = (np.vdot(y, y).real - 2.0 * (b @ y.sum(axis=0).conj()).real
+            + big_l * (np.sum(np.abs(b) ** 2, axis=1) + np.sum(np.abs(a) ** 2, axis=1)))
+    cross = (tag.words @ (y @ a_conj.T - np.sum(b * a_conj, axis=1))).real
+    metric = base[:, None] - 2.0 * cross.T
     flat = int(np.argmin(metric))
     ci, xi_idx = divmod(flat, len(tag))
     return PilotFreeResult(

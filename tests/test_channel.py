@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 from radartag import (
     TooManyTapsError,
@@ -150,3 +151,26 @@ class TestConvMatrixFromChannel:
         g = _randc(rng, 4)
         xi = conv_matrix_from_code(c, 3)
         assert np.linalg.norm(xi @ g) <= np.linalg.norm(xi, "fro") * np.linalg.norm(g) + 1e-12
+
+
+class TestToeplitzGather:
+    @pytest.mark.parametrize("n,q", [(1, 0), (1, 3), (4, 0), (7, 1), (31, 2),
+                                     (31, 14), (31, 29)])
+    def test_conv_matrices_match_scipy_toeplitz(self, n, q):
+        # both functions only copy values, so they must equal scipy's bit for bit
+        rng = np.random.default_rng(100 * n + q)
+        c = _randc(rng, n)
+        want = toeplitz(np.concatenate([c, np.zeros(q)]),
+                        np.concatenate([c[:1], np.zeros(q)]))
+        got = conv_matrix_from_code(c, q)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        got[0, 0] = 99.0  # results must not alias the cached gather index
+        assert np.array_equal(conv_matrix_from_code(c, q), want)
+
+        g = _randc(rng, q + 1)
+        want_ch = toeplitz(np.concatenate([g, np.zeros(n - 1)]),
+                           np.concatenate([g[:1], np.zeros(n - 1)]))
+        for n_pilot in (0, n // 2, n):
+            gp, gd = conv_matrix_from_channel(g, n_pilot, n - n_pilot)
+            assert np.array_equal(np.hstack([gp, gd]), want_ch)

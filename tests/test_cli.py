@@ -97,6 +97,12 @@ class TestSimulate:
         cfg = _config_file(tmp_path, scheme="nonsense")
         assert main(["simulate", "--config", cfg]) == 2
 
+    def test_workers_below_one_is_config_error(self, tmp_path, capsys):
+        cfg = _config_file(tmp_path, trials=2)
+        for cmd in (["simulate"], ["sweep", "--axis", "snr_sr"]):
+            assert main(cmd + ["--config", cfg, "--workers", "0"]) == 2
+            assert "workers" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_axis_rows(self, tmp_path, capsys):

@@ -18,6 +18,7 @@ from radartag import (
     run_trials,
     sweep,
 )
+from radartag import harness
 from radartag.framesim import noise_variance
 from radartag.harness import (
     MetricsRow,
@@ -185,6 +186,50 @@ class TestSweep:
         csv_8 = rows_to_csv(sweep(cfg, "snr_sr", values=[5.0, 15.0], workers=8))
         assert csv_1 == csv_8
 
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("workers", [0, -3, 2.0, True])
+    def test_invalid_counts_rejected(self, workers):
+        cfg = _quick_cfg(trials=2)
+        with pytest.raises(ConfigInvalidError):
+            run_trials(cfg, workers=workers)
+        with pytest.raises(ConfigInvalidError):
+            sweep(cfg, "snr_sr", values=[5.0], workers=workers)
+
+    def test_counts_above_cpu_count_are_capped(self, monkeypatch):
+        # an in-process stand-in for the pool records the size it was asked
+        # for, so no worker process starts
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(task) for task in tasks]
+
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        cfg = _quick_cfg(trials=6)
+        assert rows_to_csv(run_trials(cfg, workers=10 ** 6)) == rows_to_csv(run_trials(cfg))
+        assert sizes == [3]
+
+        swept = []
+
+        def recording_run_trials(cfg, workers, grid_offset):
+            swept.append(workers)
+            return [MetricsRow(cfg.scheme, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1, 0)]
+
+        monkeypatch.setattr(harness, "run_trials", recording_run_trials)
+        sweep(cfg, "snr_sr", values=[5.0, 10.0], workers=64)
+        assert swept == [3, 3]
 
 class TestSerialization:
     def test_csv_header(self):

@@ -329,17 +329,85 @@ class TestDecodePerfectCsi:
     def test_matches_direct_residual_minimization(self, books):
         src, tag = books
         rng = np.random.default_rng(14)
+        for q in (2, 14):
+            for _ in range(4):
+                g_str = sample_channel(q, 3, 0.2, -10.0, q > 2, rng)
+                g_sr = sample_channel(q, 3, 0.5, -10.0, q > 2, rng)
+                frame = synthesize_frame(src.words[rng.integers(16)],
+                                         tag.words[rng.integers(16)],
+                                         g_str, g_sr, 1.0, rng)
+                res = decode_perfect_csi(frame.y, src, tag, g_str, g_sr)
+                best = None
+                for ci in range(16):
+                    a = response_vector(src.words[ci], g_str)
+                    b = response_vector(src.words[ci], g_sr)
+                    for xi in range(16):
+                        resid = (frame.y - np.outer(tag.words[xi], a)
+                                 - np.outer(np.ones(10), b))
+                        val = np.sum(np.abs(resid) ** 2)
+                        if best is None or val < best[0]:
+                            best = (val, ci, xi)
+                assert (res.c_index, res.x_index) == (best[1], best[2])
+                assert res.metric == pytest.approx(best[0], rel=1e-9)
+
+
+class TestStackedQuadraticForm:
+    """The stacked l2 scoring path against an explicit per-pair oracle."""
+
+    # lambda = 0 needs full-column-rank Xi, which Gold words have up to q = 29
+    @pytest.mark.parametrize("q", [2, 14])
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 10.0])
+    def test_decisions_match_per_pair_minimization(self, books, q, lam):
+        src, tag = books
+        reg = RegularizationConfig(kind="l2", lambda_str=lam, lambda_sr=lam / 2)
+        rng = np.random.default_rng(q + int(10 * lam))
+        for _ in range(4):
+            g_str = sample_channel(q, 3, 0.1, -10.0, q > 2, rng)
+            g_sr = sample_channel(q, 3, 0.3, -10.0, q > 2, rng)
+            y = synthesize_frame(src.words[rng.integers(16)],
+                                 tag.words[rng.integers(16)],
+                                 g_str, g_sr, 1.0, rng).y
+            fits = {}
+            for ci, c in enumerate(src.words):
+                for xi, x in enumerate(tag.words):
+                    gs, gr = channel_estimates_given(c, x, y, reg)
+                    fits[ci, xi] = (_raw_objective(y, c, x, gs, gr, reg), gs, gr)
+
+            joint = decode_joint(y, src, tag, reg, cross_check=True)
+            best = min(fits, key=lambda pair: fits[pair][0])
+            assert (joint.c_index, joint.x_index) == best
+            # the metric drops the pair-independent ||y||^2 - ||Y^T 1||^2 / L
+            offset = np.sum(np.abs(y) ** 2) - np.sum(np.abs(y.sum(axis=0)) ** 2) / 10
+            assert joint.metric + offset == pytest.approx(fits[best][0], rel=1e-9)
+            self._assert_estimates(joint, fits[best])
+
+            # disjoint: tag by slow-time energy, then the best source at that tag
+            energies = [np.sum(np.abs(y.T @ x) ** 2) for x in tag.words]
+            xi_d = int(np.argmax(energies))
+            ci_d = min(range(len(src)), key=lambda ci: fits[ci, xi_d][0])
+            disjoint = decode_disjoint(y, src, tag, reg)
+            assert (disjoint.c_index, disjoint.x_index) == (ci_d, xi_d)
+            self._assert_estimates(disjoint, fits[ci_d, xi_d])
+
+    @staticmethod
+    def _assert_estimates(res, fit):
+        _, gs, gr = fit
+        assert np.linalg.norm(res.g_str_hat - gs) <= 1e-9 * max(np.linalg.norm(gs), 1.0)
+        assert np.linalg.norm(res.g_sr_hat - gr) <= 1e-9 * max(np.linalg.norm(gr), 1.0)
+
+
+class TestNonFiniteFrames:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_every_decoder_rejects(self, books, bad):
+        src, tag = books
+        rng = np.random.default_rng(18)
         g_str, g_sr = _draw_channels(rng)
-        frame = synthesize_frame(src.words[6], tag.words[3], g_str, g_sr, 1.0, rng)
-        res = decode_perfect_csi(frame.y, src, tag, g_str, g_sr)
-        best = None
-        for ci in range(16):
-            a = response_vector(src.words[ci], g_str)
-            b = response_vector(src.words[ci], g_sr)
-            for xi in range(16):
-                resid = frame.y - np.outer(tag.words[xi], a) - np.outer(np.ones(10), b)
-                val = np.sum(np.abs(resid) ** 2)
-                if best is None or val < best[0]:
-                    best = (val, ci, xi)
-        assert (res.c_index, res.x_index) == (best[1], best[2])
-        assert res.metric == pytest.approx(best[0], rel=1e-9)
+        y = synthesize_frame(src.words[1], tag.words[2], g_str, g_sr, 1.0, rng).y
+        y[4, 7] = bad
+        l1 = RegularizationConfig(kind="l1", lambda_str=0.5, lambda_sr=0.5)
+        for decode in (lambda: decode_joint(y, src, tag, REG0),
+                       lambda: decode_joint(y, src, tag, l1),
+                       lambda: decode_disjoint(y, src, tag, REG0),
+                       lambda: decode_perfect_csi(y, src, tag, g_str, g_sr)):
+            with pytest.raises(ValueError, match="non-finite"):
+                decode()
