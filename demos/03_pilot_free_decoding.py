@@ -38,7 +38,7 @@ ci, xi = 3, 11
 g_str = sample_channel(2, 3, 1.0, -10.0, False, rng)
 g_sr = sample_channel(2, 3, 1.0, -10.0, False, rng)
 frame = synthesize_frame(src.words[ci], tag.words[xi], g_str, g_sr, 0.0, rng)
-res = decode_joint(frame.y, src, tag, reg0, cross_check=True)
+res = decode_joint(frame.y, src, tag, reg0)
 print(f"\nnoiseless joint decode: sent ({ci}, {xi}), got "
       f"({res.c_index}, {res.x_index}); channel error "
       f"{np.linalg.norm(res.g_str_hat - g_str.taps):.2e}")

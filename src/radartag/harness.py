@@ -5,7 +5,7 @@ channel statistics, and an SNR grid.  Each trial draws messages, channels,
 and noise from a counter-split substream of the experiment seed, so results
 are bit-identical for any worker count: trial i of grid point g always sees
 the generator spawned at (seed, 1, g, i), and accumulation runs in trial
-order.
+order.  In a sweep, the axis position plays the part of the grid point.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import json
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace, asdict
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -57,19 +58,31 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-PILOT_FREE_SCHEMES = frozenset({
-    "pilot_free_joint",
-    "pilot_free_disjoint",
-    "pilot_free_disjoint_sr_only",
-    "perfect_csi",
-})
-PILOT_AIDED_SCHEMES = frozenset({
-    "pilot_aided_noniter",
-    "pilot_aided_iter_discrete",
-    "pilot_aided_iter_relaxed",
-    "pilot_aided_exhaustive",
-})
-SCHEMES = PILOT_FREE_SCHEMES | PILOT_AIDED_SCHEMES
+# scheme -> (pilot_aided, decoder call (ctx, y, side)); side is the pilot
+# layout, or the true (g_str, g_sr) for pilot-free schemes.  Decoders are
+# looked up in this module's globals at call time, so patching a name works.
+_SCHEME_TABLE = {
+    "pilot_free_joint": (False, lambda ctx, y, side: decode_joint(
+        y, ctx.source, ctx.tag, ctx.reg)),
+    "pilot_free_disjoint": (False, lambda ctx, y, side: decode_disjoint(
+        y, ctx.source, ctx.tag, ctx.reg)),
+    "pilot_free_disjoint_sr_only": (False, lambda ctx, y, side: decode_disjoint(
+        y, ctx.source, ctx.tag, ctx.reg, use_str_for_source=False)),
+    "perfect_csi": (False, lambda ctx, y, side: decode_perfect_csi(
+        y, ctx.source, ctx.tag, *side)),
+    "pilot_aided_noniter": (True, lambda ctx, y, side: decode_noniterative(y, side)),
+    "pilot_aided_iter_discrete": (True, lambda ctx, y, side: decode_iterative(
+        y, side, ctx.reg, mode="discrete", max_iters=ctx.cfg.max_iters,
+        rel_tol=ctx.cfg.rel_tol, enum_budget=ctx.cfg.enum_budget)),
+    "pilot_aided_iter_relaxed": (True, lambda ctx, y, side: decode_iterative(
+        y, side, ctx.reg, mode="relaxed", max_iters=ctx.cfg.max_iters,
+        rel_tol=ctx.cfg.rel_tol)),
+    "pilot_aided_exhaustive": (True, lambda ctx, y, side: exhaustive_search(
+        y, side, ctx.reg, budget=ctx.cfg.search_budget)),
+}
+SCHEMES = frozenset(_SCHEME_TABLE)
+PILOT_AIDED_SCHEMES = frozenset(s for s, (aided, _) in _SCHEME_TABLE.items() if aided)
+PILOT_FREE_SCHEMES = SCHEMES - PILOT_AIDED_SCHEMES
 
 SWEEP_AXES = ("snr_sr", "snr_str", "rho", "rate_source", "rate_tag")
 
@@ -159,9 +172,40 @@ def _require(cond: bool, message: str):
         raise ConfigInvalidError(message)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return _is_int(value) or isinstance(value, (float, np.floating))
+
+
+# a check per field annotation; "T | None" fields may also be None
+_KIND_CHECKS = {
+    "int": _is_int, "float": _is_real,
+    "bool": lambda v: isinstance(v, bool), "str": lambda v: isinstance(v, str),
+    "list[float]": lambda v: isinstance(v, list) and all(map(_is_real, v)),
+    "list[SnrConfig]": lambda v: isinstance(v, list) and all(
+        isinstance(p, SnrConfig) and _is_real(p.snr_str_db) and _is_real(p.snr_sr_db)
+        for p in v),
+}
+
+
+def _check_types(obj, prefix: str = ""):
+    """Check every field of a config read from JSON against its annotation."""
+    for f in fields(obj):
+        value, kind = getattr(obj, f.name), f.type.removesuffix(" | None")
+        if is_dataclass(value):
+            _check_types(value, f"{prefix}{f.name}.")
+        elif kind in _KIND_CHECKS and not (value is None and kind != f.type):
+            if not _KIND_CHECKS[kind](value):
+                raise ConfigInvalidError(f"{prefix}{f.name} must be {kind}, got {value!r}")
+
+
 def validate_config(cfg: ExperimentConfig):
     _require(cfg.scheme in SCHEMES, f"unknown scheme {cfg.scheme!r}")
     _require(cfg.trials >= 1, "trials must be >= 1")
+    _require(cfg.seed >= 0, "seed must be >= 0")
     _require(len(cfg.snr_grid) >= 1, "snr_grid must be nonempty")
     _require(cfg.channel.n_taps >= 1, "channel n_taps must be >= 1")
     _require(cfg.channel.n_taps <= cfg.params.q + 1,
@@ -174,14 +218,10 @@ def validate_config(cfg: ExperimentConfig):
                  "pilot-free schemes need codebook sizes")
         _require(cfg.n_pilot is None and cfg.l_pilot is None,
                  "pilot-free schemes take codebook sizes, not a pilot layout")
-        _require(1 <= cfg.n_source_words <= 33,
-                 "source codebook size must lie in [1, 33]")
-        _require(1 <= cfg.n_tag_words <= 252,
-                 "tag codebook size must lie in [1, 252]")
-        _require((cfg.n_source_words & (cfg.n_source_words - 1)) == 0,
-                 "source codebook size must be a power of two for bit mapping")
-        _require((cfg.n_tag_words & (cfg.n_tag_words - 1)) == 0,
-                 "tag codebook size must be a power of two for bit mapping")
+        for name, size, cap in (("source", cfg.n_source_words, 33),
+                                ("tag", cfg.n_tag_words, 252)):
+            _require(1 <= size <= cap and size & (size - 1) == 0,
+                     f"{name} codebook size must be a power of two in [1, {cap}]")
     else:
         _require(cfg.n_pilot is not None and cfg.l_pilot is not None,
                  "pilot-aided schemes need n_pilot and l_pilot")
@@ -223,11 +263,8 @@ class _Context:
             self.l_data = cfg.params.l - cfg.l_pilot
         # relaxed data penalties default to the noise variance (fixed at 1)
         reg = cfg.reg
-        if reg.lambda_c is None or reg.lambda_x is None:
-            reg = replace(reg,
-                          lambda_c=1.0 if reg.lambda_c is None else reg.lambda_c,
-                          lambda_x=1.0 if reg.lambda_x is None else reg.lambda_x)
-        self.reg = reg
+        self.reg = replace(reg, lambda_c=1.0 if reg.lambda_c is None else reg.lambda_c,
+                           lambda_x=1.0 if reg.lambda_x is None else reg.lambda_x)
 
     def trial_rng(self, grid_idx: int, trial_idx: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence(
@@ -236,16 +273,12 @@ class _Context:
 
 # trial results: (src_bit_err, src_bits, tag_bit_err, tag_bits,
 #                 e2_str, n2_str, e2_sr, n2_sr, iters)
-def _run_one_trial(ctx: _Context, snr: SnrConfig, grid_idx: int, trial_idx: int):
+def _run_one_trial(ctx: _Context, noise, grid_idx: int, trial_idx: int):
     cfg = ctx.cfg
     rng = ctx.trial_rng(grid_idx, trial_idx)
-    sigma_omega2, sigma_str2, sigma_sr2 = noise_variance(snr, cfg.params.n)
-    if cfg.scheme in PILOT_FREE_SCHEMES:
-        ci = int(rng.integers(len(ctx.source)))
-        xi = int(rng.integers(len(ctx.tag)))
-        c = ctx.source.words[ci]
-        x = ctx.tag.words[xi]
-    else:
+    sigma_omega2, sigma_str2, sigma_sr2 = noise
+    aided, decode = _SCHEME_TABLE[cfg.scheme]
+    if aided:
         pilot_word = int(rng.integers(len(ctx.gold)))
         c_pilot = ctx.gold.words[pilot_word][:cfg.n_pilot]
         c_data = 1 - 2 * rng.integers(0, 2, ctx.n_data)
@@ -254,52 +287,28 @@ def _run_one_trial(ctx: _Context, snr: SnrConfig, grid_idx: int, trial_idx: int)
         x = np.concatenate([ctx.x_pilot, x_data])
         layout = PilotLayout(c_pilot=c_pilot, x_pilot=ctx.x_pilot,
                              n_data=ctx.n_data, l_data=ctx.l_data)
+    else:
+        ci = int(rng.integers(len(ctx.source)))
+        xi = int(rng.integers(len(ctx.tag)))
+        c = ctx.source.words[ci]
+        x = ctx.tag.words[xi]
     g_str = sample_channel(cfg.params.q, cfg.channel.n_taps, sigma_str2,
                            cfg.channel.kappa_db, cfg.channel.sparse, rng)
     g_sr = sample_channel(cfg.params.q, cfg.channel.n_taps, sigma_sr2,
                           cfg.channel.kappa_db, cfg.channel.sparse, rng)
     frame = synthesize_frame(c, x, g_str, g_sr, sigma_omega2, rng, keep_truth=False)
-    n2_str = float(np.sum(np.abs(g_str.taps) ** 2))
-    n2_sr = float(np.sum(np.abs(g_sr.taps) ** 2))
-
-    scheme = cfg.scheme
-    if scheme in PILOT_FREE_SCHEMES:
-        if scheme == "pilot_free_joint":
-            res = decode_joint(frame.y, ctx.source, ctx.tag, ctx.reg)
-        elif scheme == "pilot_free_disjoint":
-            res = decode_disjoint(frame.y, ctx.source, ctx.tag, ctx.reg)
-        elif scheme == "pilot_free_disjoint_sr_only":
-            res = decode_disjoint(frame.y, ctx.source, ctx.tag, ctx.reg,
-                                  use_str_for_source=False)
-        else:
-            res = decode_perfect_csi(frame.y, ctx.source, ctx.tag, g_str, g_sr)
-        src_err = _index_bit_errors(ci, res.c_index, ctx.src_bits)
-        tag_err = _index_bit_errors(xi, res.x_index, ctx.tag_bits)
-        if scheme == "perfect_csi":
-            e2_str = e2_sr = 0.0
-        else:
-            e2_str = float(np.sum(np.abs(res.g_str_hat - g_str.taps) ** 2))
-            e2_sr = float(np.sum(np.abs(res.g_sr_hat - g_sr.taps) ** 2))
-        return (src_err, ctx.src_bits, tag_err, ctx.tag_bits,
-                e2_str, n2_str, e2_sr, n2_sr, 0)
-
-    if scheme == "pilot_aided_noniter":
-        res = decode_noniterative(frame.y, layout)
-    elif scheme == "pilot_aided_iter_discrete":
-        res = decode_iterative(frame.y, layout, ctx.reg, mode="discrete",
-                               max_iters=cfg.max_iters, rel_tol=cfg.rel_tol,
-                               enum_budget=cfg.enum_budget)
-    elif scheme == "pilot_aided_iter_relaxed":
-        res = decode_iterative(frame.y, layout, ctx.reg, mode="relaxed",
-                               max_iters=cfg.max_iters, rel_tol=cfg.rel_tol)
-    else:
-        res = exhaustive_search(frame.y, layout, ctx.reg, budget=cfg.search_budget)
-    src_err = int(np.count_nonzero(res.c_data_hat != c_data))
-    tag_err = int(np.count_nonzero(res.x_data_hat != x_data))
+    res = decode(ctx, frame.y, layout if aided else (g_str, g_sr))
     e2_str = float(np.sum(np.abs(res.g_str_hat - g_str.taps) ** 2))
+    n2_str = float(np.sum(np.abs(g_str.taps) ** 2))
     e2_sr = float(np.sum(np.abs(res.g_sr_hat - g_sr.taps) ** 2))
-    return (src_err, ctx.n_data, tag_err, ctx.l_data,
-            e2_str, n2_str, e2_sr, n2_sr, res.iters)
+    n2_sr = float(np.sum(np.abs(g_sr.taps) ** 2))
+    if aided:
+        return (int(np.count_nonzero(res.c_data_hat != c_data)), ctx.n_data,
+                int(np.count_nonzero(res.x_data_hat != x_data)), ctx.l_data,
+                e2_str, n2_str, e2_sr, n2_sr, res.iters)
+    return (_index_bit_errors(ci, res.c_index, ctx.src_bits), ctx.src_bits,
+            _index_bit_errors(xi, res.x_index, ctx.tag_bits), ctx.tag_bits,
+            e2_str, n2_str, e2_sr, n2_sr, 0)
 
 
 @lru_cache(maxsize=8)
@@ -308,10 +317,10 @@ def _context_for(cfg_json: str) -> _Context:
 
 
 def _trial_batch(args):
-    cfg_json, grid_idx, snr_str_db, snr_sr_db, start, stop = args
+    cfg_json, grid_idx, snr, start, stop = args
     ctx = _context_for(cfg_json)
-    snr = SnrConfig(snr_str_db=snr_str_db, snr_sr_db=snr_sr_db)
-    return [_run_one_trial(ctx, snr, grid_idx, i) for i in range(start, stop)]
+    noise = noise_variance(snr, ctx.cfg.params.n)
+    return [_run_one_trial(ctx, noise, grid_idx, i) for i in range(start, stop)]
 
 
 def _reduce(scheme: str, snr: SnrConfig, trial_results, trials: int,
@@ -335,50 +344,54 @@ def _reduce(scheme: str, snr: SnrConfig, trial_results, trials: int,
         mean_iters=iters / trials,
         trials=trials,
         seed=seed,
+        axis_value=snr.snr_sr_db,
     )
 
 
 def _worker_count(workers) -> int:
     """Validated worker count, capped at the machine's CPU count."""
-    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
+    if not _is_int(workers):
         raise ConfigInvalidError(f"workers must be an integer, got {workers!r}")
     _require(workers >= 1, f"workers must be >= 1, got {workers}")
     return min(int(workers), os.cpu_count() or 1)
 
 
-def run_trials(cfg: ExperimentConfig, workers: int = 1,
-               grid_offset: int = 0) -> list[MetricsRow]:
+def _run(cfgs: list[ExperimentConfig], workers) -> list[MetricsRow]:
+    """One MetricsRow per (config, grid point), in that order.
+
+    Config i's grid point g draws trial t from the substream (seed, 1, i + g,
+    t); callers pass one config (run_trials) or one-point configs (sweep), so
+    no two points share a substream.  All trial chunks go through the builtin
+    map, or through one process pool when ``workers`` > 1, and each point is
+    reduced in trial order.
+    """
+    workers = _worker_count(workers)
+    points, tasks = [], []
+    for i, cfg in enumerate(cfgs):
+        validate_config(cfg)
+        cfg_json = json.dumps(config_to_dict(cfg), sort_keys=True)
+        chunk = max(1, -(-cfg.trials // (workers * 4)))
+        for g, snr in enumerate(cfg.snr_grid):
+            starts = range(0, cfg.trials, chunk)
+            points.append((cfg, snr, len(starts)))
+            tasks += [(cfg_json, i + g, snr, a, min(a + chunk, cfg.trials))
+                      for a in starts]
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+    with pool:
+        batches = iter((pool.map if workers > 1 else map)(_trial_batch, tasks))
+        return [_reduce(cfg.scheme, snr,
+                        [r for _ in range(n_batches) for r in next(batches)],
+                        cfg.trials, cfg.seed)
+                for cfg, snr, n_batches in points]
+
+
+def run_trials(cfg: ExperimentConfig, workers: int = 1) -> list[MetricsRow]:
     """One MetricsRow per SNR grid point.
 
     ``workers`` must be at least 1; counts above ``os.cpu_count()`` are
-    capped at it.  ``grid_offset`` shifts the substream index of the first
-    grid point so a sweep can give every axis position its own substreams.
+    capped at it.
     """
-    workers = _worker_count(workers)
-    validate_config(cfg)
-    cfg_json = json.dumps(config_to_dict(cfg), sort_keys=True)
-    ctx = _context_for(cfg_json)
-    rows = []
-    if workers > 1:
-        chunk = max(1, -(-cfg.trials // (workers * 4)))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for g, snr in enumerate(cfg.snr_grid):
-                gi = g + grid_offset
-                tasks = [(cfg_json, gi, snr.snr_str_db, snr.snr_sr_db,
-                          a, min(a + chunk, cfg.trials))
-                         for a in range(0, cfg.trials, chunk)]
-                per_trial = [r for batch in pool.map(_trial_batch, tasks)
-                             for r in batch]
-                rows.append(_reduce(cfg.scheme, snr, per_trial, cfg.trials, cfg.seed))
-    else:
-        for g, snr in enumerate(cfg.snr_grid):
-            gi = g + grid_offset
-            per_trial = [_run_one_trial(ctx, snr, gi, i) for i in range(cfg.trials)]
-            rows.append(_reduce(cfg.scheme, snr, per_trial, cfg.trials, cfg.seed))
-    for row, snr in zip(rows, cfg.snr_grid):
-        row.axis_name = "snr_sr"
-        row.axis_value = snr.snr_sr_db
-    return rows
+    return _run([cfg], workers)
 
 
 def _derived_config(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
@@ -412,18 +425,14 @@ def sweep(cfg: ExperimentConfig, axis: str, values=None,
     codebooks (pilot-free) or the pilot split (pilot-aided).  ``workers`` is
     validated and capped as in :func:`run_trials`.
     """
-    workers = _worker_count(workers)
     if values is None:
         values = cfg.axis_values
     if not values:
         raise ConfigInvalidError("sweep needs a nonempty axis grid")
-    rows = []
-    for pos, value in enumerate(values):
-        derived = _derived_config(cfg, axis, value)
-        row = run_trials(derived, workers=workers, grid_offset=pos)[0]
+    rows = _run([_derived_config(cfg, axis, value) for value in values], workers)
+    for row, value in zip(rows, values):
         row.axis_name = axis
         row.axis_value = float(value)
-        rows.append(row)
     return rows
 
 
@@ -511,6 +520,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
+    if not isinstance(data, dict):
+        raise ConfigInvalidError(f"a config is a JSON object, not {type(data).__name__}")
     try:
         if data.get("version", CONFIG_VERSION) != CONFIG_VERSION:
             raise ConfigInvalidError(f"unsupported config version {data['version']}")
@@ -554,6 +565,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if isinstance(exc, ConfigInvalidError):
             raise
         raise ConfigInvalidError(f"malformed config: {exc}") from exc
+    _check_types(cfg)
     validate_config(cfg)
     return cfg
 

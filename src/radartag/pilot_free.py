@@ -28,7 +28,7 @@ import numpy as np
 
 from .channel import ChannelTaps, conv_matrix_from_code
 from .codebooks import SourceCodebook, TagCodebook
-from .errors import DimensionMismatchError, EmptyCodebookError, RadarTagError, SingularSystemError
+from .errors import DimensionMismatchError, EmptyCodebookError, SingularSystemError
 from .solvers import (
     RegularizationConfig,
     _power_iteration_largest,
@@ -244,17 +244,13 @@ def channel_estimates_given(c, x, y, reg: RegularizationConfig):
 
 
 def decode_joint(y, source: SourceCodebook, tag: TagCodebook,
-                 reg: RegularizationConfig, cross_check: bool = False) -> PilotFreeResult:
+                 reg: RegularizationConfig) -> PilotFreeResult:
     """Exhaustive joint decoding over all |C| x |X| candidate pairs.
 
-    Ties break toward the smallest (source, tag) index pair.  With
-    ``cross_check`` and l2 regularization, the quadratic-form winner is
-    verified against the argmin of the residual-form objective evaluated at
-    the same channel estimates.  Raises ``ValueError`` on a non-finite frame.
+    Ties break toward the smallest (source, tag) index pair.  Raises
+    ``ValueError`` on a non-finite frame.
     """
     y = np.asarray(y, dtype=np.complex128)
-    if cross_check and reg.kind != "l2":
-        raise ValueError("cross_check applies to l2 regularization only")
     q = _frame_dims(y, source, tag)
     big_l = y.shape[0]
     ops = _source_ops(source, q, big_l, reg)
@@ -267,16 +263,6 @@ def decode_joint(y, source: SourceCodebook, tag: TagCodebook,
 
     flat = int(np.argmin(metric))
     ci, xi_idx = divmod(flat, len(tag))
-    if cross_check:
-        r_str, r_sr = _residual_fits(ops[0], u_cols, u_ones, gam_str, gam_sr,
-                                     big_l, reg)
-        tag_term = -np.sum(np.abs(u_cols) ** 2, axis=0) / big_l
-        flat_resid = int(np.argmin(tag_term[None, :] + r_str + r_sr[:, None]))
-        if flat_resid != flat:
-            raise RadarTagError(
-                f"joint-decoding cross-check failed: quadratic-form argmin {divmod(flat, len(tag))}"
-                f" != residual-form argmin {divmod(flat_resid, len(tag))}"
-            )
     if metric.min() == metric.max():
         log.debug("degenerate joint decode: all %d candidate metrics equal", metric.size)
     return PilotFreeResult(

@@ -221,15 +221,104 @@ class TestWorkers:
         assert rows_to_csv(run_trials(cfg, workers=10 ** 6)) == rows_to_csv(run_trials(cfg))
         assert sizes == [3]
 
-        swept = []
+        # a whole sweep shares one pool, also capped
+        sizes.clear()
+        swept = rows_to_csv(sweep(cfg, "snr_sr", values=[5.0, 10.0], workers=64))
+        assert sizes == [3]
+        assert swept == rows_to_csv(sweep(cfg, "snr_sr", values=[5.0, 10.0]))
 
-        def recording_run_trials(cfg, workers, grid_offset):
-            swept.append(workers)
-            return [MetricsRow(cfg.scheme, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1, 0)]
 
-        monkeypatch.setattr(harness, "run_trials", recording_run_trials)
-        sweep(cfg, "snr_sr", values=[5.0, 10.0], workers=64)
-        assert swept == [3, 3]
+_VALID_CONFIG = {
+    "scheme": "pilot_free_joint",
+    "snr_grid": [{"snr_str_db": 5.0, "snr_sr_db": 10.0}],
+    "codebook": {"n_source": 16, "n_tag": 16},
+    "channel": {"n_taps": 3, "kappa_db": -10.0, "sparse": False},
+    "trials": 1,
+    "seed": 0,
+}
+_MALFORMED_CONFIGS = {
+    "n_taps_string": {**_VALID_CONFIG, "channel": {"n_taps": "3"}},
+    "n_source_string": {**_VALID_CONFIG, "codebook": {"n_source": "16", "n_tag": 16}},
+    "n_source_float": {**_VALID_CONFIG, "codebook": {"n_source": 16.0, "n_tag": 16}},
+    "top_level_list": [_VALID_CONFIG],
+    "negative_seed": {**_VALID_CONFIG, "seed": -1},
+    "snr_string": {**_VALID_CONFIG,
+                   "snr_grid": [{"snr_str_db": "a", "snr_sr_db": 10.0}]},
+    "kappa_string": {**_VALID_CONFIG,
+                     "channel": {"n_taps": 3, "kappa_db": "x", "sparse": False}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_CONFIGS))
+def test_malformed_config_is_a_config_error(name, tmp_path):
+    from radartag.cli import main
+
+    data = _MALFORMED_CONFIGS[name]
+    with pytest.raises(ConfigInvalidError):
+        config_from_dict(data)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main(["simulate", "--config", str(path)]) == 2
+
+
+def test_valid_config_of_the_malformed_cases_runs():
+    rows = run_trials(config_from_dict(_VALID_CONFIG))
+    assert rows[0].trials == 1
+
+
+# CSV data rows of run_trials at seed 2026, 6 trials, grid (-5, 0) and
+# (5, 10) dB, and of one sweep, recorded from an earlier implementation of
+# the harness: a refactor that changes any of them changes the CSV
+_RECORDED_ROWS = {
+    ("perfect_csi", "l2"): [
+        "perfect_csi,snr_sr,0,-5,0,0,0.2083333333,0,0,0,6,2026",
+        "perfect_csi,snr_sr,10,5,10,0,0,0,0,0,6,2026"],
+    ("pilot_aided_exhaustive", "l2"): [
+        "pilot_aided_exhaustive,snr_sr,0,-5,0,0.1666666667,0.25,0.7654858268,0.4089576117,0,6,2026",
+        "pilot_aided_exhaustive,snr_sr,10,5,10,0,0.04166666667,0.2493306834,0.08149917566,0,6,2026"],
+    ("pilot_aided_iter_discrete", "l2"): [
+        "pilot_aided_iter_discrete,snr_sr,0,-5,0,0.04166666667,0.2083333333,0.8820524876,0.3244653172,3.333333333,6,2026",
+        "pilot_aided_iter_discrete,snr_sr,10,5,10,0,0,0.1625565074,0.08425803436,3,6,2026"],
+    ("pilot_aided_iter_relaxed", "l2"): [
+        "pilot_aided_iter_relaxed,snr_sr,0,-5,0,0.08333333333,0.25,1.860359524,0.3688936747,24,6,2026",
+        "pilot_aided_iter_relaxed,snr_sr,10,5,10,0,0,0.4582585239,0.09082152121,25.16666667,6,2026"],
+    ("pilot_aided_noniter", "l2"): [
+        "pilot_aided_noniter,snr_sr,0,-5,0,0.25,0.375,1.433450948,0.6022103101,0,6,2026",
+        "pilot_aided_noniter,snr_sr,10,5,10,0.125,0.1666666667,0.4550697013,0.2489750936,0,6,2026"],
+    ("pilot_free_disjoint", "l2"): [
+        "pilot_free_disjoint,snr_sr,0,-5,0,0,0.4583333333,0.7777439742,0.3274120417,0,6,2026",
+        "pilot_free_disjoint,snr_sr,10,5,10,0,0,0.1948231603,0.1106348928,0,6,2026"],
+    ("pilot_free_disjoint_sr_only", "l2"): [
+        "pilot_free_disjoint_sr_only,snr_sr,0,-5,0,0,0.4583333333,0.7777439742,0.3274120417,0,6,2026",
+        "pilot_free_disjoint_sr_only,snr_sr,10,5,10,0,0,0.1948231603,0.1106348928,0,6,2026"],
+    ("pilot_free_joint", "l2"): [
+        "pilot_free_joint,snr_sr,0,-5,0,0,0.4166666667,0.9428885189,0.3274120417,0,6,2026",
+        "pilot_free_joint,snr_sr,10,5,10,0,0,0.1948231603,0.1106348928,0,6,2026"],
+    ("pilot_free_joint", "l1"): [
+        "pilot_free_joint,snr_sr,0,-5,0,0,0.4166666667,0.938946845,0.3268754668,0,6,2026",
+        "pilot_free_joint,snr_sr,10,5,10,0,0,0.1947169288,0.1104990958,0,6,2026"],
+}
+
+
+def test_rows_match_recorded_parent_output():
+    regs = {"l2": RegularizationConfig(kind="l2", lambda_str=0.1, lambda_sr=0.1),
+            "l1": RegularizationConfig(kind="l1", lambda_str=0.3, lambda_sr=0.3)}
+    assert {scheme for scheme, _ in _RECORDED_ROWS} == harness.SCHEMES
+    for (scheme, kind), recorded in _RECORDED_ROWS.items():
+        layout = {}
+        if scheme in harness.PILOT_AIDED_SCHEMES:
+            layout = dict(n_source_words=None, n_tag_words=None, n_pilot=27,
+                          l_pilot=6 if scheme == "pilot_aided_exhaustive" else 2)
+        cfg = _quick_cfg(scheme=scheme, reg=regs[kind], trials=6, seed=2026,
+                         snr_grid=[SnrConfig(-5.0, 0.0), SnrConfig(5.0, 10.0)],
+                         **layout)
+        assert rows_to_csv(run_trials(cfg)).splitlines()[1:] == recorded, (scheme, kind)
+    # a sweep gives axis position g the substreams (seed, 1, g, t)
+    cfg = _quick_cfg(trials=6, seed=2026, snr_grid=[SnrConfig(-5.0, 0.0)])
+    assert rows_to_csv(sweep(cfg, "rho", values=[-10.0, 0.0])).splitlines()[1:] == [
+        "pilot_free_joint,rho,-10,-10,0,0,0.4166666667,1.811692464,0.3274120417,0,6,2026",
+        "pilot_free_joint,rho,0,0,0,0,0,0.346406444,0.349946487,0,6,2026"]
+
 
 class TestSerialization:
     def test_csv_header(self):

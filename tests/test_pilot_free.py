@@ -18,6 +18,7 @@ from radartag import (
     synthesize_frame,
 )
 from radartag.channel import ChannelTaps, conv_matrix_from_code, response_vector
+from radartag import pilot_free
 from radartag.errors import EmptyCodebookError
 
 REG0 = RegularizationConfig(kind="l2", lambda_str=0.0, lambda_sr=0.0)
@@ -130,14 +131,14 @@ class TestChannelEstimatesGiven:
 
 
 class TestDecodeJoint:
-    def test_noiseless_exactness_with_cross_check(self, books):
+    def test_noiseless_exactness(self, books):
         src, tag = books
         rng = np.random.default_rng(3)
         for _ in range(25):
             ci, xi = int(rng.integers(16)), int(rng.integers(16))
             g_str, g_sr = _draw_channels(rng)
             frame = synthesize_frame(src.words[ci], tag.words[xi], g_str, g_sr, 0.0, rng)
-            res = decode_joint(frame.y, src, tag, REG0, cross_check=True)
+            res = decode_joint(frame.y, src, tag, REG0)
             assert (res.c_index, res.x_index) == (ci, xi)
             assert np.linalg.norm(res.g_str_hat - g_str.taps) < 1e-9
             assert np.linalg.norm(res.g_sr_hat - g_sr.taps) < 1e-9
@@ -194,16 +195,27 @@ class TestDecodeJoint:
                 assert quad == pytest.approx(metric_proof, rel=1e-10)
 
     def test_cross_check_agrees_on_noisy_frames(self, books):
-        # decomposed argmin and quadratic-form argmax pick the same pair
+        # the residual-form objective at the same ridge estimates has the
+        # same argmin as the quadratic-form score decode_joint minimizes
         src, tag = books
         rng = np.random.default_rng(15)
         reg = RegularizationConfig(kind="l2", lambda_str=0.1, lambda_sr=0.1)
+        ops = pilot_free._source_ops(src, 2, 10, reg)
         for _ in range(100):
             g_str, g_sr = _draw_channels(rng, sigma2=0.3)
-            frame = synthesize_frame(src.words[rng.integers(16)],
-                                     tag.words[rng.integers(16)],
-                                     g_str, g_sr, 1.0, rng)
-            decode_joint(frame.y, src, tag, reg, cross_check=True)
+            y = synthesize_frame(src.words[rng.integers(16)],
+                                 tag.words[rng.integers(16)],
+                                 g_str, g_sr, 1.0, rng).y
+            u_cols = y.T @ tag.words.T.astype(np.complex128)
+            u_ones = y.sum(axis=0)
+            _, gam_str, _, gam_sr = pilot_free._candidate_fits(ops, u_cols, u_ones,
+                                                               10, reg)
+            r_str, r_sr = pilot_free._residual_fits(ops[0], u_cols, u_ones,
+                                                    gam_str, gam_sr, 10, reg)
+            tag_term = -np.sum(np.abs(u_cols) ** 2, axis=0) / 10
+            flat = int(np.argmin(tag_term[None, :] + r_str + r_sr[:, None]))
+            res = decode_joint(y, src, tag, reg)
+            assert divmod(flat, len(tag)) == (res.c_index, res.x_index)
 
     def test_backscatter_free_frame_ties_to_index_zero_tag(self, books):
         # without a tag component every slow-time projection is zero, so the
@@ -373,7 +385,7 @@ class TestStackedQuadraticForm:
                     gs, gr = channel_estimates_given(c, x, y, reg)
                     fits[ci, xi] = (_raw_objective(y, c, x, gs, gr, reg), gs, gr)
 
-            joint = decode_joint(y, src, tag, reg, cross_check=True)
+            joint = decode_joint(y, src, tag, reg)
             best = min(fits, key=lambda pair: fits[pair][0])
             assert (joint.c_index, joint.x_index) == best
             # the metric drops the pair-independent ||y||^2 - ||Y^T 1||^2 / L
