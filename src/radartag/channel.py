@@ -9,6 +9,7 @@ matrix times the codeword) is what the pilot-aided decoders exploit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,7 +62,7 @@ def sample_channel(q: int, n_taps: int, sigma2: float, kappa_db: float,
         support = np.sort(rng.choice(q + 1, size=n_taps, replace=False))
     else:
         support = np.arange(n_taps)
-    if np.isinf(kappa_db):
+    if math.isinf(kappa_db):
         spec_frac, diff_frac = (1.0, 0.0) if kappa_db > 0 else (0.0, 1.0)
     else:
         kappa = 10.0 ** (kappa_db / 10.0)
@@ -89,15 +90,19 @@ def _delay_index(m: int, d: int) -> np.ndarray:
 
 
 def conv_matrix_from_code(c, q: int) -> np.ndarray:
-    """(n+q) x (q+1) Toeplitz matrix whose column j is c delayed by j."""
+    """(n+q) x (q+1) Toeplitz matrix whose column j is c delayed by j.
+
+    Leading axes of ``c`` are a stack of codewords, one matrix each.
+    """
     c = np.asarray(c, dtype=np.complex128)
-    if c.ndim != 1 or c.size < 1:
+    if c.ndim < 1 or c.shape[-1] < 1:
         raise DimensionMismatchError("codeword must be a nonempty vector")
     if q < 0:
         raise ValueError("q must be nonnegative")
-    padded = np.zeros(c.size + 2 * q, dtype=np.complex128)
-    padded[q:q + c.size] = c
-    return padded[_delay_index(c.size, q)]
+    n = c.shape[-1]
+    padded = np.zeros(c.shape[:-1] + (n + 2 * q,), dtype=np.complex128)
+    padded[..., q:q + n] = c
+    return np.take(padded, _delay_index(n, q), axis=-1)
 
 
 def _taps_of(g) -> np.ndarray:

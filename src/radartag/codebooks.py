@@ -210,7 +210,7 @@ def check_source_separability(codebook: SourceCodebook, q: int) -> bool:
         raise InfeasibleDimensionsError(
             f"need n >= q + 2 for separability, got n={n}, q={q}"
         )
-    mats = [conv_matrix_from_code(w, q) for w in codebook.words]
+    mats = conv_matrix_from_code(codebook.words, q)
     m = len(codebook)
     for i in range(m):
         for j in range(i + 1, m):

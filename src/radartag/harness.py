@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -180,6 +181,14 @@ def _is_real(value) -> bool:
     return _is_int(value) or isinstance(value, (float, np.floating))
 
 
+def _db_ok(value) -> bool:
+    """A real dB value whose linear power 10^(value/10) is a finite float."""
+    try:
+        return _is_real(value) and math.isfinite(10.0 ** (value / 10.0))
+    except OverflowError:
+        return False
+
+
 # a check per field annotation; "T | None" fields may also be None
 _KIND_CHECKS = {
     "int": _is_int, "float": _is_real,
@@ -207,6 +216,11 @@ def validate_config(cfg: ExperimentConfig):
     _require(cfg.trials >= 1, "trials must be >= 1")
     _require(cfg.seed >= 0, "seed must be >= 0")
     _require(len(cfg.snr_grid) >= 1, "snr_grid must be nonempty")
+    _require(all(_db_ok(v) for p in cfg.snr_grid for v in (p.snr_str_db, p.snr_sr_db))
+             and _db_ok(cfg.rho_db),
+             "SNR and rho_db values must be dB values with a finite linear power")
+    _require(_db_ok(cfg.channel.kappa_db) or cfg.channel.kappa_db in (math.inf, -math.inf),
+             "channel kappa_db must be +/-inf or a dB value with a finite linear power")
     _require(cfg.channel.n_taps >= 1, "channel n_taps must be >= 1")
     _require(cfg.channel.n_taps <= cfg.params.q + 1,
              "channel n_taps exceeds q + 1 delay bins")
@@ -429,6 +443,14 @@ def sweep(cfg: ExperimentConfig, axis: str, values=None,
         values = cfg.axis_values
     if not values:
         raise ConfigInvalidError("sweep needs a nonempty axis grid")
+    rate_caps = {"rate_source": cfg.params.n, "rate_tag": cfg.params.l}
+    for value in values:
+        if axis in rate_caps:
+            _require(_is_real(value) and 0 <= value <= rate_caps[axis],
+                     f"{axis} values must lie in [0, {rate_caps[axis]}], got {value!r}")
+        else:
+            _require(_db_ok(value), f"{axis} value {value!r} is not a dB value "
+                                    "with a finite linear power")
     rows = _run([_derived_config(cfg, axis, value) for value in values], workers)
     for row, value in zip(rows, values):
         row.axis_name = axis
@@ -527,7 +549,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             raise ConfigInvalidError(f"unsupported config version {data['version']}")
         params = SystemParams(**data.get("params", {}))
         scheme = data.get("scheme", "pilot_free_joint")
-        rho_db = float(data.get("rho_db", -5.0))
+        rho_db = data.get("rho_db", -5.0)
         if "snr_grid" in data and data["snr_grid"] is not None:
             grid = [SnrConfig(**point) for point in data["snr_grid"]]
         else:
@@ -553,15 +575,15 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             n_tag_words=codebook["n_tag"] if codebook else None,
             n_pilot=layout["n_pilot"] if layout else None,
             l_pilot=layout["l_pilot"] if layout else None,
-            trials=int(data.get("trials", 1000)),
-            seed=int(data.get("seed", 0)),
+            trials=data.get("trials", 1000),
+            seed=data.get("seed", 0),
             axis_values=data.get("axis_values"),
-            max_iters=int(data.get("max_iters", 50)),
-            rel_tol=float(data.get("rel_tol", 1e-8)),
-            enum_budget=int(data.get("enum_budget", 2 ** 16)),
-            search_budget=int(data.get("search_budget", 2 ** 20)),
+            max_iters=data.get("max_iters", 50),
+            rel_tol=data.get("rel_tol", 1e-8),
+            enum_budget=data.get("enum_budget", 2 ** 16),
+            search_budget=data.get("search_budget", 2 ** 20),
         )
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigInvalidError):
             raise
         raise ConfigInvalidError(f"malformed config: {exc}") from exc

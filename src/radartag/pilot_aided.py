@@ -47,6 +47,8 @@ log = logging.getLogger(__name__)
 
 DEFAULT_ENUM_BUDGET = 2 ** 16
 DEFAULT_SEARCH_BUDGET = 2 ** 20
+# candidate pairs fitted and scored per batched step of exhaustive_search
+_SEARCH_CHUNK = 64
 
 
 @dataclass
@@ -119,6 +121,25 @@ def _frame_dims(y: np.ndarray, layout: PilotLayout) -> int:
     return q
 
 
+def _with_pilot(pilot, data) -> np.ndarray:
+    """Complex full words: the pilot ahead of the data (or of each row of it)."""
+    data = np.asarray(data)
+    pilot = np.broadcast_to(pilot, data.shape[:-1] + np.shape(pilot))
+    return np.concatenate([pilot, data], axis=-1).astype(np.complex128)
+
+
+def _pulse_shapes(c_full, q: int, g_str, g_sr):
+    """Received pulse shapes Xi_c g of a codeword (stack) through both channels."""
+    xi = conv_matrix_from_code(c_full, q)
+    return tuple((xi @ np.asarray(g, dtype=np.complex128)[..., None])[..., 0]
+                 for g in (g_str, g_sr))
+
+
+def _tag_filter(data_rows, a_str, a_sr) -> np.ndarray:
+    """Data rows with the direct pulse shape removed, matched to the backscatter one."""
+    return (data_rows - a_sr) @ np.conj(a_str)
+
+
 def decode_noniterative(y, layout: PilotLayout) -> PilotAidedResult:
     """Single-pass constructive recovery from the pilot structure.
 
@@ -168,23 +189,47 @@ def decode_noniterative(y, layout: PilotLayout) -> PilotAidedResult:
         degenerate = True
         x_data = np.ones(l_d, dtype=np.int64)
     else:
-        x_cont = (y[l_p:] - np.outer(np.ones(l_d), alpha_sr)) @ alpha_str.conj() / denom
-        x_data = _slice_pm1(x_cont)
+        x_data = _slice_pm1(_tag_filter(y[l_p:], alpha_str, alpha_sr) / denom)
     return PilotAidedResult(c_data_hat=c_data, x_data_hat=x_data,
                             g_str_hat=g_str, g_sr_hat=g_sr,
                             objective_trace=[], iters=0, converged=True,
                             degenerate=degenerate)
 
 
-def iterative_channel_update(y, c, x, reg: RegularizationConfig):
-    """Joint channel estimate for full candidate codewords.
+def _channel_fit(y, xi, x, reg: RegularizationConfig):
+    """Joint channel estimates for a stack of codeword pairs (Xi_c, x).
 
-    Stacking the frame row-wise turns the model into a linear system in the
-    concatenated channel vector with sensing matrix [x (x) Xi_c, 1 (x) Xi_c];
-    the l2 path solves the 2(q+1) normal equations assembled from the small
-    Gram blocks, the l1 path hands the materialized system to FISTA with
-    per-block weights, warm-started at the l2 solution.
+    Row-wise, the frame is linear in [g_str; g_sr] with sensing matrix
+    [x (x) Xi_c, 1 (x) Xi_c].  The l2 path solves the 2(q+1) normal equations,
+    built from G0 = Xi_c^H Xi_c, for the whole stack in one call; the l1 path
+    refines each pair by FISTA with per-block weights from its l2 solution.
     """
+    big_l, m = y.shape[0], xi.shape[-1]
+    xi_h = np.conj(xi).swapaxes(-1, -2)
+    gram0 = xi_h @ xi
+    sxx = np.sum(np.abs(x) ** 2, axis=-1)[..., None, None]
+    sx1 = np.sum(np.conj(x), axis=-1)[..., None, None]
+    eye = np.eye(m)
+    gram = np.block([[sxx * gram0 + reg.lambda_str * eye, sx1 * gram0],
+                     [np.conj(sx1) * gram0, big_l * gram0 + reg.lambda_sr * eye]])
+    rhs = np.concatenate([xi_h @ (y.T @ np.conj(x)[..., None]),
+                          xi_h @ y.sum(axis=0)[:, None]], axis=-2)
+    try:
+        solution = np.linalg.solve(gram, rhs)[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError("joint channel system is singular") from exc
+    if reg.kind == "l1":
+        weights = np.repeat([reg.lambda_str, reg.lambda_sr], m)
+        for idx in np.ndindex(solution.shape[:-1]):
+            sensing = np.hstack([np.kron(x[idx][:, None], xi[idx]),
+                                 np.kron(np.ones((big_l, 1)), xi[idx])])
+            solution[idx] = lasso_solve(sensing, y.reshape(-1), weights, reg,
+                                        x0=solution[idx]).gamma
+    return solution[..., :m], solution[..., m:]
+
+
+def iterative_channel_update(y, c, x, reg: RegularizationConfig):
+    """Joint channel estimate for one full candidate codeword pair."""
     y = np.asarray(y, dtype=np.complex128)
     c = np.asarray(c, dtype=np.complex128)
     x = np.asarray(x, dtype=np.complex128)
@@ -194,28 +239,29 @@ def iterative_channel_update(y, c, x, reg: RegularizationConfig):
     q = k - c.size
     if q < 0:
         raise DimensionMismatchError("codeword longer than fast-time window")
-    xi = conv_matrix_from_code(c, q)
-    gram0 = xi.conj().T @ xi
+    return _channel_fit(y, conv_matrix_from_code(c, q), x, reg)
+
+
+def _source_form(y, x, c_pilot, g_str, g_sr, n_d: int):
+    """(gram, rhs) of the residual as a quadratic form in the source data.
+
+    With the pilot response removed, row p sees the data through
+    x_p Gamma_str_D + Gamma_sr_D; for real c the residual energy is
+    Re(c^T gram c) - 2 Re(c^T rhs) plus a constant.
+    """
+    c_pilot = np.asarray(c_pilot, dtype=np.complex128)
+    g1_p, g1_d = conv_matrix_from_channel(g_str, c_pilot.size, n_d)
+    g2_p, g2_d = conv_matrix_from_channel(g_sr, c_pilot.size, n_d)
+    big_l = y.shape[0]
+    resid = (y - np.outer(x, g1_p @ c_pilot)
+             - np.outer(np.ones(big_l), g2_p @ c_pilot))
     sxx = float(np.sum(np.abs(x) ** 2))
-    sx1 = np.sum(x.conj())
-    h1 = xi.conj().T @ (y.T @ x.conj())
-    h2 = xi.conj().T @ y.sum(axis=0)
-    m = q + 1
-    eye = np.eye(m)
-    gram = np.block([[sxx * gram0 + reg.lambda_str * eye, sx1 * gram0],
-                     [np.conj(sx1) * gram0, big_l * gram0 + reg.lambda_sr * eye]])
-    rhs = np.concatenate([h1, h2])
-    try:
-        solution = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError("joint channel system is singular") from exc
-    if reg.kind == "l1":
-        sensing = np.hstack([np.kron(x[:, None], xi),
-                             np.kron(np.ones((big_l, 1)), xi)])
-        weights = np.concatenate([np.full(m, reg.lambda_str),
-                                  np.full(m, reg.lambda_sr)])
-        solution = lasso_solve(sensing, y.reshape(-1), weights, reg, x0=solution).gamma
-    return solution[:m], solution[m:]
+    sx1 = np.sum(np.conj(x))
+    g1_h, g2_h = g1_d.conj().T, g2_d.conj().T
+    gram = (sxx * (g1_h @ g1_d) + sx1 * (g1_h @ g2_d)
+            + np.conj(sx1) * (g2_h @ g1_d) + big_l * (g2_h @ g2_d))
+    rhs = g1_h @ (resid.T @ np.conj(x)) + g2_h @ resid.sum(axis=0)
+    return gram, rhs
 
 
 def source_data_update_discrete(y, x, c_pilot, g_str, g_sr,
@@ -223,12 +269,7 @@ def source_data_update_discrete(y, x, c_pilot, g_str, g_sr,
     """Exact minimizer of the residual over all +/-1 source data words."""
     y = np.asarray(y, dtype=np.complex128)
     x = np.asarray(x, dtype=np.complex128)
-    g_str = np.asarray(g_str, dtype=np.complex128)
-    g_sr = np.asarray(g_sr, dtype=np.complex128)
-    big_l, k = y.shape
-    q = g_str.size - 1
-    n_p = np.asarray(c_pilot).size
-    n_d = (k - q) - n_p
+    n_d = (y.shape[1] - np.size(g_str) + 1) - np.size(c_pilot)
     if n_d < 0:
         raise DimensionMismatchError("pilot longer than the codeword")
     if n_d == 0:
@@ -238,24 +279,10 @@ def source_data_update_discrete(y, x, c_pilot, g_str, g_sr,
             f"2^{n_d} source candidates exceed the budget {enum_budget}; "
             "use the relaxed update"
         )
-    g1_p, g1_d = conv_matrix_from_channel(g_str, n_p, n_d)
-    g2_p, g2_d = conv_matrix_from_channel(g_sr, n_p, n_d)
-    c_pilot = np.asarray(c_pilot, dtype=np.complex128)
-    resid = (y - np.outer(x, g1_p @ c_pilot)
-             - np.outer(np.ones(big_l), g2_p @ c_pilot))
-
+    gram, rhs = _source_form(y, x, c_pilot, g_str, g_sr, n_d)
     cands = _binary_candidates(n_d)
-    a1 = g1_d @ cands.T.astype(np.complex128)   # (k, B)
-    a2 = g2_d @ cands.T.astype(np.complex128)
-    r1 = resid.T @ x.conj()                     # x^H Ytilde, as a k-vector
-    r2 = resid.sum(axis=0)
-    cross_data = np.real(r1 @ a1.conj() + r2 @ a2.conj())
-    n1 = np.sum(np.abs(a1) ** 2, axis=0)
-    n2 = np.sum(np.abs(a2) ** 2, axis=0)
-    sxx = float(np.sum(np.abs(x) ** 2))
-    sx1 = np.sum(x.conj())
-    cross_shapes = np.real(sx1 * np.einsum("kb,kb->b", a1.conj(), a2))
-    metric = -2.0 * cross_data + sxx * n1 + big_l * n2 + 2.0 * cross_shapes
+    metric = (np.einsum("bi,ij,bj->b", cands, gram.real, cands)
+              - 2.0 * (cands @ rhs.real))
     return cands[int(np.argmin(metric))].copy()
 
 
@@ -266,89 +293,58 @@ def tag_data_update_discrete(y, c, x_pilot, g_str, g_sr) -> np.ndarray:
     the per-row matched-filter sign; exact ties resolve to +1.
     """
     y = np.asarray(y, dtype=np.complex128)
-    c = np.asarray(c, dtype=np.complex128)
-    g_str = np.asarray(g_str, dtype=np.complex128)
-    g_sr = np.asarray(g_sr, dtype=np.complex128)
-    l_p = np.asarray(x_pilot).size
-    q = g_str.size - 1
-    xi = conv_matrix_from_code(c, q)
-    a_str = xi @ g_str
-    a_sr = xi @ g_sr
-    l_d = y.shape[0] - l_p
-    rows = y[l_p:] - np.outer(np.ones(l_d), a_sr)
-    corr = np.real(rows @ a_str.conj())
-    return _slice_pm1(corr)
+    a_str, a_sr = _pulse_shapes(c, np.size(g_str) - 1, g_str, g_sr)
+    return _slice_pm1(np.real(_tag_filter(y[np.size(x_pilot):], a_str, a_sr)))
 
 
 def relaxed_data_updates(y, layout: PilotLayout, c_data, x_data, g_str, g_sr,
                          lambda_c: float, lambda_x: float):
     """Continuous data updates of the quadratically penalized objective.
 
-    The source block solves the summed per-row normal equations in which
-    row p sees the mixed channel-data matrix x_p Gamma_str_D + Gamma_sr_D;
-    the tag block is a scalar-normalized matched filter.  Both are exact
-    minimizers of their blocks; slicing is the caller's job (once, at exit).
+    The source block solves the penalized normal equations of the source
+    quadratic form; the tag block is a scalar-normalized matched filter.
+    Both are exact minimizers of their blocks; slicing is the caller's job
+    (once, at exit).
     """
     y = np.asarray(y, dtype=np.complex128)
     q = _frame_dims(y, layout)
-    n_p, n_d = layout.c_pilot.size, layout.n_data
-    l_p, l_d = layout.x_pilot.size, layout.l_data
-    x_full = np.concatenate([layout.x_pilot.astype(np.complex128),
-                             np.asarray(x_data, dtype=np.complex128)])
-    g_str = np.asarray(g_str, dtype=np.complex128)
-    g_sr = np.asarray(g_sr, dtype=np.complex128)
-    c_pilot = layout.c_pilot.astype(np.complex128)
-
+    n_d, l_p, l_d = layout.n_data, layout.x_pilot.size, layout.l_data
     if n_d > 0:
-        g1_p, g1_d = conv_matrix_from_channel(g_str, n_p, n_d)
-        g2_p, g2_d = conv_matrix_from_channel(g_sr, n_p, n_d)
-        resid = (y - np.outer(x_full, g1_p @ c_pilot)
-                 - np.outer(np.ones(layout.l), g2_p @ c_pilot))
-        sxx = float(np.sum(np.abs(x_full) ** 2))
-        sx = np.sum(x_full)
-        gram = (sxx * (g1_d.conj().T @ g1_d)
-                + np.conj(sx) * (g1_d.conj().T @ g2_d)
-                + sx * (g2_d.conj().T @ g1_d)
-                + layout.l * (g2_d.conj().T @ g2_d)
-                + lambda_c * np.eye(n_d))
+        gram, rhs = _source_form(y, _with_pilot(layout.x_pilot, x_data),
+                                 layout.c_pilot, g_str, g_sr, n_d)
+        gram = gram + lambda_c * np.eye(n_d)
         if lambda_c == 0.0 and numeric_rank(gram) < n_d:
             raise SingularSystemError("summed data Gram matrix is singular at lambda_c=0")
-        rhs = g1_d.conj().T @ (resid.T @ x_full.conj()) + g2_d.conj().T @ resid.sum(axis=0)
         c_data_new = np.linalg.solve(gram, rhs)
     else:
         c_data_new = np.zeros(0, dtype=np.complex128)
 
-    c_full = np.concatenate([c_pilot, c_data_new])
-    xi = conv_matrix_from_code(c_full, q)
-    a_str = xi @ g_str
-    a_sr = xi @ g_sr
+    a_str, a_sr = _pulse_shapes(_with_pilot(layout.c_pilot, c_data_new), q, g_str, g_sr)
     denom = lambda_x + float(np.sum(np.abs(a_str) ** 2))
     if denom == 0.0:
         x_data_new = np.zeros(l_d, dtype=np.complex128)
     else:
-        rows = y[l_p:] - np.outer(np.ones(l_d), a_sr)
-        x_data_new = rows @ a_str.conj() / denom
+        x_data_new = _tag_filter(y[l_p:], a_str, a_sr) / denom
     return c_data_new, x_data_new
 
 
 def _objective(y, c_full, x_full, g_str, g_sr, reg: RegularizationConfig,
                lambda_c: float = 0.0, lambda_x: float = 0.0,
-               c_data=None, x_data=None) -> float:
-    q = y.shape[1] - c_full.size
-    xi = conv_matrix_from_code(c_full, q)
-    model = (np.outer(x_full, xi @ g_str)
-             + np.outer(np.ones(y.shape[0]), xi @ g_sr))
-    value = float(np.sum(np.abs(y - model) ** 2))
-    if reg.kind == "l2":
-        value += reg.lambda_str * float(np.sum(np.abs(g_str) ** 2))
-        value += reg.lambda_sr * float(np.sum(np.abs(g_sr) ** 2))
-    else:
-        value += reg.lambda_str * float(np.sum(np.abs(g_str)))
-        value += reg.lambda_sr * float(np.sum(np.abs(g_sr)))
-    if c_data is not None:
-        value += lambda_c * float(np.sum(np.abs(c_data) ** 2))
-    if x_data is not None:
-        value += lambda_x * float(np.sum(np.abs(x_data) ** 2))
+               c_data=None, x_data=None):
+    """Penalized residual energy of the frame model.
+
+    Leading axes of the codewords, channels and data blocks are a stack of
+    candidates, scored at once; one candidate gives a scalar.
+    """
+    a_str, a_sr = _pulse_shapes(c_full, y.shape[1] - c_full.shape[-1], g_str, g_sr)
+    model = x_full[..., :, None] * a_str[..., None, :] + a_sr[..., None, :]
+    value = np.sum(np.abs(y - model) ** 2, axis=(-2, -1))
+    power = 2 if reg.kind == "l2" else 1
+    value = value + reg.lambda_str * np.sum(np.abs(g_str) ** power, axis=-1)
+    value = value + reg.lambda_sr * np.sum(np.abs(g_sr) ** power, axis=-1)
+    for lam, data in ((lambda_c, c_data), (lambda_x, x_data)):
+        if data is not None:
+            value = value + lam * np.sum(np.abs(data) ** 2, axis=-1)
     return value
 
 
@@ -382,31 +378,25 @@ def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
 
     if init == "noniterative":
         start = decode_noniterative(y, layout)
-        c_data = start.c_data_hat.astype(np.complex128)
-        x_data = start.x_data_hat.astype(np.complex128)
+        init_data = (start.c_data_hat, start.x_data_hat)
     elif init == "given":
         if init_data is None:
             raise ValueError("init='given' requires init_data=(c_data, x_data)")
-        c_data = np.asarray(init_data[0], dtype=np.complex128)
-        x_data = np.asarray(init_data[1], dtype=np.complex128)
     elif init == "random":
         if rng is None:
             raise ValueError("init='random' requires an rng")
-        c_data = (1 - 2 * rng.integers(0, 2, layout.n_data)).astype(np.complex128)
-        x_data = (1 - 2 * rng.integers(0, 2, layout.l_data)).astype(np.complex128)
+        init_data = (1 - 2 * rng.integers(0, 2, layout.n_data),
+                     1 - 2 * rng.integers(0, 2, layout.l_data))
     else:
         raise ValueError(f"unknown init {init!r}")
-
-    c_pilot = layout.c_pilot.astype(np.complex128)
-    x_pilot = layout.x_pilot.astype(np.complex128)
+    c_data, x_data = (np.asarray(v, dtype=np.complex128) for v in init_data)
 
     def full_words(c_d, x_d):
-        return np.concatenate([c_pilot, c_d]), np.concatenate([x_pilot, x_d])
+        return _with_pilot(layout.c_pilot, c_d), _with_pilot(layout.x_pilot, x_d)
 
     # trace[0] is the objective after a channel update at the initial data,
     # so initial objectives are comparable across initializations
-    c_full, x_full = full_words(c_data, x_data)
-    g_str, g_sr = iterative_channel_update(y, c_full, x_full, reg)
+    g_str, g_sr = iterative_channel_update(y, *full_words(c_data, x_data), reg)
 
     def score(c_d, x_d, gs, gr):
         c_f, x_f = full_words(c_d, x_d)
@@ -420,8 +410,7 @@ def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
     converged = False
     iters = 0
     for iters in range(1, max_iters + 1):
-        c_full, x_full = full_words(c_data, x_data)
-        g_new_str, g_new_sr = iterative_channel_update(y, c_full, x_full, reg)
+        g_new_str, g_new_sr = iterative_channel_update(y, *full_words(c_data, x_data), reg)
         if reg.kind == "l1":
             # FISTA is inexact; never accept a step that worsens the objective
             if score(c_data, x_data, g_new_str, g_new_sr) > trace[-1]:
@@ -432,13 +421,12 @@ def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
             c_data, x_data = relaxed_data_updates(y, layout, c_data, x_data,
                                                   g_str, g_sr, lambda_c, lambda_x)
         else:
-            x_full = np.concatenate([x_pilot, x_data])
-            c_new = source_data_update_discrete(y, x_full, layout.c_pilot,
-                                                g_str, g_sr, enum_budget)
-            c_data = c_new.astype(np.complex128)
-            c_full = np.concatenate([c_pilot, c_data])
-            x_new = tag_data_update_discrete(y, c_full, layout.x_pilot, g_str, g_sr)
-            x_data = x_new.astype(np.complex128)
+            c_data = source_data_update_discrete(
+                y, _with_pilot(layout.x_pilot, x_data), layout.c_pilot,
+                g_str, g_sr, enum_budget).astype(np.complex128)
+            x_data = tag_data_update_discrete(
+                y, _with_pilot(layout.c_pilot, c_data), layout.x_pilot,
+                g_str, g_sr).astype(np.complex128)
 
         trace.append(score(c_data, x_data, g_str, g_sr))
         delta = abs(trace[-1] - trace[-2])
@@ -446,39 +434,47 @@ def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
             converged = True
             break
 
-    c_full = np.concatenate([c_pilot, c_data])
-    a_str_norm = float(np.linalg.norm(conv_matrix_from_code(c_full, q) @ g_str))
+    a_str = _pulse_shapes(_with_pilot(layout.c_pilot, c_data), q, g_str, g_sr)[0]
     return PilotAidedResult(
         c_data_hat=_slice_pm1(c_data), x_data_hat=_slice_pm1(x_data),
         g_str_hat=g_str, g_sr_hat=g_sr,
         objective_trace=trace, iters=iters, converged=converged,
-        degenerate=a_str_norm == 0.0,
+        degenerate=float(np.linalg.norm(a_str)) == 0.0,
     )
 
 
 def exhaustive_search(y, layout: PilotLayout, reg: RegularizationConfig,
                       budget: int = DEFAULT_SEARCH_BUDGET) -> PilotAidedResult:
-    """Global minimizer over all +/-1 data pairs, with inner channel updates."""
+    """Global minimizer over all +/-1 data pairs, with inner channel updates.
+
+    Pairs run in (source, tag) order, ``_SEARCH_CHUNK`` at a time: each
+    source word's convolution matrix is built once, every chunk is fitted by
+    one stacked channel fit and scored by one stacked objective, and the
+    first minimum wins.
+    """
     y = np.asarray(y, dtype=np.complex128)
-    _frame_dims(y, layout)
+    q = _frame_dims(y, layout)
     n_d, l_d = layout.n_data, layout.l_data
     if 2 ** (n_d + l_d) > budget:
         raise BudgetExceededError(
             f"2^{n_d + l_d} data pairs exceed the search budget {budget}"
         )
-    c_pilot = layout.c_pilot.astype(np.complex128)
-    x_pilot = layout.x_pilot.astype(np.complex128)
+    c_data, x_data = _binary_candidates(n_d), _binary_candidates(l_d)
+    c_words = _with_pilot(layout.c_pilot, c_data)
+    x_words = _with_pilot(layout.x_pilot, x_data)
+    xi_words = conv_matrix_from_code(c_words, q)
+    pairs = len(c_words) * len(x_words)
     best = None
-    for c_cand in _binary_candidates(n_d):
-        c_full = np.concatenate([c_pilot, c_cand.astype(np.complex128)])
-        for x_cand in _binary_candidates(l_d):
-            x_full = np.concatenate([x_pilot, x_cand.astype(np.complex128)])
-            g_str, g_sr = iterative_channel_update(y, c_full, x_full, reg)
-            value = _objective(y, c_full, x_full, g_str, g_sr, reg)
-            if best is None or value < best[0]:
-                best = (value, c_cand.copy(), x_cand.copy(), g_str, g_sr)
-    value, c_data, x_data, g_str, g_sr = best
+    for start in range(0, pairs, _SEARCH_CHUNK):
+        ci, ti = np.divmod(np.arange(start, min(start + _SEARCH_CHUNK, pairs)), len(x_words))
+        g_str, g_sr = _channel_fit(y, xi_words[ci], x_words[ti], reg)
+        values = _objective(y, c_words[ci], x_words[ti], g_str, g_sr, reg)
+        i = int(np.argmin(values))
+        if best is None or values[i] < best[0]:
+            best = (values[i], ci[i], ti[i], g_str[i], g_sr[i])
+    value, ci, ti, g_str, g_sr = best
     return PilotAidedResult(
-        c_data_hat=c_data, x_data_hat=x_data, g_str_hat=g_str, g_sr_hat=g_sr,
+        c_data_hat=c_data[ci].copy(), x_data_hat=x_data[ti].copy(),
+        g_str_hat=g_str, g_sr_hat=g_sr,
         objective_trace=[value], iters=0, converged=True,
     )

@@ -64,7 +64,7 @@ class PilotFreeResult:
 def _cached_xi_stack(words_bytes: bytes, m: int, n: int, q: int) -> np.ndarray:
     """Convolution matrices of every source codeword, stacked (Mc, n+q, q+1)."""
     words = np.frombuffer(words_bytes, dtype=np.int64).reshape(m, n)
-    xis = np.stack([conv_matrix_from_code(word, q) for word in words])
+    xis = conv_matrix_from_code(words, q)
     xis.setflags(write=False)
     return xis
 

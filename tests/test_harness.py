@@ -246,6 +246,10 @@ _MALFORMED_CONFIGS = {
                    "snr_grid": [{"snr_str_db": "a", "snr_sr_db": 10.0}]},
     "kappa_string": {**_VALID_CONFIG,
                      "channel": {"n_taps": 3, "kappa_db": "x", "sparse": False}},
+    "trials_fraction": {**_VALID_CONFIG, "trials": 2.7},
+    "seed_fraction": {**_VALID_CONFIG, "seed": 3.9},
+    "trials_string": {**_VALID_CONFIG, "trials": "5"},
+    "rel_tol_string": {**_VALID_CONFIG, "rel_tol": "1e-3"},
 }
 
 
@@ -264,6 +268,45 @@ def test_malformed_config_is_a_config_error(name, tmp_path):
 def test_valid_config_of_the_malformed_cases_runs():
     rows = run_trials(config_from_dict(_VALID_CONFIG))
     assert rows[0].trials == 1
+
+
+# dB values whose linear power 10^(x/10) overflows a float, or that are not
+# finite; kappa_db = +/-inf stays valid (pure specular / pure diffuse taps)
+_OUT_OF_RANGE_DB = {
+    "snr_overflow": dict(snr_grid=[SnrConfig(4000.0, 10.0)]),
+    "snr_nan": dict(snr_grid=[SnrConfig(5.0, float("nan"))]),
+    "snr_inf": dict(snr_grid=[SnrConfig(float("inf"), 10.0)]),
+    "rho_overflow": dict(rho_db=5000.0),
+    "kappa_overflow": dict(channel=ChannelConfig(kappa_db=5000.0)),
+    "kappa_huge_int": dict(channel=ChannelConfig(kappa_db=2 ** 70)),
+    "kappa_nan": dict(channel=ChannelConfig(kappa_db=float("nan"))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OUT_OF_RANGE_DB))
+def test_out_of_range_db_is_a_config_error(name, tmp_path):
+    from radartag.cli import main
+
+    cfg = _quick_cfg(trials=1, **_OUT_OF_RANGE_DB[name])
+    with pytest.raises(ConfigInvalidError):
+        run_trials(cfg)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config_to_dict(cfg)))   # NaN and inf as Python's json writes them
+    assert main(["simulate", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("axis,value", [("snr_sr", 4000.0), ("snr_str", -2 ** 1100),
+                                        ("rho", float("nan")), ("rate_tag", float("inf")),
+                                        ("rate_source", 10 ** 300)])
+def test_out_of_range_axis_value_is_a_config_error(axis, value):
+    with pytest.raises(ConfigInvalidError):
+        sweep(_quick_cfg(trials=1), axis, values=[value])
+
+
+@pytest.mark.parametrize("kappa_db", [float("inf"), -float("inf"), -2 ** 70])
+def test_extreme_kappa_runs(kappa_db):
+    rows = run_trials(_quick_cfg(trials=2, channel=ChannelConfig(kappa_db=kappa_db)))
+    assert np.isfinite(rows[0].nrmse_str)
 
 
 # CSV data rows of run_trials at seed 2026, 6 trials, grid (-5, 0) and

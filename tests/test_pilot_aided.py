@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radartag import (
     BudgetExceededError,
@@ -20,6 +22,7 @@ from radartag import (
     synthesize_frame,
     tag_data_update_discrete,
 )
+from radartag import pilot_aided
 from radartag.channel import ChannelTaps, conv_matrix_from_code, conv_matrix_from_channel
 from radartag.pilot_aided import _binary_candidates, _objective
 from radartag.solvers import pinv_apply
@@ -28,6 +31,8 @@ REG0 = RegularizationConfig(kind="l2", lambda_str=0.0, lambda_sr=0.0,
                             lambda_c=0.0, lambda_x=0.0)
 REG = RegularizationConfig(kind="l2", lambda_str=0.1, lambda_sr=0.1,
                            lambda_c=1.0, lambda_x=1.0)
+REG_L1 = RegularizationConfig(kind="l1", lambda_str=0.4, lambda_sr=0.4,
+                              lambda_c=1.0, lambda_x=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -217,20 +222,20 @@ class TestDiscreteDataUpdates:
                                           g_str.taps, g_sr.taps)
         assert np.array_equal(got, c_data)
 
-    def test_source_update_single_symbol_matches_two_candidate_oracle(self, gold):
+    @pytest.mark.parametrize("n_data", [1, 3])
+    def test_source_update_single_symbol_matches_two_candidate_oracle(self, gold, n_data):
+        # the quadratic-form argmin equals the residual argmin over every word
         rng = np.random.default_rng(10)
-        layout = _layout(gold, rng, n_pilot=30, n_data=1)
+        layout = _layout(gold, rng, n_pilot=31 - n_data, n_data=n_data)
         frame, c_data, x_data, g_str, g_sr = _frame(layout, rng, noise=2.0)
         x = np.concatenate([layout.x_pilot, x_data])
         got = source_data_update_discrete(frame.y, x, layout.c_pilot,
                                           g_str.taps, g_sr.taps)
-        scores = []
-        for cand in (+1, -1):
-            c = np.concatenate([layout.c_pilot, [cand]])
-            scores.append(_objective(frame.y, c.astype(complex), x.astype(complex),
-                                     g_str.taps, g_sr.taps, REG0))
-        want = +1 if scores[0] <= scores[1] else -1
-        assert got[0] == want
+        cands = _binary_candidates(n_data)
+        scores = [_objective(frame.y, np.concatenate([layout.c_pilot, cand]).astype(complex),
+                             x.astype(complex), g_str.taps, g_sr.taps, REG0)
+                  for cand in cands]
+        assert np.array_equal(got, cands[int(np.argmin(scores))])
 
     def test_source_update_budget(self, gold):
         rng = np.random.default_rng(11)
@@ -396,23 +401,46 @@ class TestExhaustiveSearch:
             it = decode_iterative(frame.y, layout, REG, mode="discrete")
             assert ex.objective_trace[0] <= it.objective_trace[-1] + 1e-12
 
-    def test_matches_double_loop_oracle(self, gold):
+    # (n_data, l_data); a zero-length block has the single empty candidate
+    @pytest.mark.parametrize("n_data,l_data", [(2, 2), (4, 4), (0, 3), (3, 0)],
+                             ids=["2x2", "4x4", "0x3", "3x0"])
+    @pytest.mark.parametrize("reg", [REG, REG0, REG_L1], ids=["l2", "l2_zero", "l1"])
+    def test_matches_double_loop_oracle(self, gold, reg, n_data, l_data):
         rng = np.random.default_rng(25)
-        layout = _layout(gold, rng, n_pilot=29, n_data=2, l_pilot=8, l_data=2)
+        layout = _layout(gold, rng, n_pilot=31 - n_data, n_data=n_data,
+                         l_pilot=10 - l_data, l_data=l_data)
         frame, *_ = _frame(layout, rng, noise=1.0)
-        res = exhaustive_search(frame.y, layout, REG)
+        res = exhaustive_search(frame.y, layout, reg)
         best = None
-        for c_cand in _binary_candidates(2):
-            for x_cand in _binary_candidates(2):
+        for c_cand in _binary_candidates(n_data):
+            for x_cand in _binary_candidates(l_data):
                 c = np.concatenate([layout.c_pilot, c_cand]).astype(complex)
                 x = np.concatenate([layout.x_pilot, x_cand]).astype(complex)
-                gs, gr = iterative_channel_update(frame.y, c, x, REG)
-                val = _objective(frame.y, c, x, gs, gr, REG)
+                gs, gr = iterative_channel_update(frame.y, c, x, reg)
+                val = _objective(frame.y, c, x, gs, gr, reg)
                 if best is None or val < best[0]:
-                    best = (val, c_cand, x_cand)
+                    best = (val, c_cand, x_cand, gs, gr)
         assert np.array_equal(res.c_data_hat, best[1])
         assert np.array_equal(res.x_data_hat, best[2])
         assert res.objective_trace[0] == pytest.approx(best[0], rel=1e-12)
+        assert np.allclose(res.g_str_hat, best[3], rtol=1e-12, atol=0)
+        assert np.allclose(res.g_sr_hat, best[4], rtol=1e-12, atol=0)
+
+    def test_chunk_boundaries_keep_the_first_minimum(self, gold, monkeypatch):
+        # 256 pairs in chunks of 7: a partial last chunk, minima compared across chunks
+        rng = np.random.default_rng(27)
+        layout = _layout(gold, rng, n_pilot=27, n_data=4, l_pilot=6, l_data=4)
+        frame, *_ = _frame(layout, rng, noise=1.0)
+        whole = exhaustive_search(frame.y, layout, REG)
+        monkeypatch.setattr(pilot_aided, "_SEARCH_CHUNK", 7)
+        chunked = exhaustive_search(frame.y, layout, REG)
+        assert np.array_equal(chunked.c_data_hat, whole.c_data_hat)
+        assert np.array_equal(chunked.x_data_hat, whole.x_data_hat)
+        assert chunked.objective_trace == whole.objective_trace
+        # a noiseless all-zero frame ties every pair at the pure penalty
+        # minimum; the first pair in (source, tag) order wins
+        zero = exhaustive_search(np.zeros_like(frame.y), layout, REG)
+        assert np.all(zero.c_data_hat == 1) and np.all(zero.x_data_hat == 1)
 
     def test_budget(self, gold):
         rng = np.random.default_rng(26)
@@ -420,3 +448,26 @@ class TestExhaustiveSearch:
         with pytest.raises(BudgetExceededError):
             exhaustive_search(np.zeros((10, 33), dtype=complex), layout, REG,
                               budget=2 ** 20)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), theta=st.floats(0.0, 2 * np.pi),
+       n_data=st.integers(0, 3), l_data=st.integers(0, 3), l_pilot=st.integers(2, 6))
+def test_global_phase_rotates_estimates_only(gold, seed, theta, n_data, l_data, l_pilot):
+    # y -> e^{j theta} y leaves every data decision alone and rotates the channels
+    rng = np.random.default_rng(seed)
+    layout = _layout(gold, rng, n_pilot=31 - n_data, n_data=n_data,
+                     l_pilot=l_pilot, l_data=l_data)
+    frame, *_ = _frame(layout, rng, sigma_str2=0.3, sigma_sr2=1.0, noise=1.0)
+    phase = np.exp(1j * theta)
+    decoders = [decode_noniterative,
+                lambda y, lay: decode_iterative(y, lay, REG, mode="discrete"),
+                lambda y, lay: decode_iterative(y, lay, REG, mode="relaxed"),
+                lambda y, lay: exhaustive_search(y, lay, REG)]
+    for decode in decoders:
+        plain, turned = decode(frame.y, layout), decode(phase * frame.y, layout)
+        assert np.array_equal(turned.c_data_hat, plain.c_data_hat)
+        assert np.array_equal(turned.x_data_hat, plain.x_data_hat)
+        for got, want in ((turned.g_str_hat, plain.g_str_hat),
+                          (turned.g_sr_hat, plain.g_sr_hat)):
+            assert np.linalg.norm(got - phase * want) <= 1e-9 * np.linalg.norm(want)
