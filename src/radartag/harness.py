@@ -92,6 +92,9 @@ CSV_COLUMNS = ("scheme", "axis_name", "axis_value", "snr_str_db", "snr_sr_db",
                "trials", "seed")
 
 CONFIG_VERSION = 1
+# longest frame (tag codeword length l, in PRIs) a config may ask for; the
+# tag codebook of this length, C(18, 9)/2 = 24310 words, builds in 0.25 s
+MAX_FRAME_L = 18
 
 
 @dataclass
@@ -227,13 +230,21 @@ def validate_config(cfg: ExperimentConfig):
     _require(cfg.params.n == 31,
              "the harness draws codewords and pilots from the 33 Gold words "
              "of length 31; other lengths are library-API territory")
+    l = cfg.params.l
+    _require(l <= MAX_FRAME_L, f"params.l must be at most {MAX_FRAME_L}, got {l}")
     if cfg.scheme in PILOT_FREE_SCHEMES:
         _require(cfg.n_source_words is not None and cfg.n_tag_words is not None,
                  "pilot-free schemes need codebook sizes")
         _require(cfg.n_pilot is None and cfg.l_pilot is None,
                  "pilot-free schemes take codebook sizes, not a pilot layout")
+        _require(cfg.params.q <= cfg.params.n - 2,
+                 "pilot-free schemes need q <= n - 2 for source separability")
+        _require(l >= 4 and l % 2 == 0,
+                 "pilot-free schemes need an even tag codeword length l >= 4")
+        # the tag pool: every zero-sum word of length l, complements included
+        tag_pool = 2 * math.comb(l - 1, l // 2)
         for name, size, cap in (("source", cfg.n_source_words, 33),
-                                ("tag", cfg.n_tag_words, 252)):
+                                ("tag", cfg.n_tag_words, min(252, tag_pool))):
             _require(1 <= size <= cap and size & (size - 1) == 0,
                      f"{name} codebook size must be a power of two in [1, {cap}]")
     else:

@@ -28,7 +28,7 @@ from .errors import (
     PilotConditionViolatedError,
     SingularSystemError,
 )
-from .solvers import RegularizationConfig, lasso_solve, numeric_rank, pinv_apply
+from .solvers import RegularizationConfig, fista_stacked, numeric_rank, pinv_apply
 
 __all__ = [
     "PilotLayout",
@@ -108,6 +108,8 @@ def _binary_candidates(width: int) -> np.ndarray:
 
 
 def _frame_dims(y: np.ndarray, layout: PilotLayout) -> int:
+    if not np.all(np.isfinite(y)):
+        raise ValueError("frame contains non-finite samples")
     big_l, k = y.shape
     if big_l != layout.l:
         raise DimensionMismatchError(
@@ -200,31 +202,36 @@ def _channel_fit(y, xi, x, reg: RegularizationConfig):
     """Joint channel estimates for a stack of codeword pairs (Xi_c, x).
 
     Row-wise, the frame is linear in [g_str; g_sr] with sensing matrix
-    [x (x) Xi_c, 1 (x) Xi_c].  The l2 path solves the 2(q+1) normal equations,
-    built from G0 = Xi_c^H Xi_c, for the whole stack in one call; the l1 path
-    refines each pair by FISTA with per-block weights from its l2 solution.
+    [x (x) Xi_c, 1 (x) Xi_c], whose Gram is the block matrix
+    [[sum|x|^2 G0, sum x* G0], [sum x G0, L G0]] in G0 = Xi_c^H Xi_c.  The l2
+    path solves the 2(q+1) normal equations, Gram plus the ridge weights, for
+    the whole stack in one call; the l1 path refines each pair by FISTA on the
+    same Gram, with an exact 1/lambda_max step and per-block weights, warm
+    started at its l2 solution.  One FISTA call per pair keeps a pair's
+    estimate independent of the other pairs in the stack.
     """
-    big_l, m = y.shape[0], xi.shape[-1]
+    m = xi.shape[-1]
     xi_h = np.conj(xi).swapaxes(-1, -2)
     gram0 = xi_h @ xi
     sxx = np.sum(np.abs(x) ** 2, axis=-1)[..., None, None]
     sx1 = np.sum(np.conj(x), axis=-1)[..., None, None]
-    eye = np.eye(m)
-    gram = np.block([[sxx * gram0 + reg.lambda_str * eye, sx1 * gram0],
-                     [np.conj(sx1) * gram0, big_l * gram0 + reg.lambda_sr * eye]])
+    sensing = np.block([[sxx * gram0, sx1 * gram0],
+                        [np.conj(sx1) * gram0, y.shape[0] * gram0]])
+    weights = np.repeat([reg.lambda_str, reg.lambda_sr], m)
     rhs = np.concatenate([xi_h @ (y.T @ np.conj(x)[..., None]),
                           xi_h @ y.sum(axis=0)[:, None]], axis=-2)
     try:
-        solution = np.linalg.solve(gram, rhs)[..., 0]
+        solution = np.linalg.solve(sensing + np.diag(weights), rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError("joint channel system is singular") from exc
     if reg.kind == "l1":
-        weights = np.repeat([reg.lambda_str, reg.lambda_sr], m)
-        for idx in np.ndindex(solution.shape[:-1]):
-            sensing = np.hstack([np.kron(x[idx][:, None], xi[idx]),
-                                 np.kron(np.ones((big_l, 1)), xi[idx])])
-            solution[idx] = lasso_solve(sensing, y.reshape(-1), weights, reg,
-                                        x0=solution[idx]).gamma
+        lips = np.linalg.eigvalsh(sensing)[..., -1]
+        bnorm2 = [[float(np.sum(np.abs(y) ** 2))]]
+        for idx in np.ndindex(lips.shape):
+            solution[idx] = fista_stacked(sensing[idx][None], rhs[idx][None], bnorm2,
+                                          lips[idx][None], weights, reg,
+                                          solution[idx][None]).gamma[0]
+    solution = solution[..., 0]
     return solution[..., :m], solution[..., m:]
 
 
@@ -358,10 +365,12 @@ def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
     The trace records the objective at the initial state and after each full
     sweep; it is non-increasing because every block update is an exact
     minimizer over its block (the inexact l1 channel update is guarded: a
-    step that fails to improve the objective is discarded).  The loop stops
-    when the relative objective change falls below ``rel_tol``.  In relaxed
-    mode the data blocks stay continuous until a single slice at exit and
-    the trace includes the quadratic data penalties.
+    step that fails to improve the objective is discarded).  The channels
+    fitted at the initial data serve sweep 1, so a decode makes one channel
+    update per sweep.  The loop stops when the relative objective change
+    falls below ``rel_tol``.  In relaxed mode the data blocks stay continuous
+    until a single slice at exit and the trace includes the quadratic data
+    penalties.
     """
     y = np.asarray(y, dtype=np.complex128)
     q = _frame_dims(y, layout)
@@ -410,12 +419,13 @@ def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
     converged = False
     iters = 0
     for iters in range(1, max_iters + 1):
-        g_new_str, g_new_sr = iterative_channel_update(y, *full_words(c_data, x_data), reg)
-        if reg.kind == "l1":
+        # sweep 1 starts from the data the channels were just fitted to
+        if iters > 1:
+            g_new = iterative_channel_update(y, *full_words(c_data, x_data), reg)
             # FISTA is inexact; never accept a step that worsens the objective
-            if score(c_data, x_data, g_new_str, g_new_sr) > trace[-1]:
-                g_new_str, g_new_sr = g_str, g_sr
-        g_str, g_sr = g_new_str, g_new_sr
+            if reg.kind == "l1" and score(c_data, x_data, *g_new) > trace[-1]:
+                g_new = g_str, g_sr
+            g_str, g_sr = g_new
 
         if relaxed:
             c_data, x_data = relaxed_data_updates(y, layout, c_data, x_data,

@@ -111,44 +111,19 @@ def _source_ops(source: SourceCodebook, q: int, big_l: int, reg: RegularizationC
                               float(reg.lambda_str), float(reg.lambda_sr))
 
 
-def _str_fit(xi, op_str, gram, lipschitz, u_cols, big_l, reg):
-    """Backscatter channel estimates and fit value for one source codeword.
+def _reference_fit(xi, op, gram, lipschitz, u, lam, big_l, reg):
+    """Channel estimate fitting Xi g to the projection u/L, for one codeword.
 
-    ``u_cols`` holds Y^T x* for one or more tag candidates as columns.
-    The l1 path solves min ||sqrt(L) Xi g - u/sqrt(L)||^2 + lam |g|_1 on its
+    ``op`` is the ridge solve operator of weight ``lam``.  The l1 path
+    solves min ||sqrt(L) Xi g - u/sqrt(L)||^2 + lam |g|_1 on its
     normal-equation form (gram = L Xi^H Xi is shared with the ridge path),
-    warm-started at the ridge solution.  Returns (gamma (q+1, r), fit (r,)).
+    warm-started at the ridge solution.
     """
-    warm = op_str @ u_cols
+    warm = op @ u
     if reg.kind == "l2":
-        gamma = warm
-        penalty = reg.lambda_str * np.sum(np.abs(gamma) ** 2, axis=0)
-    else:
-        sol = fista_precomputed(gram, xi.conj().T @ u_cols,
-                                np.sum(np.abs(u_cols) ** 2, axis=0) / big_l,
-                                lipschitz, reg.lambda_str, reg, x0=warm)
-        gamma = sol.gamma if sol.gamma.ndim == 2 else sol.gamma[:, None]
-        penalty = reg.lambda_str * np.sum(np.abs(gamma), axis=0)
-    resid = u_cols / big_l - xi @ gamma
-    fit = big_l * np.sum(np.abs(resid) ** 2, axis=0) + penalty
-    return gamma, fit
-
-
-def _sr_fit(xi, op_sr, gram, lipschitz, u_ones, big_l, reg):
-    """Direct-link channel estimate and fit value for one source codeword."""
-    warm = op_sr @ u_ones
-    if reg.kind == "l2":
-        gamma = warm
-        penalty = reg.lambda_sr * float(np.sum(np.abs(gamma) ** 2))
-    else:
-        sol = fista_precomputed(gram, xi.conj().T @ u_ones,
-                                float(np.sum(np.abs(u_ones) ** 2)) / big_l,
-                                lipschitz, reg.lambda_sr, reg, x0=warm)
-        gamma = sol.gamma
-        penalty = reg.lambda_sr * float(np.sum(np.abs(gamma)))
-    resid = u_ones / big_l - xi @ gamma
-    fit = big_l * float(np.sum(np.abs(resid) ** 2)) + penalty
-    return gamma, fit
+        return warm
+    return fista_precomputed(gram, xi.conj().T @ u, float(np.sum(np.abs(u) ** 2)) / big_l,
+                             lipschitz, lam, reg, x0=warm).gamma
 
 
 def _residual_fits(xis, u_cols, u_ones, gam_str, gam_sr, big_l, reg):
@@ -193,10 +168,10 @@ def _candidate_fits(ops, u_cols, u_ones, big_l, reg):
     mc = block.shape[0]
     energy = np.sum(np.abs(u_cols) ** 2, axis=0) / big_l
     gam_str = fista_stacked(grams, atb[:, :, :r], np.broadcast_to(energy, (mc, r)),
-                            lips, reg.lambda_str, reg, gam_str)
+                            lips, reg.lambda_str, reg, gam_str).gamma
     bn1 = np.full((mc, 1), float(np.sum(np.abs(u_ones) ** 2)) / big_l)
     gam_sr = fista_stacked(grams, atb[:, :, r:], bn1, lips, reg.lambda_sr, reg,
-                           gam_sr[:, :, None])[:, :, 0]
+                           gam_sr[:, :, None]).gamma[:, :, 0]
     f_str, f_sr = _residual_fits(xis, u_cols, u_ones, gam_str, gam_sr, big_l, reg)
     return f_str - energy, gam_str, f_sr, gam_sr
 
@@ -236,11 +211,10 @@ def channel_estimates_given(c, x, y, reg: RegularizationConfig):
     op_str = np.linalg.solve(gram + reg.lambda_str * eye, xi.conj().T)
     op_sr = np.linalg.solve(gram + reg.lambda_sr * eye, xi.conj().T)
     lipschitz = _power_iteration_largest(gram)
-    u_x = y.T @ x.conj()
-    u_1 = y.sum(axis=0)
-    g_str, _ = _str_fit(xi, op_str, gram, lipschitz, u_x[:, None], big_l, reg)
-    g_sr, _ = _sr_fit(xi, op_sr, gram, lipschitz, u_1, big_l, reg)
-    return g_str[:, 0], g_sr
+    return (_reference_fit(xi, op_str, gram, lipschitz, y.T @ x.conj(), reg.lambda_str,
+                           big_l, reg),
+            _reference_fit(xi, op_sr, gram, lipschitz, y.sum(axis=0), reg.lambda_sr,
+                           big_l, reg))
 
 
 def decode_joint(y, source: SourceCodebook, tag: TagCodebook,

@@ -309,6 +309,46 @@ def test_extreme_kappa_runs(kappa_db):
     assert np.isfinite(rows[0].nrmse_str)
 
 
+_PILOT_AIDED_CONFIG = {**_VALID_CONFIG, "scheme": "pilot_aided_noniter", "codebook": None,
+                       "layout": {"n_pilot": 27, "l_pilot": 2}}
+# frame geometries that validation must turn away before any codebook or
+# array is built; each used to pass validation or end in a numpy traceback
+_OUT_OF_RANGE_GEOMETRY = {
+    "pf_q_huge": {**_VALID_CONFIG, "params": {"q": 2 ** 70}},
+    "pf_q_above_n_minus_2": {**_VALID_CONFIG, "params": {"q": 30}},
+    "pf_l_huge": {**_VALID_CONFIG, "params": {"l": 2 ** 70}},
+    "pf_l_above_cap": {**_VALID_CONFIG, "params": {"l": harness.MAX_FRAME_L + 2}},
+    "pf_l_odd": {**_VALID_CONFIG, "params": {"l": 7}},
+    "pf_l_too_short": {**_VALID_CONFIG, "params": {"l": 2},
+                       "codebook": {"n_source": 16, "n_tag": 1}},
+    "pf_l_too_few_tag_words": {**_VALID_CONFIG, "params": {"l": 4}},
+    "pa_l_huge": {**_PILOT_AIDED_CONFIG, "params": {"l": 2 ** 70}},
+    "pa_l_above_cap": {**_PILOT_AIDED_CONFIG, "params": {"l": harness.MAX_FRAME_L + 1}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OUT_OF_RANGE_GEOMETRY))
+def test_out_of_range_geometry_is_a_config_error(name, tmp_path):
+    from radartag.cli import main
+
+    data = _OUT_OF_RANGE_GEOMETRY[name]
+    with pytest.raises(ConfigInvalidError):
+        config_from_dict(data)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main(["simulate", "--config", str(path)]) == 2
+
+
+def test_geometry_bounds_admit_their_edges():
+    # validation only: the codebook at the length cap is never built here
+    for data in ({**_VALID_CONFIG, "params": {"l": harness.MAX_FRAME_L}},
+                 {**_VALID_CONFIG, "params": {"q": 29}, "channel": {"n_taps": 3}},
+                 {**_VALID_CONFIG, "params": {"l": 4},
+                  "codebook": {"n_source": 16, "n_tag": 4}},
+                 {**_PILOT_AIDED_CONFIG, "params": {"l": harness.MAX_FRAME_L}}):
+        config_from_dict(data)
+
+
 # CSV data rows of run_trials at seed 2026, 6 trials, grid (-5, 0) and
 # (5, 10) dB, and of one sweep, recorded from an earlier implementation of
 # the harness: a refactor that changes any of them changes the CSV

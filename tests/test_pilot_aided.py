@@ -380,6 +380,26 @@ class TestDecodeIterative:
         assert set(np.unique(res.c_data_hat)) <= {-1, 1}
         assert set(np.unique(res.x_data_hat)) <= {-1, 1}
 
+    @pytest.mark.parametrize("mode", ["discrete", "relaxed"])
+    @pytest.mark.parametrize("reg", [REG, REG_L1], ids=["l2", "l1"])
+    def test_one_channel_update_per_sweep(self, gold, monkeypatch, reg, mode):
+        # the fit at the initial data serves sweep 1; it is not repeated
+        rng = np.random.default_rng(28)
+        layout = _layout(gold, rng)
+        frame, *_ = _frame(layout, rng, sigma_str2=0.3, noise=1.0)
+        start = np.random.default_rng(30)
+        calls = []
+        update = pilot_aided.iterative_channel_update
+
+        def counted(*args):
+            calls.append(args)
+            return update(*args)
+
+        monkeypatch.setattr(pilot_aided, "iterative_channel_update", counted)
+        res = decode_iterative(frame.y, layout, reg, mode=mode, init="random", rng=start)
+        assert res.iters >= 2
+        assert len(calls) == res.iters
+
 
 class TestExhaustiveSearch:
     def test_noiseless_exact(self, gold):
@@ -448,6 +468,21 @@ class TestExhaustiveSearch:
         with pytest.raises(BudgetExceededError):
             exhaustive_search(np.zeros((10, 33), dtype=complex), layout, REG,
                               budget=2 ** 20)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_every_decoder_rejects_non_finite_frames(gold, bad):
+    rng = np.random.default_rng(29)
+    layout = _layout(gold, rng, n_pilot=27, n_data=4, l_pilot=6, l_data=4)
+    frame, *_ = _frame(layout, rng, noise=1.0)
+    y = frame.y.copy()
+    y[4, 7] = bad
+    for decode in (lambda: decode_noniterative(y, layout),
+                   lambda: decode_iterative(y, layout, REG, mode="discrete"),
+                   lambda: decode_iterative(y, layout, REG, mode="relaxed"),
+                   lambda: exhaustive_search(y, layout, REG)):
+        with pytest.raises(ValueError, match="non-finite"):
+            decode()
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)

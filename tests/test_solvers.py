@@ -7,11 +7,15 @@ from radartag import (
     DimensionMismatchError,
     RegularizationConfig,
     SingularSystemError,
+    alternating_pilot,
+    gen_gold,
     lasso_solve,
     numeric_rank,
     pinv_apply,
     ridge_solve,
 )
+from radartag.channel import conv_matrix_from_code
+from radartag.solvers import _power_iteration_largest, fista_stacked
 
 
 def _randc(rng, *shape):
@@ -166,6 +170,49 @@ class TestLassoSolve:
         lam = np.array([0.1, 1e9, 0.1])
         sol = lasso_solve(a, b, lam)
         assert abs(sol.gamma[1]) < 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_exact_step_where_power_iteration_falls_short(self):
+        # a pilot-aided sensing matrix [x (x) Xi_c, 1 (x) Xi_c] (q = 3, 27 pilot
+        # chips, 6 pilot PRIs) on which power iteration stops near half the
+        # largest eigenvalue: a 1/L step from it is twice too long for FISTA
+        rng = np.random.default_rng(697)
+        gold = gen_gold(5)
+        c = np.concatenate([gold.words[int(rng.integers(len(gold)))][:27],
+                            1 - 2 * rng.integers(0, 2, 4)])
+        x = np.concatenate([alternating_pilot(6), 1 - 2 * rng.integers(0, 2, 4)])
+        xi = conv_matrix_from_code(c, 3)
+        sensing = np.hstack([np.kron(x[:, None], xi), np.kron(np.ones((10, 1)), xi)])
+        gram = sensing.conj().T @ sensing
+        assert _power_iteration_largest(gram) < 0.55 * np.linalg.eigvalsh(gram)[-1]
+        b = sensing @ _randc(rng, 8) + _randc(rng, sensing.shape[0])
+        cfg = RegularizationConfig(fista_tol=1e-12, fista_max_iter=5000)
+        sol = lasso_solve(sensing, b, 0.4, cfg)
+        _, obj_oracle = _lasso_coordinate_descent(sensing, b, 0.4)
+        assert sol.objective <= obj_oracle * (1 + 1e-6)
+
+
+class TestFistaStacked:
+    def test_families_reach_their_own_minimizers(self):
+        # three families of two right-hand sides, iterated in lockstep
+        rng = np.random.default_rng(14)
+        cfg = RegularizationConfig(fista_tol=1e-12, fista_max_iter=5000)
+        mats = [_randc(rng, 8, 3) for _ in range(3)]
+        rhs = [_randc(rng, 8, 2) for _ in range(3)]
+        grams = np.stack([a.conj().T @ a for a in mats])
+        atbs = np.stack([a.conj().T @ b for a, b in zip(mats, rhs)])
+        bnorm2s = np.stack([np.sum(np.abs(b) ** 2, axis=0) for b in rhs])
+        lips = np.linalg.eigvalsh(grams)[:, -1]
+        sol = fista_stacked(grams, atbs, bnorm2s, lips, 0.5, cfg, np.zeros_like(atbs))
+        assert sol.converged
+        assert sol.gamma.shape == (3, 3, 2) and sol.objective.shape == (3, 2)
+        for s, (a, b) in enumerate(zip(mats, rhs)):
+            at_gamma = (np.sum(np.abs(b - a @ sol.gamma[s]) ** 2, axis=0)
+                        + 0.5 * np.sum(np.abs(sol.gamma[s]), axis=0))
+            assert np.allclose(sol.objective[s], at_gamma, rtol=1e-10, atol=0)
+            for j in range(2):
+                _, obj_oracle = _lasso_coordinate_descent(a, b[:, j], 0.5)
+                assert sol.objective[s, j] <= obj_oracle * (1 + 1e-6)
 
 
 class TestPinvApply:
