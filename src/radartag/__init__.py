@@ -49,7 +49,6 @@ from .errors import (
 from .framesim import (
     AssumptionReport,
     FrameObservation,
-    FrameTruth,
     SnrConfig,
     SystemParams,
     check_assumptions,

@@ -19,7 +19,8 @@ from .codebooks import (
 )
 from .errors import BudgetExceededError, ConfigInvalidError, RadarTagError
 from .framesim import check_assumptions
-from .harness import SWEEP_AXES, load_config, rows_to_csv, rows_to_json, run_trials, sweep
+from .harness import (MAX_FRAME_L, SWEEP_AXES, load_config, rows_to_csv, rows_to_json,
+                      run_trials, sweep)
 
 __all__ = ["main"]
 
@@ -36,11 +37,23 @@ def _words_csv(words) -> str:
     return "\n".join(",".join(str(int(v)) for v in word) for word in words) + "\n"
 
 
-def _parse_rates(spec: str) -> list[int]:
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in spec.split(",") if tok]
+def _parse_rates(spec: str, n: int) -> list[int]:
+    """Rates given as ``lo..hi`` or ``a,b,c``, each in [0, n)."""
+    lo, dots, hi = spec.partition("..")
+    try:
+        rates = [int(lo), int(hi)] if dots else [int(tok) for tok in spec.split(",") if tok]
+    except ValueError as exc:
+        raise ConfigInvalidError(f"--rates {spec!r} is not a rate list") from exc
+    if not all(0 <= rate < n for rate in rates):
+        raise ConfigInvalidError(f"--rates must lie in [0, {n}), got {spec!r}")
+    return list(range(rates[0], rates[1] + 1)) if dots else rates
+
+
+def _tag_book(length: int):
+    if not (4 <= length <= MAX_FRAME_L and length % 2 == 0):
+        raise ConfigInvalidError(
+            f"--len must be an even length in [4, {MAX_FRAME_L}], got {length}")
+    return gen_tag_codebook(length)
 
 
 def _cmd_codebook(args) -> int:
@@ -49,12 +62,14 @@ def _cmd_codebook(args) -> int:
         _write(_words_csv(book.words), args.out)
         return 0
     if args.codebook_cmd == "gen-tag":
-        book = gen_tag_codebook(args.len)
+        book = _tag_book(args.len)
         _write(_words_csv(book.words), args.out)
         return 0
     if args.codebook_cmd == "check":
+        if args.q < 0:
+            raise ConfigInvalidError(f"--q must be >= 0, got {args.q}")
         source = gen_gold(args.degree)
-        tag = gen_tag_codebook(args.len)
+        tag = _tag_book(args.len)
         src_ok = check_source_separability(source, args.q)
         tag_ok = check_tag_separability(tag)
         print(f"source: {len(source)} words of length {source.n}, "
@@ -64,7 +79,7 @@ def _cmd_codebook(args) -> int:
         return 0 if (src_ok and tag_ok) else 1
     if args.codebook_cmd == "psl-table":
         book = gen_gold(args.degree)
-        rows = pilot_table(book, _parse_rates(args.rates))
+        rows = pilot_table(book, _parse_rates(args.rates, book.n))
         lines = ["rate,psl_db,islr_db"]
         lines += [f"{r.rate},{r.psl_db:.10g},{r.islr_db:.10g}" for r in rows]
         _write("\n".join(lines) + "\n", args.out)

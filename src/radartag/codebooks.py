@@ -188,19 +188,19 @@ def gen_tag_codebook(l: int) -> TagCodebook:
 
 
 def check_tag_separability(codebook: TagCodebook) -> bool:
-    """True iff every distinct pair spans two dimensions (and zero-sum holds)."""
+    """True iff every distinct pair spans two dimensions (and zero-sum holds).
+
+    Two +/-1 words span one dimension exactly when one is the other up to
+    sign, so the pairwise rank test is a uniqueness test on the words signed
+    to start with +1.
+    """
     words = codebook.words
     if len(codebook) < 2:
         raise ValueError("need at least two tag codewords")
     if codebook.zero_sum and np.any(words.sum(axis=1) != 0):
         return False
-    m = len(codebook)
-    for i in range(m):
-        for j in range(i + 1, m):
-            pair = np.stack([words[i], words[j]], axis=1).astype(np.complex128)
-            if numeric_rank(pair) != 2:
-                return False
-    return True
+    signed = words * words[:, :1]
+    return np.unique(signed, axis=0).shape[0] == len(codebook)
 
 
 def check_source_separability(codebook: SourceCodebook, q: int) -> bool:
@@ -211,12 +211,12 @@ def check_source_separability(codebook: SourceCodebook, q: int) -> bool:
             f"need n >= q + 2 for separability, got n={n}, q={q}"
         )
     mats = conv_matrix_from_code(codebook.words, q)
-    m = len(codebook)
-    for i in range(m):
-        for j in range(i + 1, m):
-            stacked = np.hstack([mats[i], mats[j]])
-            if numeric_rank(stacked) != 2 * (q + 1):
-                return False
+    # row i: one stacked rank over its pairs (i, j > i)
+    for i in range(len(codebook) - 1):
+        rest = mats[i + 1:]
+        pairs = np.concatenate([np.broadcast_to(mats[i], rest.shape), rest], axis=-1)
+        if np.any(numeric_rank(pairs) != 2 * (q + 1)):
+            return False
     return True
 
 

@@ -19,7 +19,6 @@ from .errors import DimensionMismatchError
 __all__ = [
     "SystemParams",
     "SnrConfig",
-    "FrameTruth",
     "FrameObservation",
     "AssumptionReport",
     "check_assumptions",
@@ -61,22 +60,11 @@ class SnrConfig:
 
 
 @dataclass
-class FrameTruth:
-    c: np.ndarray
-    x: np.ndarray
-    g_str: ChannelTaps
-    g_sr: ChannelTaps
-    c_index: int | None = None
-    x_index: int | None = None
-
-
-@dataclass
 class FrameObservation:
     """Received l x k matrix with the noise level that produced it."""
 
     y: np.ndarray
     sigma_omega2: float
-    truth: FrameTruth | None = None
 
 
 @dataclass
@@ -130,8 +118,7 @@ def snr_pair(snr_sr_db: float, rho_db: float) -> SnrConfig:
 
 
 def synthesize_frame(c, x, g_str: ChannelTaps, g_sr: ChannelTaps,
-                     sigma_omega2: float, rng: np.random.Generator,
-                     keep_truth: bool = True) -> FrameObservation:
+                     sigma_omega2: float, rng: np.random.Generator) -> FrameObservation:
     """One received frame: y = x a_str^T + 1 a_sr^T + noise.
 
     a_i is the pulse shape of codeword c through channel i; noise entries
@@ -150,5 +137,4 @@ def synthesize_frame(c, x, g_str: ChannelTaps, g_sr: ChannelTaps,
     if sigma_omega2 > 0:
         scale = np.sqrt(sigma_omega2 / 2.0)
         y = y + scale * (rng.standard_normal((l, k)) + 1j * rng.standard_normal((l, k)))
-    truth = FrameTruth(c=c, x=x, g_str=g_str, g_sr=g_sr) if keep_truth else None
-    return FrameObservation(y=y, sigma_omega2=float(sigma_omega2), truth=truth)
+    return FrameObservation(y=y, sigma_omega2=float(sigma_omega2))

@@ -73,13 +73,11 @@ _SCHEME_TABLE = {
         y, ctx.source, ctx.tag, *side)),
     "pilot_aided_noniter": (True, lambda ctx, y, side: decode_noniterative(y, side)),
     "pilot_aided_iter_discrete": (True, lambda ctx, y, side: decode_iterative(
-        y, side, ctx.reg, mode="discrete", max_iters=ctx.cfg.max_iters,
-        rel_tol=ctx.cfg.rel_tol, enum_budget=ctx.cfg.enum_budget)),
+        y, side, ctx.reg, mode="discrete")),
     "pilot_aided_iter_relaxed": (True, lambda ctx, y, side: decode_iterative(
-        y, side, ctx.reg, mode="relaxed", max_iters=ctx.cfg.max_iters,
-        rel_tol=ctx.cfg.rel_tol)),
+        y, side, ctx.reg, mode="relaxed")),
     "pilot_aided_exhaustive": (True, lambda ctx, y, side: exhaustive_search(
-        y, side, ctx.reg, budget=ctx.cfg.search_budget)),
+        y, side, ctx.reg)),
 }
 SCHEMES = frozenset(_SCHEME_TABLE)
 PILOT_AIDED_SCHEMES = frozenset(s for s, (aided, _) in _SCHEME_TABLE.items() if aided)
@@ -121,10 +119,6 @@ class ExperimentConfig:
     trials: int = 1000
     seed: int = 0
     axis_values: list[float] | None = None
-    max_iters: int = 50
-    rel_tol: float = 1e-8
-    enum_budget: int = 2 ** 16
-    search_budget: int = 2 ** 20
 
 
 @dataclass
@@ -321,7 +315,7 @@ def _run_one_trial(ctx: _Context, noise, grid_idx: int, trial_idx: int):
                            cfg.channel.kappa_db, cfg.channel.sparse, rng)
     g_sr = sample_channel(cfg.params.q, cfg.channel.n_taps, sigma_sr2,
                           cfg.channel.kappa_db, cfg.channel.sparse, rng)
-    frame = synthesize_frame(c, x, g_str, g_sr, sigma_omega2, rng, keep_truth=False)
+    frame = synthesize_frame(c, x, g_str, g_sr, sigma_omega2, rng)
     res = decode(ctx, frame.y, layout if aided else (g_str, g_sr))
     e2_str = float(np.sum(np.abs(res.g_str_hat - g_str.taps) ** 2))
     n2_str = float(np.sum(np.abs(g_str.taps) ** 2))
@@ -545,16 +539,26 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "trials": cfg.trials,
         "seed": cfg.seed,
         "axis_values": cfg.axis_values,
-        "max_iters": cfg.max_iters,
-        "rel_tol": cfg.rel_tol,
-        "enum_budget": cfg.enum_budget,
-        "search_budget": cfg.search_budget,
     }
+
+
+# the keys config_from_dict reads, at the top level and inside its two
+# plain-dict blocks; any other key is a config error, not silently ignored
+_CONFIG_KEYS = frozenset({"version", "scheme", "params", "snr_grid", "snr_sr_db",
+                          "snr_str_db", "rho_db", "reg", "channel", "codebook",
+                          "layout", "trials", "seed", "axis_values"})
+_BLOCK_KEYS = {"codebook": frozenset({"n_source", "n_tag"}),
+               "layout": frozenset({"n_pilot", "l_pilot"})}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigInvalidError(f"a config is a JSON object, not {type(data).__name__}")
+    unknown = {str(key) for key in set(data) - _CONFIG_KEYS}
+    for name, known in _BLOCK_KEYS.items():
+        if isinstance(data.get(name), dict):
+            unknown |= {f"{name}.{key}" for key in set(data[name]) - known}
+    _require(not unknown, f"unknown config keys {sorted(unknown)}")
     try:
         if data.get("version", CONFIG_VERSION) != CONFIG_VERSION:
             raise ConfigInvalidError(f"unsupported config version {data['version']}")
@@ -589,10 +593,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             trials=data.get("trials", 1000),
             seed=data.get("seed", 0),
             axis_values=data.get("axis_values"),
-            max_iters=data.get("max_iters", 50),
-            rel_tol=data.get("rel_tol", 1e-8),
-            enum_budget=data.get("enum_budget", 2 ** 16),
-            search_budget=data.get("search_budget", 2 ** 20),
         )
     except (TypeError, KeyError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigInvalidError):

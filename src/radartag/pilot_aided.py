@@ -356,21 +356,22 @@ def _objective(y, c_full, x_full, g_str, g_sr, reg: RegularizationConfig,
 
 
 def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
-                     mode: str = "discrete", init: str = "noniterative",
-                     init_data=None, rng: np.random.Generator | None = None,
+                     mode: str = "discrete", init_data=None,
                      max_iters: int = 50, rel_tol: float = 1e-8,
                      enum_budget: int = DEFAULT_ENUM_BUDGET) -> PilotAidedResult:
     """Block-coordinate descent: channels, then source data, then tag data.
 
-    The trace records the objective at the initial state and after each full
-    sweep; it is non-increasing because every block update is an exact
-    minimizer over its block (the inexact l1 channel update is guarded: a
-    step that fails to improve the objective is discarded).  The channels
-    fitted at the initial data serve sweep 1, so a decode makes one channel
-    update per sweep.  The loop stops when the relative objective change
-    falls below ``rel_tol``.  In relaxed mode the data blocks stay continuous
-    until a single slice at exit and the trace includes the quadratic data
-    penalties.
+    The descent starts from ``init_data = (c_data, x_data)``, or, when it is
+    None, from the data of :func:`decode_noniterative`.  The full codewords
+    are built once; each data update writes its block in place.  The trace
+    records the objective at the initial state and after each full sweep; it
+    is non-increasing because every block update is an exact minimizer over
+    its block (the inexact l1 channel update is guarded: a step that fails to
+    improve the objective is discarded).  The channels fitted at the initial
+    data serve sweep 1, so a decode makes one channel update per sweep.  The
+    loop stops when the relative objective change falls below ``rel_tol``.
+    In relaxed mode the data blocks stay continuous until a single slice at
+    exit and the trace includes the quadratic data penalties.
     """
     y = np.asarray(y, dtype=np.complex128)
     q = _frame_dims(y, layout)
@@ -385,35 +386,24 @@ def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
     lambda_c = float(reg.lambda_c) if relaxed else 0.0
     lambda_x = float(reg.lambda_x) if relaxed else 0.0
 
-    if init == "noniterative":
+    if init_data is None:
         start = decode_noniterative(y, layout)
         init_data = (start.c_data_hat, start.x_data_hat)
-    elif init == "given":
-        if init_data is None:
-            raise ValueError("init='given' requires init_data=(c_data, x_data)")
-    elif init == "random":
-        if rng is None:
-            raise ValueError("init='random' requires an rng")
-        init_data = (1 - 2 * rng.integers(0, 2, layout.n_data),
-                     1 - 2 * rng.integers(0, 2, layout.l_data))
-    else:
-        raise ValueError(f"unknown init {init!r}")
-    c_data, x_data = (np.asarray(v, dtype=np.complex128) for v in init_data)
+    c = _with_pilot(layout.c_pilot, init_data[0])
+    x = _with_pilot(layout.x_pilot, init_data[1])
+    if c.shape != (layout.n,) or x.shape != (layout.l,):
+        raise DimensionMismatchError("init_data lengths must match the layout's data")
+    n_p, l_p = layout.c_pilot.size, layout.x_pilot.size
+    c_data, x_data = c[n_p:], x[l_p:]       # views: the blocks the updates write
+    penalized = {"c_data": c_data, "x_data": x_data} if relaxed else {}
 
-    def full_words(c_d, x_d):
-        return _with_pilot(layout.c_pilot, c_d), _with_pilot(layout.x_pilot, x_d)
+    def score(gs, gr):
+        return _objective(y, c, x, gs, gr, reg, lambda_c, lambda_x, **penalized)
 
     # trace[0] is the objective after a channel update at the initial data,
     # so initial objectives are comparable across initializations
-    g_str, g_sr = iterative_channel_update(y, *full_words(c_data, x_data), reg)
-
-    def score(c_d, x_d, gs, gr):
-        c_f, x_f = full_words(c_d, x_d)
-        return _objective(y, c_f, x_f, gs, gr, reg, lambda_c, lambda_x,
-                          c_data=c_d if relaxed else None,
-                          x_data=x_d if relaxed else None)
-
-    trace = [score(c_data, x_data, g_str, g_sr)]
+    g_str, g_sr = iterative_channel_update(y, c, x, reg)
+    trace = [score(g_str, g_sr)]
     # objective values this close to zero are float crumbs, treated as equal
     zero_floor = (np.finfo(float).eps * float(np.sum(np.abs(y) ** 2))) ** 2
     converged = False
@@ -421,30 +411,27 @@ def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
     for iters in range(1, max_iters + 1):
         # sweep 1 starts from the data the channels were just fitted to
         if iters > 1:
-            g_new = iterative_channel_update(y, *full_words(c_data, x_data), reg)
+            g_new = iterative_channel_update(y, c, x, reg)
             # FISTA is inexact; never accept a step that worsens the objective
-            if reg.kind == "l1" and score(c_data, x_data, *g_new) > trace[-1]:
+            if reg.kind == "l1" and score(*g_new) > trace[-1]:
                 g_new = g_str, g_sr
             g_str, g_sr = g_new
 
         if relaxed:
-            c_data, x_data = relaxed_data_updates(y, layout, c_data, x_data,
-                                                  g_str, g_sr, lambda_c, lambda_x)
+            c[n_p:], x[l_p:] = relaxed_data_updates(y, layout, c_data, x_data,
+                                                    g_str, g_sr, lambda_c, lambda_x)
         else:
-            c_data = source_data_update_discrete(
-                y, _with_pilot(layout.x_pilot, x_data), layout.c_pilot,
-                g_str, g_sr, enum_budget).astype(np.complex128)
-            x_data = tag_data_update_discrete(
-                y, _with_pilot(layout.c_pilot, c_data), layout.x_pilot,
-                g_str, g_sr).astype(np.complex128)
+            c[n_p:] = source_data_update_discrete(y, x, layout.c_pilot,
+                                                  g_str, g_sr, enum_budget)
+            x[l_p:] = tag_data_update_discrete(y, c, layout.x_pilot, g_str, g_sr)
 
-        trace.append(score(c_data, x_data, g_str, g_sr))
+        trace.append(score(g_str, g_sr))
         delta = abs(trace[-1] - trace[-2])
         if delta < rel_tol * abs(trace[-2]) or delta <= zero_floor:
             converged = True
             break
 
-    a_str = _pulse_shapes(_with_pilot(layout.c_pilot, c_data), q, g_str, g_sr)[0]
+    a_str = _pulse_shapes(c, q, g_str, g_sr)[0]
     return PilotAidedResult(
         c_data_hat=_slice_pm1(c_data), x_data_hat=_slice_pm1(x_data),
         g_str_hat=g_str, g_sr_hat=g_sr,

@@ -15,6 +15,7 @@ benchmark reference pins the rows those fits produce.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,15 +58,14 @@ class RegularizationConfig:
     def __post_init__(self):
         if self.kind not in ("l2", "l1"):
             raise ValueError(f"kind must be 'l2' or 'l1', got {self.kind!r}")
-        for name in ("lambda_str", "lambda_sr"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        for name in ("lambda_c", "lambda_x"):
+        for name in ("lambda_str", "lambda_sr", "lambda_c", "lambda_x"):
             value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.fista_tol <= 0:
-            raise ValueError("fista_tol must be positive")
+            if name in ("lambda_c", "lambda_x") and value is None:
+                continue
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+        if not (math.isfinite(self.fista_tol) and self.fista_tol > 0):
+            raise ValueError(f"fista_tol must be finite and positive, got {self.fista_tol!r}")
         if self.fista_max_iter < 1:
             raise ValueError("fista_max_iter must be at least 1")
 
@@ -195,10 +195,8 @@ def fista_stacked(grams, atbs, bnorm2s, lipschitzes, lam,
         x, t = x_new, t_new
         obj_new = objective(x)
         better = obj_new < best_obj
-        if np.any(better):
-            best_obj = np.where(better, obj_new, best_obj)
-            mask = np.broadcast_to(better[:, None, :], best_x.shape)
-            best_x[mask] = x[mask]
+        np.copyto(best_obj, obj_new, where=better)
+        np.copyto(best_x, x, where=better[:, None, :])
         rel = np.abs(obj_new - obj) / np.maximum(np.abs(obj), 1e-30)
         obj = obj_new
         if np.all(rel < cfg.fista_tol):
@@ -274,12 +272,18 @@ def pinv_apply(a, b) -> np.ndarray:
     return np.linalg.pinv(a) @ b
 
 
-def numeric_rank(a, rel_tol: float = _RANK_TOL) -> int:
-    """Number of singular values above ``rel_tol`` times the largest one."""
+def numeric_rank(a, rel_tol: float = _RANK_TOL) -> int | np.ndarray:
+    """Number of singular values above ``rel_tol`` times the largest one.
+
+    A stack of matrices (..., m, n) gets one rank per matrix, as an array.
+    """
     if not 0 < rel_tol < 1:
         raise ValueError("rel_tol must lie in (0, 1)")
-    a = _as_complex_matrix(a)
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-2] < 1 or a.shape[-1] < 1:
+        raise DimensionMismatchError(f"expected a matrix or a stack of them, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
     s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
+    rank = np.count_nonzero(s > rel_tol * s[..., :1], axis=-1)
+    return int(rank) if a.ndim == 2 else rank

@@ -4,7 +4,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from radartag import cli, gen_tag_codebook
 from radartag.cli import main
+from radartag.harness import MAX_FRAME_L
 
 
 def _config_file(tmp_path, **overrides):
@@ -63,6 +67,44 @@ class TestCodebookCommands:
 
     def test_psl_table_budget_exit_code(self, capsys):
         assert main(["codebook", "psl-table", "--rates", "25"]) == 3
+
+
+# codebook arguments out of range, each an exit-2 config error; the length
+# cap is checked before any tag codebook is built
+_BAD_CODEBOOK_ARGS = {
+    "check_negative_q": ["check", "--q", "-1"],
+    "check_len_above_cap": ["check", "--q", "2", "--len", "40"],
+    "gen_tag_len_zero": ["gen-tag", "--len", "0"],
+    "gen_tag_len_odd": ["gen-tag", "--len", "7"],
+    "gen_tag_len_two": ["gen-tag", "--len", "2"],
+    "gen_tag_len_above_cap": ["gen-tag", "--len", str(MAX_FRAME_L + 2)],
+    "gen_tag_len_40": ["gen-tag", "--len", "40"],
+    "rates_unparsable": ["psl-table", "--rates", "5..a"],
+    "rates_open_range": ["psl-table", "--rates", "3.."],
+    "rates_at_n": ["psl-table", "--rates", "31"],
+    "rates_40": ["psl-table", "--rates", "40"],
+    "rates_negative": ["psl-table", "--rates=-1,2"],
+    "rates_huge_range": ["psl-table", "--rates", "0..10000000000"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_CODEBOOK_ARGS))
+def test_out_of_range_codebook_arguments_exit_2(name, monkeypatch, capsys):
+    def capped(length):
+        assert length <= MAX_FRAME_L, "built a tag codebook past the length cap"
+        return gen_tag_codebook(length)
+
+    monkeypatch.setattr(cli, "gen_tag_codebook", capped)
+    assert main(["codebook"] + _BAD_CODEBOOK_ARGS[name]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["check", "--q", "0", "--len", "4"],
+                                  ["gen-tag", "--len", "4"],
+                                  ["psl-table", "--rates", "0,1"]],
+                         ids=["q_zero_len_four", "len_four", "rates_from_zero"])
+def test_codebook_arguments_at_their_edges_run(argv, capsys):
+    assert main(["codebook"] + argv) == 0
 
 
 class TestSimulate:

@@ -1,5 +1,7 @@
 """Codebook constructions, rank checks, and waveform quality metrics."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,69 @@ class TestSeparabilityChecks:
         book1 = SourceCodebook(n=31, words=words)
         book2 = SourceCodebook(n=31, words=-words)
         assert check_source_separability(book1, 2) == check_source_separability(book2, 2)
+
+
+
+def _pairwise_tag_oracle(book):
+    if book.zero_sum and np.any(book.words.sum(axis=1) != 0):
+        return False
+    return all(numeric_rank(np.stack([u, v], axis=1)) == 2
+               for u, v in combinations(book.words, 2))
+
+
+def _pairwise_source_oracle(book, q):
+    mats = conv_matrix_from_code(book.words, q)
+    return all(numeric_rank(np.hstack([a, b])) == 2 * (q + 1)
+               for a, b in combinations(mats, 2))
+
+
+def _random_pm1_book(rng, length, m, antipodes):
+    """m distinct +/-1 words of the given length, ``antipodes`` of them negated copies."""
+    codes = rng.choice(2 ** (length - 1), m - antipodes, replace=False)
+    words = 1 - 2 * ((codes[:, None] >> np.arange(length)) & 1)
+    # random signs keep the antipodal copies from always starting with -1
+    words = words * rng.choice([-1, 1], size=(len(words), 1))
+    return np.vstack([words, -words[:antipodes]])
+
+
+class TestSeparabilityClosedForms:
+    def test_tag_check_matches_pairwise_rank_oracle(self):
+        rng = np.random.default_rng(61)
+        outcomes = {True: 0, False: 0}
+        for trial in range(300):
+            length = int(rng.choice([4, 6, 8]))
+            if trial % 2:
+                pool = gen_tag_codebook(length).words
+                pool = np.vstack([pool, -pool])
+                idx = rng.choice(len(pool), int(rng.integers(2, min(len(pool), 9))),
+                                 replace=False)
+                book = TagCodebook(l=length, words=pool[idx], zero_sum=True)
+            else:
+                m = int(rng.integers(2, 9))
+                book = TagCodebook(l=length, zero_sum=False, words=_random_pm1_book(
+                    rng, length, m, int(rng.integers(0, m // 2 + 1))))
+            want = _pairwise_tag_oracle(book)
+            assert check_tag_separability(book) == want
+            outcomes[want] += 1
+        assert min(outcomes.values()) >= 50
+
+    def test_source_check_matches_pairwise_rank_oracle(self):
+        rng = np.random.default_rng(62)
+        outcomes = {True: 0, False: 0}
+        for _ in range(200):
+            n = int(rng.integers(4, 9))
+            q = int(rng.integers(0, n - 1))
+            m = int(rng.integers(2, 6))
+            book = SourceCodebook(n=n, words=_random_pm1_book(
+                rng, n, m, int(rng.integers(0, 2))))
+            want = _pairwise_source_oracle(book, q)
+            assert check_source_separability(book, q) == want
+            outcomes[want] += 1
+        assert min(outcomes.values()) >= 30
+
+    @pytest.mark.parametrize("q", [0, 2, 14, 29])
+    def test_gold_source_check_matches_pairwise_rank_oracle(self, gold, q):
+        assert check_source_separability(gold, q) == _pairwise_source_oracle(gold, q)
 
 
 class TestPilotConditions:

@@ -327,6 +327,59 @@ _OUT_OF_RANGE_GEOMETRY = {
 }
 
 
+# keys config_from_dict does not read, including the iteration and budget
+# knobs it once took; each used to be dropped (or obeyed) without a word
+_UNKNOWN_KEY_CONFIGS = {
+    "misspelled_trials": {**_VALID_CONFIG, "trails": 5},
+    "max_iters": {**_PILOT_AIDED_CONFIG, "scheme": "pilot_aided_iter_discrete",
+                  "max_iters": 10},
+    "rel_tol": {**_PILOT_AIDED_CONFIG, "scheme": "pilot_aided_iter_relaxed",
+                "rel_tol": 1e-3},
+    "enum_budget": {**_PILOT_AIDED_CONFIG, "scheme": "pilot_aided_iter_discrete",
+                    "layout": {"n_pilot": 3, "l_pilot": 2}, "enum_budget": 2 ** 40},
+    "search_budget": {**_PILOT_AIDED_CONFIG, "scheme": "pilot_aided_exhaustive",
+                      "search_budget": 2 ** 40},
+    "codebook_key": {**_VALID_CONFIG,
+                     "codebook": {"n_source": 16, "n_tag": 16, "n_tags": 8}},
+    "layout_key": {**_PILOT_AIDED_CONFIG,
+                   "layout": {"n_pilot": 27, "l_pilot": 2, "n_data": 4}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNKNOWN_KEY_CONFIGS))
+def test_unknown_config_key_is_a_config_error(name, tmp_path, capsys):
+    from radartag.cli import main
+
+    data = _UNKNOWN_KEY_CONFIGS[name]
+    with pytest.raises(ConfigInvalidError, match="unknown config keys"):
+        config_from_dict(data)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert "unknown config keys" in capsys.readouterr().err
+
+
+_NON_FINITE_REG = [("lambda_str", float("nan")), ("lambda_sr", float("inf")),
+                   ("lambda_c", float("inf")), ("lambda_x", -float("inf")),
+                   ("lambda_c", float("nan")), ("fista_tol", float("nan")),
+                   ("fista_tol", float("inf"))]
+
+
+@pytest.mark.parametrize("name,value", _NON_FINITE_REG)
+def test_non_finite_regularization_is_rejected(name, value, tmp_path):
+    from radartag.cli import main
+
+    with pytest.raises(ValueError, match=name):
+        RegularizationConfig(**{name: value})
+    data = {**_PILOT_AIDED_CONFIG, "scheme": "pilot_aided_iter_relaxed",
+            "reg": {"kind": "l2", name: value}}
+    with pytest.raises(ConfigInvalidError):
+        config_from_dict(data)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))   # NaN and Infinity as Python's json writes them
+    assert main(["simulate", "--config", str(path)]) == 2
+
+
 @pytest.mark.parametrize("name", sorted(_OUT_OF_RANGE_GEOMETRY))
 def test_out_of_range_geometry_is_a_config_error(name, tmp_path):
     from radartag.cli import main

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from radartag import (
     BudgetExceededError,
+    DimensionMismatchError,
     PilotConditionViolatedError,
     PilotLayout,
     RegularizationConfig,
@@ -55,6 +56,12 @@ def _frame(layout, rng, sigma_str2=1.0, sigma_sr2=1.0, noise=0.0, q=2, n_taps=3)
     g_sr = sample_channel(q, n_taps, sigma_sr2, -10.0, False, rng)
     frame = synthesize_frame(c, x, g_str, g_sr, noise, rng)
     return frame, c_data, x_data, g_str, g_sr
+
+
+def _random_start(layout, rng):
+    """Random +/-1 (c_data, x_data) to start decode_iterative from."""
+    return (1 - 2 * rng.integers(0, 2, layout.n_data),
+            1 - 2 * rng.integers(0, 2, layout.l_data))
 
 
 class TestDecodeNoniterative:
@@ -335,7 +342,7 @@ class TestDecodeIterative:
         layout = _layout(gold, rng)
         frame, c_data, x_data, g_str, g_sr = _frame(layout, rng)
         res = decode_iterative(frame.y, layout, REG0, mode="discrete",
-                               init="given", init_data=(c_data, x_data))
+                               init_data=(c_data, x_data))
         assert np.array_equal(res.c_data_hat, c_data)
         assert np.array_equal(res.x_data_hat, x_data)
 
@@ -365,7 +372,7 @@ class TestDecodeIterative:
                                sigma_sr2=1 / 31, noise=1.0)
             good = decode_iterative(frame.y, layout, REG, mode="discrete")
             rand = decode_iterative(frame.y, layout, REG, mode="discrete",
-                                    init="random", rng=rng)
+                                    init_data=_random_start(layout, rng))
             start_good.append(good.objective_trace[0])
             start_rand.append(rand.objective_trace[0])
             wins += start_good[-1] <= start_rand[-1]
@@ -396,9 +403,34 @@ class TestDecodeIterative:
             return update(*args)
 
         monkeypatch.setattr(pilot_aided, "iterative_channel_update", counted)
-        res = decode_iterative(frame.y, layout, reg, mode=mode, init="random", rng=start)
+        res = decode_iterative(frame.y, layout, reg, mode=mode,
+                               init_data=_random_start(layout, start))
         assert res.iters >= 2
         assert len(calls) == res.iters
+
+    @pytest.mark.parametrize("mode", ["discrete", "relaxed"])
+    def test_default_start_is_the_noniterative_data(self, gold, mode):
+        rng = np.random.default_rng(31)
+        layout = _layout(gold, rng)
+        frame, *_ = _frame(layout, rng, sigma_str2=0.3, noise=1.0)
+        start = decode_noniterative(frame.y, layout)
+        init_data = (start.c_data_hat.copy(), start.x_data_hat.copy())
+        default = decode_iterative(frame.y, layout, REG, mode=mode)
+        given = decode_iterative(frame.y, layout, REG, mode=mode, init_data=init_data)
+        assert default.objective_trace == given.objective_trace
+        assert np.array_equal(default.c_data_hat, given.c_data_hat)
+        assert np.array_equal(default.x_data_hat, given.x_data_hat)
+        # the updates write the decoder's own words, never the caller's start
+        assert np.array_equal(init_data[0], start.c_data_hat)
+        assert np.array_equal(init_data[1], start.x_data_hat)
+
+    def test_start_must_fit_the_layout(self, gold):
+        rng = np.random.default_rng(32)
+        layout = _layout(gold, rng)
+        frame, c_data, x_data, *_ = _frame(layout, rng)
+        for init_data in ((c_data[1:], x_data), (c_data, np.append(x_data, 1))):
+            with pytest.raises(DimensionMismatchError):
+                decode_iterative(frame.y, layout, REG, init_data=init_data)
 
 
 class TestExhaustiveSearch:

@@ -287,6 +287,18 @@ class TestNumericRank:
             assert numeric_rank(a) == 3
             assert numeric_rank(h_left @ a @ h_right) == 3
 
+    def test_stack_gets_one_rank_per_matrix(self):
+        rng = np.random.default_rng(43)
+        stack = _randc(rng, 6, 5, 3)
+        stack[1, :, 2] = stack[1, :, 0]          # rank 2
+        stack[2] = 0.0                           # rank 0
+        stack[3, :, 1:] = 1e-12 * stack[3, :, 1:]  # below the relative tolerance
+        ranks = numeric_rank(stack)
+        assert ranks.tolist() == [numeric_rank(m) for m in stack]
+        assert ranks.tolist()[:4] == [3, 2, 0, 1]
+        assert numeric_rank(stack.reshape(2, 3, 5, 3)).tolist() == \
+            ranks.reshape(2, 3).tolist()
+
     def test_rel_tol_validation(self):
         with pytest.raises(ValueError):
             numeric_rank(np.eye(2), rel_tol=2.0)
