@@ -56,9 +56,16 @@ def _tag_book(length: int):
     return gen_tag_codebook(length)
 
 
+def _gold_book(degree: int):
+    if degree != 5:
+        raise ConfigInvalidError(
+            f"--degree must be 5, the one degree with a shipped preferred pair, got {degree}")
+    return gen_gold(degree)
+
+
 def _cmd_codebook(args) -> int:
     if args.codebook_cmd == "gen-gold":
-        book = gen_gold(args.degree)
+        book = _gold_book(args.degree)
         _write(_words_csv(book.words), args.out)
         return 0
     if args.codebook_cmd == "gen-tag":
@@ -68,7 +75,7 @@ def _cmd_codebook(args) -> int:
     if args.codebook_cmd == "check":
         if args.q < 0:
             raise ConfigInvalidError(f"--q must be >= 0, got {args.q}")
-        source = gen_gold(args.degree)
+        source = _gold_book(args.degree)
         tag = _tag_book(args.len)
         src_ok = check_source_separability(source, args.q)
         tag_ok = check_tag_separability(tag)
@@ -78,7 +85,7 @@ def _cmd_codebook(args) -> int:
               f"zero-sum and pairwise rank 2: {'ok' if tag_ok else 'FAIL'}")
         return 0 if (src_ok and tag_ok) else 1
     if args.codebook_cmd == "psl-table":
-        book = gen_gold(args.degree)
+        book = _gold_book(args.degree)
         rows = pilot_table(book, _parse_rates(args.rates, book.n))
         lines = ["rate,psl_db,islr_db"]
         lines += [f"{r.rate},{r.psl_db:.10g},{r.islr_db:.10g}" for r in rows]

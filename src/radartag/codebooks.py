@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
-from scipy.signal import max_len_seq
 
 from .channel import conv_matrix_from_code
 from .errors import (
@@ -122,8 +121,19 @@ def _m_sequence(degree: int, poly) -> np.ndarray:
     pdeg, taps = _poly_to_taps(poly)
     if pdeg != degree:
         raise ValueError(f"polynomial {poly} does not have degree {degree}")
-    bits = max_len_seq(degree, taps=taps)[0]
-    return (1 - 2 * bits.astype(np.int64))
+    # Fibonacci LFSR from the all-ones state; the register is a ring buffer
+    # whose oldest bit, at ``idx``, is both the output and the feedback slot.
+    state = [1] * degree
+    bits = np.empty(2 ** degree - 1, dtype=np.int64)
+    idx = 0
+    for i in range(bits.size):
+        bit = state[idx]
+        bits[i] = bit
+        for t in taps:
+            bit ^= state[(t + idx) % degree]
+        state[idx] = bit
+        idx = (idx + 1) % degree
+    return 1 - 2 * bits
 
 
 def _periodic_corr_values(u: np.ndarray, v: np.ndarray) -> set[int]:

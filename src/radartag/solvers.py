@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 _RANK_TOL = 1e-10
+# cap on FISTA iterations per call, so no config can ask for unbounded work
+MAX_FISTA_ITER = 10_000
 
 
 @dataclass
@@ -66,8 +68,9 @@ class RegularizationConfig:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
         if not (math.isfinite(self.fista_tol) and self.fista_tol > 0):
             raise ValueError(f"fista_tol must be finite and positive, got {self.fista_tol!r}")
-        if self.fista_max_iter < 1:
-            raise ValueError("fista_max_iter must be at least 1")
+        if not 1 <= self.fista_max_iter <= MAX_FISTA_ITER:
+            raise ValueError(f"fista_max_iter must lie in [1, {MAX_FISTA_ITER}], "
+                             f"got {self.fista_max_iter!r}")
 
 
 @dataclass

@@ -99,6 +99,15 @@ def test_out_of_range_codebook_arguments_exit_2(name, monkeypatch, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("degree", [-1, 0, 3, 4, 7])
+@pytest.mark.parametrize("argv", [["gen-gold"], ["check", "--q", "2"],
+                                  ["psl-table", "--rates", "0"]],
+                         ids=["gen_gold", "check", "psl_table"])
+def test_unsupported_degree_exits_2(argv, degree, capsys):
+    assert main(["codebook", *argv, "--degree", str(degree)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["check", "--q", "0", "--len", "4"],
                                   ["gen-tag", "--len", "4"],
                                   ["psl-table", "--rates", "0,1"]],

@@ -1,9 +1,11 @@
 """Codebook constructions, rank checks, and waveform quality metrics."""
 
+import hashlib
 from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.signal import max_len_seq
 
 from radartag import (
     InfeasibleDimensionsError,
@@ -23,6 +25,7 @@ from radartag import (
     waveform_quality,
 )
 from radartag.channel import conv_matrix_from_code
+from radartag.codebooks import _m_sequence
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +65,24 @@ class TestGenGold:
         # x^5+x^4+1 = (x^2+x+1)(x^3+x^2... ) is reducible, not maximal length
         with pytest.raises(NotPreferredPairError):
             gen_gold(5, ((5, 4, 0), (5, 2, 0)))
+
+
+class TestMSequence:
+    @pytest.mark.parametrize("degree", range(3, 12))
+    def test_matches_scipy_max_len_seq(self, degree):
+        # every tap set of 1-3 taps, primitive or not, from the all-ones state
+        for k in (1, 2, 3):
+            for taps in combinations(range(1, degree), k):
+                expected = 1 - 2 * max_len_seq(degree, taps=list(taps))[0].astype(np.int64)
+                got = _m_sequence(degree, (degree, *taps, 0))
+                assert got.dtype == np.int64
+                assert np.array_equal(got, expected), (degree, taps)
+
+    def test_gold_words_pinned(self, gold):
+        # sha256 of the int64 words as scipy's max_len_seq produced them
+        digest = hashlib.sha256(np.ascontiguousarray(gold.words, dtype="<i8").tobytes())
+        assert digest.hexdigest() == (
+            "31ac5a6825cf0e636c20eac23bee05e5ddd6bca370b62d961792b99b8ef63f2b")
 
 
 class TestGenTagCodebook:

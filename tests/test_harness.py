@@ -18,7 +18,7 @@ from radartag import (
     run_trials,
     sweep,
 )
-from radartag import harness
+from radartag import harness, solvers
 from radartag.framesim import noise_variance
 from radartag.harness import (
     MetricsRow,
@@ -377,6 +377,26 @@ def test_non_finite_regularization_is_rejected(name, value, tmp_path):
         config_from_dict(data)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))   # NaN and Infinity as Python's json writes them
+    assert main(["simulate", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("max_iter,ok", [(10 ** 15, False), (5000, True),
+                                          (solvers.MAX_FISTA_ITER, True)])
+def test_fista_iteration_cap(max_iter, ok, tmp_path):
+    from radartag.cli import main
+
+    reg = {"kind": "l1", "fista_max_iter": max_iter, "fista_tol": 1e-300}
+    data = {**_VALID_CONFIG, "reg": reg}
+    if ok:
+        assert RegularizationConfig(**reg).fista_max_iter == max_iter
+        assert config_from_dict(data).reg.fista_max_iter == max_iter
+        return
+    with pytest.raises(ValueError, match="fista_max_iter"):
+        RegularizationConfig(**reg)
+    with pytest.raises(ConfigInvalidError):
+        config_from_dict(data)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
     assert main(["simulate", "--config", str(path)]) == 2
 
 
