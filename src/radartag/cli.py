@@ -18,7 +18,7 @@ from .codebooks import (
     pilot_table,
 )
 from .errors import BudgetExceededError, ConfigInvalidError, RadarTagError
-from .framesim import check_assumptions
+from .framesim import COHERENCE_THRESHOLD, check_assumptions
 from .harness import (MAX_FRAME_L, SWEEP_AXES, load_config, rows_to_csv, rows_to_json,
                       run_trials, sweep)
 
@@ -56,16 +56,9 @@ def _tag_book(length: int):
     return gen_tag_codebook(length)
 
 
-def _gold_book(degree: int):
-    if degree != 5:
-        raise ConfigInvalidError(
-            f"--degree must be 5, the one degree with a shipped preferred pair, got {degree}")
-    return gen_gold(degree)
-
-
 def _cmd_codebook(args) -> int:
     if args.codebook_cmd == "gen-gold":
-        book = _gold_book(args.degree)
+        book = gen_gold()
         _write(_words_csv(book.words), args.out)
         return 0
     if args.codebook_cmd == "gen-tag":
@@ -75,7 +68,7 @@ def _cmd_codebook(args) -> int:
     if args.codebook_cmd == "check":
         if args.q < 0:
             raise ConfigInvalidError(f"--q must be >= 0, got {args.q}")
-        source = _gold_book(args.degree)
+        source = gen_gold()
         tag = _tag_book(args.len)
         src_ok = check_source_separability(source, args.q)
         tag_ok = check_tag_separability(tag)
@@ -85,7 +78,7 @@ def _cmd_codebook(args) -> int:
               f"zero-sum and pairwise rank 2: {'ok' if tag_ok else 'FAIL'}")
         return 0 if (src_ok and tag_ok) else 1
     if args.codebook_cmd == "psl-table":
-        book = _gold_book(args.degree)
+        book = gen_gold()
         rows = pilot_table(book, _parse_rates(args.rates, book.n))
         lines = ["rate,psl_db,islr_db"]
         lines += [f"{r.rate},{r.psl_db:.10g},{r.islr_db:.10g}" for r in rows]
@@ -118,7 +111,7 @@ def _cmd_check(args) -> int:
     cfg = load_config(args.config)
     report = check_assumptions(cfg.params)
     print(f"coherence: l * pri * nu_max = {report.coherence_product:.6g} "
-          f"(threshold {report.coherence_threshold:g}) -> "
+          f"(threshold {COHERENCE_THRESHOLD:g}) -> "
           f"{'ok' if report.coherence_ok else 'FAIL'}")
     print(f"  frame-constant channels need nu_max << "
           f"{report.nu_max_bound_hz / 1e3:.6g} kHz")
@@ -137,19 +130,16 @@ def build_parser() -> argparse.ArgumentParser:
     codebook = sub.add_parser("codebook", help="generate and verify codebooks")
     cb_sub = codebook.add_subparsers(dest="codebook_cmd", required=True)
     gg = cb_sub.add_parser("gen-gold", help="emit the Gold source codebook as CSV")
-    gg.add_argument("--degree", type=int, default=5)
     gg.add_argument("--out", default=None)
     gt = cb_sub.add_parser("gen-tag", help="emit the zero-sum tag codebook as CSV")
     gt.add_argument("--len", type=int, default=10)
     gt.add_argument("--out", default=None)
     ck = cb_sub.add_parser("check", help="run the identifiability rank checks")
     ck.add_argument("--q", type=int, required=True)
-    ck.add_argument("--degree", type=int, default=5)
     ck.add_argument("--len", type=int, default=10)
     pt = cb_sub.add_parser("psl-table",
                            help="averaged worst-case PSL/ISLR vs source data rate")
     pt.add_argument("--rates", required=True, help="e.g. 0..9 or 0,4,9")
-    pt.add_argument("--degree", type=int, default=5)
     pt.add_argument("--out", default=None)
 
     sim = sub.add_parser("simulate", help="run the SNR grid of a config")

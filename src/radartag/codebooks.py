@@ -40,6 +40,8 @@ __all__ = [
 
 # x^5 + x^2 + 1 and x^5 + x^4 + x^3 + x^2 + 1, given as exponent tuples.
 DEFAULT_GOLD_PAIR = ((5, 2, 0), (5, 4, 3, 2, 0))
+# most data suffixes pilot_table enumerates per pilot (2^rate)
+PSL_BUDGET = 2 ** 16
 
 
 def _validate_words(words: np.ndarray, length: int):
@@ -57,7 +59,6 @@ class SourceCodebook:
 
     n: int
     words: np.ndarray
-    kind: str = "gold-full"
 
     def __post_init__(self):
         self.words = np.asarray(self.words, dtype=np.int64)
@@ -175,7 +176,7 @@ def gen_gold(degree: int = 5, preferred_pair=None) -> SourceCodebook:
             f"{sorted(cross)}"
         )
     words = np.vstack([u, v] + [u * np.roll(v, -k) for k in range(n)])
-    return SourceCodebook(n=n, words=words, kind="gold-full")
+    return SourceCodebook(n=n, words=words)
 
 
 def gen_tag_codebook(l: int) -> TagCodebook:
@@ -269,8 +270,7 @@ def waveform_quality(c) -> WaveformQuality:
                            islr_db=float(10.0 * np.log10(islr[0])))
 
 
-def pilot_table(codebook: SourceCodebook, data_rates, *,
-                enum_budget: int = 2 ** 16) -> list[PilotTableRow]:
+def pilot_table(codebook: SourceCodebook, data_rates) -> list[PilotTableRow]:
     """Averaged worst-case waveform quality versus source data rate.
 
     For each rate R, pilot i is the first n-R chips of codebook word i; the
@@ -283,9 +283,9 @@ def pilot_table(codebook: SourceCodebook, data_rates, *,
         rate = int(rate)
         if rate < 0 or rate >= n:
             raise ValueError(f"rate must lie in [0, {n}), got {rate}")
-        if 2 ** rate > enum_budget:
+        if 2 ** rate > PSL_BUDGET:
             raise RateTooLargeError(
-                f"2^{rate} data suffixes exceed the enumeration budget {enum_budget}"
+                f"2^{rate} data suffixes exceed the enumeration budget {PSL_BUDGET}"
             )
         n_pilot = n - rate
         if rate == 0:

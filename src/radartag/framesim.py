@@ -67,33 +67,33 @@ class FrameObservation:
     sigma_omega2: float
 
 
+# the channel counts as constant over a frame when l * pri_s * nu_max is below this
+COHERENCE_THRESHOLD = 0.1
+
+
 @dataclass
 class AssumptionReport:
     coherence_ok: bool
     timing_ok: bool
     coherence_product: float     # l * pri_s * nu_max
-    coherence_threshold: float
     nu_max_bound_hz: float       # "much less than" bound 1 / (l * pri_s)
     n_pri_required: int          # n + q_max (exclusive lower bound on n_pri)
 
 
-def check_assumptions(params: SystemParams, frame_len_l: int | None = None,
-                      coherence_threshold: float = 0.1) -> AssumptionReport:
+def check_assumptions(params: SystemParams) -> AssumptionReport:
     """Feasibility report for the block-constant-channel and timing assumptions.
 
     The channel is treated as constant over the frame when
-    l * pri_s * nu_max is well below one (threshold configurable), and the
-    PRI must fit the pulse plus the largest delay: n_pri > n + q.
+    l * pri_s * nu_max is below ``COHERENCE_THRESHOLD``, and the PRI must fit
+    the pulse plus the largest delay: n_pri > n + q.
     """
-    l = params.l if frame_len_l is None else int(frame_len_l)
-    product = l * params.pri_s * params.nu_max_hz
-    bound = 1.0 / (l * params.pri_s)
+    product = params.l * params.pri_s * params.nu_max_hz
+    bound = 1.0 / (params.l * params.pri_s)
     q_max = params.q  # earliest arrival pinned to delay bin zero
     return AssumptionReport(
-        coherence_ok=product < coherence_threshold,
+        coherence_ok=product < COHERENCE_THRESHOLD,
         timing_ok=params.n_pri > params.n + q_max,
         coherence_product=product,
-        coherence_threshold=coherence_threshold,
         nu_max_bound_hz=bound,
         n_pri_required=params.n + q_max,
     )

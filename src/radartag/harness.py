@@ -14,7 +14,6 @@ import json
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import lru_cache
@@ -24,7 +23,7 @@ import numpy as np
 from .channel import sample_channel
 from .codebooks import SourceCodebook, TagCodebook, gen_gold, gen_tag_codebook
 from .errors import ConfigInvalidError, IndexOutOfRangeError
-from .framesim import SnrConfig, SystemParams, noise_variance, synthesize_frame
+from .framesim import SnrConfig, SystemParams, noise_variance, snr_pair, synthesize_frame
 from .pilot_aided import (
     PilotLayout,
     alternating_pilot,
@@ -395,7 +394,12 @@ def _run(cfgs: list[ExperimentConfig], workers) -> list[MetricsRow]:
             points.append((cfg, snr, len(starts)))
             tasks += [(cfg_json, i + g, snr, a, min(a + chunk, cfg.trials))
                       for a in starts]
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+    if workers > 1:
+        # imported here: the pool modules cost start-up time no serial run needs
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=workers)
+    else:
+        pool = nullcontext()
     with pool:
         batches = iter((pool.map if workers > 1 else map)(_trial_batch, tasks))
         return [_reduce(cfg.scheme, snr,
@@ -416,12 +420,11 @@ def run_trials(cfg: ExperimentConfig, workers: int = 1) -> list[MetricsRow]:
 def _derived_config(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     base_sr = cfg.snr_grid[0].snr_sr_db
     if axis == "snr_sr":
-        return replace(cfg, snr_grid=[SnrConfig(value + cfg.rho_db, value)])
+        return replace(cfg, snr_grid=[snr_pair(value, cfg.rho_db)])
     if axis == "snr_str":
         return replace(cfg, snr_grid=[SnrConfig(value, value - cfg.rho_db)])
     if axis == "rho":
-        return replace(cfg, snr_grid=[SnrConfig(base_sr + value, base_sr)],
-                       rho_db=value)
+        return replace(cfg, snr_grid=[snr_pair(base_sr, value)], rho_db=value)
     if axis == "rate_source":
         rate = int(value)
         if cfg.scheme in PILOT_FREE_SCHEMES:
@@ -545,8 +548,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 # the keys config_from_dict reads, at the top level and inside its two
 # plain-dict blocks; any other key is a config error, not silently ignored
 _CONFIG_KEYS = frozenset({"version", "scheme", "params", "snr_grid", "snr_sr_db",
-                          "snr_str_db", "rho_db", "reg", "channel", "codebook",
-                          "layout", "trials", "seed", "axis_values"})
+                          "rho_db", "reg", "channel", "codebook", "layout", "trials",
+                          "seed", "axis_values"})
 _BLOCK_KEYS = {"codebook": frozenset({"n_source", "n_tag"}),
                "layout": frozenset({"n_pilot", "l_pilot"})}
 
@@ -570,15 +573,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         else:
             sr = data.get("snr_sr_db", 20.0)
             sr_values = sr if isinstance(sr, (list, tuple)) else [sr]
-            if "snr_str_db" in data and data["snr_str_db"] is not None:
-                st = data["snr_str_db"]
-                st_values = st if isinstance(st, (list, tuple)) else [st] * len(sr_values)
-                if len(st_values) != len(sr_values):
-                    raise ConfigInvalidError("snr_str_db grid length mismatch")
-                grid = [SnrConfig(float(a), float(b))
-                        for a, b in zip(st_values, sr_values)]
-            else:
-                grid = [SnrConfig(float(v) + rho_db, float(v)) for v in sr_values]
+            _require(all(map(_is_real, sr_values)),
+                     f"snr_sr_db must be a number or a list of numbers, got {sr!r}")
+            grid = [snr_pair(float(v), rho_db) for v in sr_values]
         reg = RegularizationConfig(**data.get("reg", {}))
         chan = ChannelConfig(**data.get("channel", {}))
         codebook = data.get("codebook")

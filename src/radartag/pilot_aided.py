@@ -45,8 +45,10 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-DEFAULT_ENUM_BUDGET = 2 ** 16
-DEFAULT_SEARCH_BUDGET = 2 ** 20
+MAX_SWEEPS = 50           # block-coordinate descent sweeps per decode_iterative
+REL_TOL = 1e-8            # relative objective change that ends the descent
+ENUM_BUDGET = 2 ** 16     # most source data words the discrete update enumerates
+SEARCH_BUDGET = 2 ** 20   # most data pairs exhaustive_search enumerates
 # candidate pairs fitted and scored per batched step of exhaustive_search
 _SEARCH_CHUNK = 64
 
@@ -271,8 +273,7 @@ def _source_form(y, x, c_pilot, g_str, g_sr, n_d: int):
     return gram, rhs
 
 
-def source_data_update_discrete(y, x, c_pilot, g_str, g_sr,
-                                enum_budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
+def source_data_update_discrete(y, x, c_pilot, g_str, g_sr) -> np.ndarray:
     """Exact minimizer of the residual over all +/-1 source data words."""
     y = np.asarray(y, dtype=np.complex128)
     x = np.asarray(x, dtype=np.complex128)
@@ -281,9 +282,9 @@ def source_data_update_discrete(y, x, c_pilot, g_str, g_sr,
         raise DimensionMismatchError("pilot longer than the codeword")
     if n_d == 0:
         return np.zeros(0, dtype=np.int64)
-    if 2 ** n_d > enum_budget:
+    if 2 ** n_d > ENUM_BUDGET:
         raise BudgetExceededError(
-            f"2^{n_d} source candidates exceed the budget {enum_budget}; "
+            f"2^{n_d} source candidates exceed the budget {ENUM_BUDGET}; "
             "use the relaxed update"
         )
     gram, rhs = _source_form(y, x, c_pilot, g_str, g_sr, n_d)
@@ -356,9 +357,7 @@ def _objective(y, c_full, x_full, g_str, g_sr, reg: RegularizationConfig,
 
 
 def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
-                     mode: str = "discrete", init_data=None,
-                     max_iters: int = 50, rel_tol: float = 1e-8,
-                     enum_budget: int = DEFAULT_ENUM_BUDGET) -> PilotAidedResult:
+                     mode: str = "discrete", init_data=None) -> PilotAidedResult:
     """Block-coordinate descent: channels, then source data, then tag data.
 
     The descent starts from ``init_data = (c_data, x_data)``, or, when it is
@@ -369,7 +368,8 @@ def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
     its block (the inexact l1 channel update is guarded: a step that fails to
     improve the objective is discarded).  The channels fitted at the initial
     data serve sweep 1, so a decode makes one channel update per sweep.  The
-    loop stops when the relative objective change falls below ``rel_tol``.
+    loop stops after ``MAX_SWEEPS`` sweeps, or once the relative objective
+    change falls below ``REL_TOL``.
     In relaxed mode the data blocks stay continuous until a single slice at
     exit and the trace includes the quadratic data penalties.
     """
@@ -408,7 +408,7 @@ def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
     zero_floor = (np.finfo(float).eps * float(np.sum(np.abs(y) ** 2))) ** 2
     converged = False
     iters = 0
-    for iters in range(1, max_iters + 1):
+    for iters in range(1, MAX_SWEEPS + 1):
         # sweep 1 starts from the data the channels were just fitted to
         if iters > 1:
             g_new = iterative_channel_update(y, c, x, reg)
@@ -421,13 +421,12 @@ def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
             c[n_p:], x[l_p:] = relaxed_data_updates(y, layout, c_data, x_data,
                                                     g_str, g_sr, lambda_c, lambda_x)
         else:
-            c[n_p:] = source_data_update_discrete(y, x, layout.c_pilot,
-                                                  g_str, g_sr, enum_budget)
+            c[n_p:] = source_data_update_discrete(y, x, layout.c_pilot, g_str, g_sr)
             x[l_p:] = tag_data_update_discrete(y, c, layout.x_pilot, g_str, g_sr)
 
         trace.append(score(g_str, g_sr))
         delta = abs(trace[-1] - trace[-2])
-        if delta < rel_tol * abs(trace[-2]) or delta <= zero_floor:
+        if delta < REL_TOL * abs(trace[-2]) or delta <= zero_floor:
             converged = True
             break
 
@@ -440,8 +439,7 @@ def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
     )
 
 
-def exhaustive_search(y, layout: PilotLayout, reg: RegularizationConfig,
-                      budget: int = DEFAULT_SEARCH_BUDGET) -> PilotAidedResult:
+def exhaustive_search(y, layout: PilotLayout, reg: RegularizationConfig) -> PilotAidedResult:
     """Global minimizer over all +/-1 data pairs, with inner channel updates.
 
     Pairs run in (source, tag) order, ``_SEARCH_CHUNK`` at a time: each
@@ -452,9 +450,9 @@ def exhaustive_search(y, layout: PilotLayout, reg: RegularizationConfig,
     y = np.asarray(y, dtype=np.complex128)
     q = _frame_dims(y, layout)
     n_d, l_d = layout.n_data, layout.l_data
-    if 2 ** (n_d + l_d) > budget:
+    if 2 ** (n_d + l_d) > SEARCH_BUDGET:
         raise BudgetExceededError(
-            f"2^{n_d + l_d} data pairs exceed the search budget {budget}"
+            f"2^{n_d + l_d} data pairs exceed the search budget {SEARCH_BUDGET}"
         )
     c_data, x_data = _binary_candidates(n_d), _binary_candidates(l_d)
     c_words = _with_pilot(layout.c_pilot, c_data)

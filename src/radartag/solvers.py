@@ -96,11 +96,11 @@ def _as_complex_matrix(a) -> np.ndarray:
     return a
 
 
-def ridge_solve(a, b, lam: float, rank_tol: float = _RANK_TOL) -> np.ndarray:
+def ridge_solve(a, b, lam: float) -> np.ndarray:
     """Minimize ||b - A g||^2 + lam ||g||^2, i.e. (A^H A + lam I)^{-1} A^H b.
 
     With ``lam == 0`` the Gram matrix must be invertible; a rank check at
-    ``rank_tol`` raises :class:`SingularSystemError` otherwise.  ``b`` may
+    ``_RANK_TOL`` = 1e-10 raises :class:`SingularSystemError` otherwise.  ``b`` may
     carry several right-hand sides as columns.
     """
     a = _as_complex_matrix(a)
@@ -112,7 +112,7 @@ def ridge_solve(a, b, lam: float, rank_tol: float = _RANK_TOL) -> np.ndarray:
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     n = a.shape[1]
-    if lam == 0 and numeric_rank(a, rank_tol) < n:
+    if lam == 0 and numeric_rank(a) < n:
         raise SingularSystemError("A^H A is rank-deficient and lam == 0")
     gram = a.conj().T @ a + lam * np.eye(n)
     return np.linalg.solve(gram, a.conj().T @ b)
@@ -275,18 +275,16 @@ def pinv_apply(a, b) -> np.ndarray:
     return np.linalg.pinv(a) @ b
 
 
-def numeric_rank(a, rel_tol: float = _RANK_TOL) -> int | np.ndarray:
-    """Number of singular values above ``rel_tol`` times the largest one.
+def numeric_rank(a) -> int | np.ndarray:
+    """Number of singular values above ``_RANK_TOL`` (1e-10) times the largest one.
 
     A stack of matrices (..., m, n) gets one rank per matrix, as an array.
     """
-    if not 0 < rel_tol < 1:
-        raise ValueError("rel_tol must lie in (0, 1)")
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-2] < 1 or a.shape[-1] < 1:
         raise DimensionMismatchError(f"expected a matrix or a stack of them, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     s = np.linalg.svd(a, compute_uv=False)
-    rank = np.count_nonzero(s > rel_tol * s[..., :1], axis=-1)
+    rank = np.count_nonzero(s > _RANK_TOL * s[..., :1], axis=-1)
     return int(rank) if a.ndim == 2 else rank

@@ -157,6 +157,7 @@ def test_criterion_4_waveform_quality_table():
                    "tolerance +/-0.5 dB)")
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("mode", ["discrete", "relaxed"])
 def test_criterion_5_monotone_descent_and_convergence(mode):
     rng = np.random.default_rng(1005)
@@ -223,6 +224,7 @@ def _ordering_holds(p_low, p_high, bits, z=1.96):
                                          + _ber_se(p_high, bits) ** 2)
 
 
+@pytest.mark.slow
 def test_criterion_7a_decoder_ordering():
     trials = 10_000
     base = dict(params=SystemParams(), snr_grid=[SnrConfig(5.0, 10.0)],
@@ -244,6 +246,7 @@ def test_criterion_7a_decoder_ordering():
     assert _report("7a (perfect <= joint <= disjoint)", ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_7b_source_ber_decreasing_in_rho():
     trials = 10_000
     cfg = ExperimentConfig(params=SystemParams(), scheme="pilot_free_joint",
@@ -258,6 +261,7 @@ def test_criterion_7b_source_ber_decreasing_in_rho():
                    + ", ".join(f"{b:.4g}" for b in bers))
 
 
+@pytest.mark.slow
 def test_criterion_7c_sparse_l1_beats_l2():
     trials = 10_000
     base = dict(params=SystemParams(n=31, l=10, q=14),

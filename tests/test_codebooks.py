@@ -138,7 +138,7 @@ class TestSeparabilityChecks:
         rng = np.random.default_rng(3)
         c1 = 1 - 2 * rng.integers(0, 2, 7)
         c2 = np.roll(c1, 3)
-        book = SourceCodebook(n=7, words=np.stack([c1, c2]), kind="gold-full")
+        book = SourceCodebook(n=7, words=np.stack([c1, c2]))
         stacked = np.hstack([conv_matrix_from_code(c1, 1), conv_matrix_from_code(c2, 1)])
         assert stacked.shape == (8, 4)
         assert check_source_separability(book, 1) == (numeric_rank(stacked) == 4)
@@ -286,7 +286,7 @@ class TestPilotTable:
 
     def test_rate_budget(self, gold):
         with pytest.raises(RateTooLargeError):
-            pilot_table(gold, [20], enum_budget=2 ** 16)
+            pilot_table(gold, [20])
 
     def test_small_rate_matches_direct_enumeration(self, gold):
         # independent oracle at rate 2: explicit loops, no FFT

@@ -1,5 +1,7 @@
 """Frame synthesis, SNR bookkeeping, and the model assumption checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -40,7 +42,7 @@ class TestCheckAssumptions:
 
     def test_zero_doppler_always_coherent(self):
         params = SystemParams(nu_max_hz=0.0)
-        assert check_assumptions(params, frame_len_l=10_000_000).coherence_ok
+        assert check_assumptions(replace(params, l=10_000_000)).coherence_ok
 
     def test_fast_scatterers_fail(self):
         params = SystemParams(nu_max_hz=50e3)

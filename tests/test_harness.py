@@ -216,7 +216,7 @@ class TestWorkers:
                 return [fn(task) for task in tasks]
 
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         cfg = _quick_cfg(trials=6)
         assert rows_to_csv(run_trials(cfg, workers=10 ** 6)) == rows_to_csv(run_trials(cfg))
         assert sizes == [3]
@@ -250,6 +250,9 @@ _MALFORMED_CONFIGS = {
     "seed_fraction": {**_VALID_CONFIG, "seed": 3.9},
     "trials_string": {**_VALID_CONFIG, "trials": "5"},
     "rel_tol_string": {**_VALID_CONFIG, "rel_tol": "1e-3"},
+    "snr_sr_string_list": {**_VALID_CONFIG, "snr_grid": None, "snr_sr_db": ["10"]},
+    "snr_sr_bool_list": {**_VALID_CONFIG, "snr_grid": None, "snr_sr_db": [True]},
+    "snr_sr_string": {**_VALID_CONFIG, "snr_grid": None, "snr_sr_db": "7"},
 }
 
 
@@ -339,6 +342,8 @@ _UNKNOWN_KEY_CONFIGS = {
                     "layout": {"n_pilot": 3, "l_pilot": 2}, "enum_budget": 2 ** 40},
     "search_budget": {**_PILOT_AIDED_CONFIG, "scheme": "pilot_aided_exhaustive",
                       "search_budget": 2 ** 40},
+    "snr_str_db": {**_VALID_CONFIG, "snr_grid": None, "snr_sr_db": [10.0],
+                   "snr_str_db": ["1"]},
     "codebook_key": {**_VALID_CONFIG,
                      "codebook": {"n_source": 16, "n_tag": 16, "n_tags": 8}},
     "layout_key": {**_PILOT_AIDED_CONFIG,

@@ -498,8 +498,7 @@ class TestExhaustiveSearch:
         rng = np.random.default_rng(26)
         layout = _layout(gold, rng, n_pilot=11, n_data=20, l_pilot=2, l_data=8)
         with pytest.raises(BudgetExceededError):
-            exhaustive_search(np.zeros((10, 33), dtype=complex), layout, REG,
-                              budget=2 ** 20)
+            exhaustive_search(np.zeros((10, 33), dtype=complex), layout, REG)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
@@ -538,3 +537,17 @@ def test_global_phase_rotates_estimates_only(gold, seed, theta, n_data, l_data, 
         for got, want in ((turned.g_str_hat, plain.g_str_hat),
                           (turned.g_sr_hat, plain.g_sr_hat)):
             assert np.linalg.norm(got - phase * want) <= 1e-9 * np.linalg.norm(want)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), word=st.integers(0, 32),
+       n_data=st.integers(0, 4), l_data=st.integers(0, 4), l_pilot=st.integers(2, 6))
+def test_noiseless_layouts_decode_exactly(gold, seed, word, n_data, l_data, l_pilot):
+    # any Gold pilot word and data split decodes a noiseless frame exactly
+    layout = PilotLayout(c_pilot=gold.words[word][:31 - n_data],
+                         x_pilot=alternating_pilot(l_pilot), n_data=n_data, l_data=l_data)
+    frame, c_data, x_data, *_ = _frame(layout, np.random.default_rng(seed))
+    for res in (decode_noniterative(frame.y, layout),
+                exhaustive_search(frame.y, layout, REG0)):
+        assert np.array_equal(res.c_data_hat, c_data)
+        assert np.array_equal(res.x_data_hat, x_data)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radartag import (
     RegularizationConfig,
@@ -423,3 +425,28 @@ class TestNonFiniteFrames:
                        lambda: decode_perfect_csi(y, src, tag, g_str, g_sr)):
             with pytest.raises(ValueError, match="non-finite"):
                 decode()
+
+
+@pytest.fixture(scope="module")
+def pools():
+    return gen_gold(5), gen_tag_codebook(10)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), src_bits=st.integers(0, 5),
+       tag_bits=st.integers(0, 6))
+def test_noiseless_subsets_decode_exactly(pools, seed, src_bits, tag_bits):
+    # any power-of-two subset of the 33 Gold and 126 tag words decodes a
+    # noiseless frame to the transmitted indices at lambda = 0
+    gold, tag_pool = pools
+    rng = np.random.default_rng(seed)
+    src = SourceCodebook(n=31, words=gold.words[
+        np.sort(rng.choice(33, 2 ** src_bits, replace=False))])
+    tag = TagCodebook(l=10, words=tag_pool.words[
+        np.sort(rng.choice(126, 2 ** tag_bits, replace=False))])
+    ci, xi = int(rng.integers(len(src))), int(rng.integers(len(tag)))
+    g_str, g_sr = _draw_channels(rng)
+    frame = synthesize_frame(src.words[ci], tag.words[xi], g_str, g_sr, 0.0, rng)
+    for decode in (decode_joint, decode_disjoint):
+        res = decode(frame.y, src, tag, REG0)
+        assert (res.c_index, res.x_index) == (ci, xi)

@@ -298,7 +298,3 @@ class TestNumericRank:
         assert ranks.tolist()[:4] == [3, 2, 0, 1]
         assert numeric_rank(stack.reshape(2, 3, 5, 3)).tolist() == \
             ranks.reshape(2, 3).tolist()
-
-    def test_rel_tol_validation(self):
-        with pytest.raises(ValueError):
-            numeric_rank(np.eye(2), rel_tol=2.0)
