@@ -44,17 +44,17 @@ g_str = sample_channel(params.q, 3, sigma_str2, -10.0, False, rng)
 g_sr = sample_channel(params.q, 3, sigma_sr2, -10.0, False, rng)
 
 clean = synthesize_frame(c, x, g_str, g_sr, 0.0, rng)
-print(f"\nnoiseless frame: shape {clean.y.shape}, rank {numeric_rank(clean.y)}")
+print(f"\nnoiseless frame: shape {clean.shape}, rank {numeric_rank(clean)}")
 
-row_avg = clean.y.T @ np.ones(params.l) / params.l
+row_avg = clean.T @ np.ones(params.l) / params.l
 direct = response_vector(c, g_sr)
 print("row average recovers the direct pulse shape exactly:",
       np.allclose(row_avg, direct, atol=1e-12))
 
 noisy = synthesize_frame(c, x, g_str, g_sr, sigma_w2, rng)
-print(f"noisy frame sample power {np.mean(np.abs(noisy.y) ** 2):.3f} "
+print(f"noisy frame sample power {np.mean(np.abs(noisy) ** 2):.3f} "
       f"(signal + unit-variance noise)")
 
-dump = frame_to_csv(noisy.y)
+dump = frame_to_csv(noisy)
 print(f"\ndebug dump: {len(dump.splitlines())} lines, "
       f"first line starts '{dump.splitlines()[0][:40]}...'")

@@ -37,11 +37,11 @@ reg0 = RegularizationConfig(kind="l2", lambda_str=0.0, lambda_sr=0.0)
 ci, xi = 3, 11
 g_str = sample_channel(2, 3, 1.0, -10.0, False, rng)
 g_sr = sample_channel(2, 3, 1.0, -10.0, False, rng)
-frame = synthesize_frame(src.words[ci], tag.words[xi], g_str, g_sr, 0.0, rng)
-res = decode_joint(frame.y, src, tag, reg0)
+y = synthesize_frame(src.words[ci], tag.words[xi], g_str, g_sr, 0.0, rng)
+res = decode_joint(y, src, tag, reg0)
 print(f"\nnoiseless joint decode: sent ({ci}, {xi}), got "
       f"({res.c_index}, {res.x_index}); channel error "
-      f"{np.linalg.norm(res.g_str_hat - g_str.taps):.2e}")
+      f"{np.linalg.norm(res.g_str_hat - g_str):.2e}")
 
 # a short noisy run comparing the three decoders on identical frames
 snr = snr_pair(snr_sr_db=10.0, rho_db=-5.0)
@@ -56,12 +56,12 @@ for _ in range(trials):
     xi = int(run_rng.integers(len(tag)))
     g_str = sample_channel(2, 3, sigma_str2, -10.0, False, run_rng)
     g_sr = sample_channel(2, 3, sigma_sr2, -10.0, False, run_rng)
-    frame = synthesize_frame(src.words[ci], tag.words[xi], g_str, g_sr,
-                             sigma_w2, run_rng)
+    y = synthesize_frame(src.words[ci], tag.words[xi], g_str, g_sr,
+                         sigma_w2, run_rng)
     outcomes = {
-        "perfect": decode_perfect_csi(frame.y, src, tag, g_str, g_sr),
-        "joint": decode_joint(frame.y, src, tag, reg),
-        "disjoint": decode_disjoint(frame.y, src, tag, reg),
+        "perfect": decode_perfect_csi(y, src, tag, g_str, g_sr),
+        "joint": decode_joint(y, src, tag, reg),
+        "disjoint": decode_disjoint(y, src, tag, reg),
     }
     for name, out in outcomes.items():
         errors[name] += (out.c_index != ci) + (out.x_index != xi)

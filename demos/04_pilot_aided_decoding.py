@@ -41,26 +41,26 @@ snr = snr_pair(snr_sr_db=10.0, rho_db=-5.0)
 sigma_w2, sigma_str2, sigma_sr2 = noise_variance(snr, 31)
 g_str = sample_channel(2, 3, sigma_str2, -10.0, False, rng)
 g_sr = sample_channel(2, 3, sigma_sr2, -10.0, False, rng)
-frame = synthesize_frame(c, x, g_str, g_sr, sigma_w2, rng)
+y = synthesize_frame(c, x, g_str, g_sr, sigma_w2, rng)
 
 print("\nsent source data:", c_data, " tag data:", x_data)
 
-plain = decode_noniterative(frame.y, layout)
+plain = decode_noniterative(y, layout)
 print("non-iterative:    ", plain.c_data_hat, plain.x_data_hat)
 
 reg = RegularizationConfig(kind="l2", lambda_str=0.1, lambda_sr=0.1,
                            lambda_c=sigma_w2, lambda_x=sigma_w2)
-discrete = decode_iterative(frame.y, layout, reg, mode="discrete")
+discrete = decode_iterative(y, layout, reg, mode="discrete")
 print("iterative (exact):", discrete.c_data_hat, discrete.x_data_hat,
       f" converged in {discrete.iters} sweeps")
 print("objective trace:  ",
       " -> ".join(f"{v:.3f}" for v in discrete.objective_trace))
 
-relaxed = decode_iterative(frame.y, layout, reg, mode="relaxed")
+relaxed = decode_iterative(y, layout, reg, mode="relaxed")
 print("iterative (relax):", relaxed.c_data_hat, relaxed.x_data_hat,
       f" {relaxed.iters} sweeps, converged={relaxed.converged}")
 
-best = exhaustive_search(frame.y, layout, reg)
+best = exhaustive_search(y, layout, reg)
 print("exhaustive search:", best.c_data_hat, best.x_data_hat,
       f" objective {best.objective_trace[0]:.3f} "
       f"(iterative reached {discrete.objective_trace[-1]:.3f})")

@@ -10,7 +10,6 @@ seeded Monte Carlo harness.
 """
 
 from .channel import (
-    ChannelTaps,
     conv_matrix_from_channel,
     conv_matrix_from_code,
     response_vector,
@@ -48,7 +47,6 @@ from .errors import (
 )
 from .framesim import (
     AssumptionReport,
-    FrameObservation,
     SnrConfig,
     SystemParams,
     check_assumptions,

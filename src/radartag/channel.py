@@ -10,7 +10,6 @@ matrix times the codeword) is what the pilot-aided decoders exploit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -18,7 +17,6 @@ import numpy as np
 from .errors import DimensionMismatchError, TooManyTapsError
 
 __all__ = [
-    "ChannelTaps",
     "sample_channel",
     "conv_matrix_from_code",
     "response_vector",
@@ -26,27 +24,9 @@ __all__ = [
 ]
 
 
-@dataclass
-class ChannelTaps:
-    """Channel realization: taps, their support, and generation statistics."""
-
-    taps: np.ndarray
-    support: np.ndarray
-    sigma2: float
-    kappa_db: float
-
-    def __post_init__(self):
-        self.taps = np.asarray(self.taps, dtype=np.complex128)
-        self.support = np.asarray(self.support, dtype=np.int64)
-
-    @property
-    def q(self) -> int:
-        return self.taps.size - 1
-
-
 def sample_channel(q: int, n_taps: int, sigma2: float, kappa_db: float,
-                   sparse: bool, rng: np.random.Generator) -> ChannelTaps:
-    """Draw q+1 taps with ``n_taps`` nonzero entries.
+                   sparse: bool, rng: np.random.Generator) -> np.ndarray:
+    """Draw the (q+1,) complex tap vector, ``n_taps`` of its entries nonzero.
 
     Each nonzero tap is sqrt(sigma2) times a specular term of deterministic
     magnitude and uniform phase plus a circular complex Gaussian diffuse
@@ -74,7 +54,7 @@ def sample_channel(q: int, n_taps: int, sigma2: float, kappa_db: float,
                                 + np.sqrt(diff_frac) * diffuse)
     taps = np.zeros(q + 1, dtype=np.complex128)
     taps[support] = values
-    return ChannelTaps(taps=taps, support=support, sigma2=sigma2, kappa_db=kappa_db)
+    return taps
 
 
 @lru_cache(maxsize=64)
@@ -105,13 +85,9 @@ def conv_matrix_from_code(c, q: int) -> np.ndarray:
     return np.take(padded, _delay_index(n, q), axis=-1)
 
 
-def _taps_of(g) -> np.ndarray:
-    return g.taps if isinstance(g, ChannelTaps) else np.asarray(g, dtype=np.complex128)
-
-
 def response_vector(c, g) -> np.ndarray:
-    """Received pulse shape of codeword c through channel g: length n+q."""
-    taps = _taps_of(g)
+    """Received pulse shape of codeword c through channel taps g: length n+q."""
+    taps = np.asarray(g, dtype=np.complex128)
     if taps.ndim != 1 or taps.size < 1:
         raise DimensionMismatchError("channel taps must be a nonempty vector")
     return conv_matrix_from_code(c, taps.size - 1) @ taps
@@ -124,7 +100,7 @@ def conv_matrix_from_channel(g, n_pilot: int, n_data: int) -> tuple[np.ndarray, 
     taps, so that Gamma_P c_P + Gamma_D c_D equals the response vector of
     c = [c_P; c_D] through g for every codeword split.
     """
-    taps = _taps_of(g)
+    taps = np.asarray(g, dtype=np.complex128)
     n = n_pilot + n_data
     if n_pilot < 0 or n_data < 0 or n < 1:
         raise DimensionMismatchError("pilot/data lengths must be nonnegative, n >= 1")

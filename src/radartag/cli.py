@@ -87,21 +87,15 @@ def _cmd_codebook(args) -> int:
     raise ConfigInvalidError("missing codebook subcommand")
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_run(args) -> int:
+    """``simulate`` runs the config's SNR grid, ``sweep`` one axis of it."""
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
-    rows = run_trials(cfg, workers=args.workers)
-    text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows, cfg)
-    _write(text, args.out)
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    rows = sweep(cfg, args.axis, workers=args.workers)
+    if args.cmd == "sweep":
+        rows = sweep(cfg, args.axis, workers=args.workers)
+    else:
+        rows = run_trials(cfg, workers=args.workers)
     text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows, cfg)
     _write(text, args.out)
     return 0
@@ -168,10 +162,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.cmd == "codebook":
             return _cmd_codebook(args)
-        if args.cmd == "simulate":
-            return _cmd_simulate(args)
-        if args.cmd == "sweep":
-            return _cmd_sweep(args)
+        if args.cmd in ("simulate", "sweep"):
+            return _cmd_run(args)
         if args.cmd == "check":
             return _cmd_check(args)
         raise ConfigInvalidError(f"unknown command {args.cmd!r}")

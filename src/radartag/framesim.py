@@ -13,13 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelTaps, response_vector
+from .channel import response_vector
 from .errors import DimensionMismatchError
 
 __all__ = [
     "SystemParams",
     "SnrConfig",
-    "FrameObservation",
     "AssumptionReport",
     "check_assumptions",
     "noise_variance",
@@ -57,14 +56,6 @@ class SnrConfig:
 
     snr_str_db: float
     snr_sr_db: float
-
-
-@dataclass
-class FrameObservation:
-    """Received l x k matrix with the noise level that produced it."""
-
-    y: np.ndarray
-    sigma_omega2: float
 
 
 # the channel counts as constant over a frame when l * pri_s * nu_max is below this
@@ -117,16 +108,16 @@ def snr_pair(snr_sr_db: float, rho_db: float) -> SnrConfig:
     return SnrConfig(snr_str_db=snr_sr_db + rho_db, snr_sr_db=snr_sr_db)
 
 
-def synthesize_frame(c, x, g_str: ChannelTaps, g_sr: ChannelTaps,
-                     sigma_omega2: float, rng: np.random.Generator) -> FrameObservation:
-    """One received frame: y = x a_str^T + 1 a_sr^T + noise.
+def synthesize_frame(c, x, g_str, g_sr, sigma_omega2: float,
+                     rng: np.random.Generator) -> np.ndarray:
+    """One received l x k frame: y = x a_str^T + 1 a_sr^T + noise.
 
-    a_i is the pulse shape of codeword c through channel i; noise entries
-    are i.i.d. circular complex Gaussian with variance sigma_omega2.
+    a_i is the pulse shape of codeword c through channel taps g_i; noise
+    entries are i.i.d. circular complex Gaussian with variance sigma_omega2.
     """
     c = np.asarray(c, dtype=np.complex128)
     x = np.asarray(x, dtype=np.complex128)
-    if g_str.taps.size != g_sr.taps.size:
+    if np.size(g_str) != np.size(g_sr):
         raise DimensionMismatchError("channels must share the same delay spread")
     if sigma_omega2 < 0:
         raise ValueError("sigma_omega2 must be nonnegative")
@@ -137,4 +128,4 @@ def synthesize_frame(c, x, g_str: ChannelTaps, g_sr: ChannelTaps,
     if sigma_omega2 > 0:
         scale = np.sqrt(sigma_omega2 / 2.0)
         y = y + scale * (rng.standard_normal((l, k)) + 1j * rng.standard_normal((l, k)))
-    return FrameObservation(y=y, sigma_omega2=float(sigma_omega2))
+    return y

@@ -314,12 +314,12 @@ def _run_one_trial(ctx: _Context, noise, grid_idx: int, trial_idx: int):
                            cfg.channel.kappa_db, cfg.channel.sparse, rng)
     g_sr = sample_channel(cfg.params.q, cfg.channel.n_taps, sigma_sr2,
                           cfg.channel.kappa_db, cfg.channel.sparse, rng)
-    frame = synthesize_frame(c, x, g_str, g_sr, sigma_omega2, rng)
-    res = decode(ctx, frame.y, layout if aided else (g_str, g_sr))
-    e2_str = float(np.sum(np.abs(res.g_str_hat - g_str.taps) ** 2))
-    n2_str = float(np.sum(np.abs(g_str.taps) ** 2))
-    e2_sr = float(np.sum(np.abs(res.g_sr_hat - g_sr.taps) ** 2))
-    n2_sr = float(np.sum(np.abs(g_sr.taps) ** 2))
+    y = synthesize_frame(c, x, g_str, g_sr, sigma_omega2, rng)
+    res = decode(ctx, y, layout if aided else (g_str, g_sr))
+    e2_str = float(np.sum(np.abs(res.g_str_hat - g_str) ** 2))
+    n2_str = float(np.sum(np.abs(g_str) ** 2))
+    e2_sr = float(np.sum(np.abs(res.g_sr_hat - g_sr) ** 2))
+    n2_sr = float(np.sum(np.abs(g_sr) ** 2))
     if aided:
         return (int(np.count_nonzero(res.c_data_hat != c_data)), ctx.n_data,
                 int(np.count_nonzero(res.x_data_hat != x_data)), ctx.l_data,

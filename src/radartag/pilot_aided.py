@@ -49,8 +49,11 @@ MAX_SWEEPS = 50           # block-coordinate descent sweeps per decode_iterative
 REL_TOL = 1e-8            # relative objective change that ends the descent
 ENUM_BUDGET = 2 ** 16     # most source data words the discrete update enumerates
 SEARCH_BUDGET = 2 ** 20   # most data pairs exhaustive_search enumerates
-# candidate pairs fitted and scored per batched step of exhaustive_search
-_SEARCH_CHUNK = 64
+# candidate pairs fitted and scored per batched step of exhaustive_search; at
+# l = 10, k = 33 a chunk's (24, l, k) complex temporaries take 126 720 bytes,
+# below glibc's 128 KiB mmap and trim thresholds, so freeing them does not
+# hand the pages back to the kernel only for the next chunk to fault them in
+_SEARCH_CHUNK = 24
 
 
 @dataclass
@@ -238,8 +241,13 @@ def _channel_fit(y, xi, x, reg: RegularizationConfig):
 
 
 def iterative_channel_update(y, c, x, reg: RegularizationConfig):
-    """Joint channel estimate for one full candidate codeword pair."""
+    """Joint channel estimate for one full candidate codeword pair.
+
+    Raises ``ValueError`` on a non-finite frame.
+    """
     y = np.asarray(y, dtype=np.complex128)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("frame contains non-finite samples")
     c = np.asarray(c, dtype=np.complex128)
     x = np.asarray(x, dtype=np.complex128)
     big_l, k = y.shape

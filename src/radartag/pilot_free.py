@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import ChannelTaps, conv_matrix_from_code
+from .channel import conv_matrix_from_code
 from .codebooks import SourceCodebook, TagCodebook
 from .errors import DimensionMismatchError, EmptyCodebookError, SingularSystemError
 from .solvers import (
@@ -53,8 +53,6 @@ class PilotFreeResult:
 
     c_index: int
     x_index: int
-    c_hat: np.ndarray
-    x_hat: np.ndarray
     g_str_hat: np.ndarray
     g_sr_hat: np.ndarray
     metric: float
@@ -195,8 +193,12 @@ def channel_estimates_given(c, x, y, reg: RegularizationConfig):
 
     The backscatter estimate fits Xi_c g to the slow-time projection
     (1/L) Y^T x*, the direct estimate to the slow-time average (1/L) Y^T 1,
-    each with its own regularization weight.
+    each with its own regularization weight.  Raises ``ValueError`` on a
+    non-finite frame.
     """
+    y = np.asarray(y)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("frame contains non-finite samples")
     c = np.asarray(c, dtype=np.complex128)
     x = np.asarray(x, dtype=np.complex128)
     big_l, k = y.shape
@@ -241,7 +243,6 @@ def decode_joint(y, source: SourceCodebook, tag: TagCodebook,
         log.debug("degenerate joint decode: all %d candidate metrics equal", metric.size)
     return PilotFreeResult(
         c_index=ci, x_index=xi_idx,
-        c_hat=source.words[ci].copy(), x_hat=tag.words[xi_idx].copy(),
         g_str_hat=gam_str[ci, :, xi_idx].copy(), g_sr_hat=gam_sr[ci].copy(),
         metric=float(metric[ci, xi_idx]),
     )
@@ -276,30 +277,32 @@ def decode_disjoint(y, source: SourceCodebook, tag: TagCodebook,
     metric = float(f_str[ci, 0] + f_sr[ci])
     return PilotFreeResult(
         c_index=ci, x_index=xi_idx,
-        c_hat=source.words[ci].copy(), x_hat=tag.words[xi_idx].copy(),
         g_str_hat=gam_str[ci, :, 0].copy(), g_sr_hat=gam_sr[ci].copy(),
         metric=metric,
     )
 
 
 def decode_perfect_csi(y, source: SourceCodebook, tag: TagCodebook,
-                       g_str: ChannelTaps, g_sr: ChannelTaps) -> PilotFreeResult:
+                       g_str, g_sr) -> PilotFreeResult:
     """Benchmark decoder: exhaustive data-fidelity minimization at known channels.
 
-    Every pair is scored in closed form from the pulse shapes a_c = Xi_c g_str
-    and b_c = Xi_c g_sr: ||y - x a_c^T - 1 b_c^T||^2 = ||y - 1 b_c^T||^2
+    ``g_str`` and ``g_sr`` are the true (q+1,) tap vectors.  Every pair is
+    scored in closed form from the pulse shapes a_c = Xi_c g_str and
+    b_c = Xi_c g_sr: ||y - x a_c^T - 1 b_c^T||^2 = ||y - 1 b_c^T||^2
     + L ||a_c||^2 - 2 Re x^T (y - 1 b_c^T) a_c^*, as tag words are +/-1.
     Raises ``ValueError`` on a non-finite frame.
     """
     y = np.asarray(y, dtype=np.complex128)
     q = _frame_dims(y, source, tag)
-    if g_str.taps.size != q + 1 or g_sr.taps.size != q + 1:
+    g_str = np.asarray(g_str, dtype=np.complex128)
+    g_sr = np.asarray(g_sr, dtype=np.complex128)
+    if g_str.shape != (q + 1,) or g_sr.shape != (q + 1,):
         raise DimensionMismatchError("channel length inconsistent with frame width")
     big_l, k = y.shape
     xis = _cached_xi_stack(*_words_key(source), q)
     mc = xis.shape[0]
-    a = (xis.reshape(mc * k, q + 1) @ g_str.taps).reshape(mc, k)
-    b = (xis.reshape(mc * k, q + 1) @ g_sr.taps).reshape(mc, k)
+    a = (xis.reshape(mc * k, q + 1) @ g_str).reshape(mc, k)
+    b = (xis.reshape(mc * k, q + 1) @ g_sr).reshape(mc, k)
     a_conj = a.conj()
 
     # ||y - 1 b^T||^2 expanded, plus L ||a||^2
@@ -311,7 +314,6 @@ def decode_perfect_csi(y, source: SourceCodebook, tag: TagCodebook,
     ci, xi_idx = divmod(flat, len(tag))
     return PilotFreeResult(
         c_index=ci, x_index=xi_idx,
-        c_hat=source.words[ci].copy(), x_hat=tag.words[xi_idx].copy(),
-        g_str_hat=g_str.taps.copy(), g_sr_hat=g_sr.taps.copy(),
+        g_str_hat=g_str.copy(), g_sr_hat=g_sr.copy(),
         metric=float(metric[ci, xi_idx]),
     )

@@ -81,13 +81,13 @@ def test_criterion_1_noiseless_pilot_free_exactness():
         ci, xi = int(rng.integers(16)), int(rng.integers(16))
         g_str = sample_channel(2, 3, 1.0, -10.0, False, rng)
         g_sr = sample_channel(2, 3, 1.0, -10.0, False, rng)
-        frame = synthesize_frame(src.words[ci], tag.words[xi], g_str, g_sr, 0.0, rng)
-        for res in (decode_joint(frame.y, src, tag, REG_ZERO),
-                    decode_disjoint(frame.y, src, tag, REG_ZERO)):
+        y = synthesize_frame(src.words[ci], tag.words[xi], g_str, g_sr, 0.0, rng)
+        for res in (decode_joint(y, src, tag, REG_ZERO),
+                    decode_disjoint(y, src, tag, REG_ZERO)):
             errors += (res.c_index != ci) + (res.x_index != xi)
-            err2 += [np.sum(np.abs(res.g_str_hat - g_str.taps) ** 2),
-                     np.sum(np.abs(res.g_sr_hat - g_sr.taps) ** 2)]
-            norm2 += [np.sum(np.abs(g_str.taps) ** 2), np.sum(np.abs(g_sr.taps) ** 2)]
+            err2 += [np.sum(np.abs(res.g_str_hat - g_str) ** 2),
+                     np.sum(np.abs(res.g_sr_hat - g_sr) ** 2)]
+            norm2 += [np.sum(np.abs(g_str) ** 2), np.sum(np.abs(g_sr) ** 2)]
     nrmse = np.sqrt(err2 / norm2)
     elapsed = time.time() - start
     ok = errors == 0 and np.all(nrmse < 1e-8) and elapsed < 120
@@ -113,11 +113,11 @@ def test_criterion_2_noiseless_pilot_aided_exactness():
         x = np.concatenate([layout.x_pilot.astype(np.int64), x_data])
         g_str = sample_channel(2, 3, 1.0, -10.0, False, rng)
         g_sr = sample_channel(2, 3, 1.0, -10.0, False, rng)
-        frame = synthesize_frame(c, x, g_str, g_sr, 0.0, rng)
-        res = decode_noniterative(frame.y, layout)
+        y = synthesize_frame(c, x, g_str, g_sr, 0.0, rng)
+        res = decode_noniterative(y, layout)
         symbol_errors += np.count_nonzero(res.c_data_hat != c_data)
         symbol_errors += np.count_nonzero(res.x_data_hat != x_data)
-        for est, true in ((res.g_str_hat, g_str.taps), (res.g_sr_hat, g_sr.taps)):
+        for est, true in ((res.g_str_hat, g_str), (res.g_sr_hat, g_sr)):
             worst_nrmse = max(worst_nrmse,
                               float(np.linalg.norm(est - true) / np.linalg.norm(true)))
     elapsed = time.time() - start
@@ -176,8 +176,8 @@ def test_criterion_5_monotone_descent_and_convergence(mode):
                             1 - 2 * rng.integers(0, 2, 8)])
         g_str = sample_channel(2, 3, sigma_str2, -10.0, False, rng)
         g_sr = sample_channel(2, 3, sigma_sr2, -10.0, False, rng)
-        frame = synthesize_frame(c, x, g_str, g_sr, 1.0, rng)
-        res = decode_iterative(frame.y, layout, REG_L2, mode=mode)
+        y = synthesize_frame(c, x, g_str, g_sr, 1.0, rng)
+        res = decode_iterative(y, layout, REG_L2, mode=mode)
         trace = np.asarray(res.objective_trace)
         monotone_ok = monotone_ok and bool(np.all(np.diff(trace) <= 1e-12))
         converged_all = converged_all and res.converged
@@ -207,9 +207,9 @@ def test_criterion_6_exhaustive_search_dominance():
                             1 - 2 * rng.integers(0, 2, 4)])
         g_str = sample_channel(2, 3, sigma_str2, -10.0, False, rng)
         g_sr = sample_channel(2, 3, sigma_sr2, -10.0, False, rng)
-        frame = synthesize_frame(c, x, g_str, g_sr, 1.0, rng)
-        best = exhaustive_search(frame.y, layout, REG_L2)
-        local = decode_iterative(frame.y, layout, REG_L2, mode="discrete")
+        y = synthesize_frame(c, x, g_str, g_sr, 1.0, rng)
+        best = exhaustive_search(y, layout, REG_L2)
+        local = decode_iterative(y, layout, REG_L2, mode="discrete")
         dominated += best.objective_trace[0] <= local.objective_trace[-1] + 1e-12
         agreed += (np.array_equal(best.c_data_hat, local.c_data_hat)
                    and np.array_equal(best.x_data_hat, local.x_data_hat))

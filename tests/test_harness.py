@@ -536,9 +536,9 @@ class TestFrameDump:
         rng = np.random.default_rng(2)
         g1 = sample_channel(2, 3, 1.0, -10.0, False, rng)
         g2 = sample_channel(2, 3, 1.0, -10.0, False, rng)
-        frame = synthesize_frame(np.ones(7), np.array([1, -1, 1, -1]),
-                                 g1, g2, 0.5, rng)
-        text = frame_to_csv(frame.y)
+        y = synthesize_frame(np.ones(7), np.array([1, -1, 1, -1]),
+                             g1, g2, 0.5, rng)
+        text = frame_to_csv(y)
         assert len(text.strip().split("\n")) == 4
         back = frame_from_csv(text)
-        assert np.array_equal(back, frame.y)  # repr roundtrips floats exactly
+        assert np.array_equal(back, y)  # repr roundtrips floats exactly

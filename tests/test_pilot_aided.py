@@ -24,7 +24,7 @@ from radartag import (
     tag_data_update_discrete,
 )
 from radartag import pilot_aided
-from radartag.channel import ChannelTaps, conv_matrix_from_code, conv_matrix_from_channel
+from radartag.channel import conv_matrix_from_code, conv_matrix_from_channel
 from radartag.pilot_aided import _binary_candidates, _objective
 from radartag.solvers import pinv_apply
 
@@ -54,8 +54,8 @@ def _frame(layout, rng, sigma_str2=1.0, sigma_sr2=1.0, noise=0.0, q=2, n_taps=3)
     x = np.concatenate([layout.x_pilot.astype(np.int64), x_data])
     g_str = sample_channel(q, n_taps, sigma_str2, -10.0, False, rng)
     g_sr = sample_channel(q, n_taps, sigma_sr2, -10.0, False, rng)
-    frame = synthesize_frame(c, x, g_str, g_sr, noise, rng)
-    return frame, c_data, x_data, g_str, g_sr
+    y = synthesize_frame(c, x, g_str, g_sr, noise, rng)
+    return y, c_data, x_data, g_str, g_sr
 
 
 def _random_start(layout, rng):
@@ -69,23 +69,22 @@ class TestDecodeNoniterative:
         rng = np.random.default_rng(0)
         for _ in range(25):
             layout = _layout(gold, rng)
-            frame, c_data, x_data, g_str, g_sr = _frame(layout, rng)
-            res = decode_noniterative(frame.y, layout)
+            y, c_data, x_data, g_str, g_sr = _frame(layout, rng)
+            res = decode_noniterative(y, layout)
             assert np.array_equal(res.c_data_hat, c_data)
             assert np.array_equal(res.x_data_hat, x_data)
-            assert np.linalg.norm(res.g_str_hat - g_str.taps) < 1e-9
-            assert np.linalg.norm(res.g_sr_hat - g_sr.taps) < 1e-9
+            assert np.linalg.norm(res.g_str_hat - g_str) < 1e-9
+            assert np.linalg.norm(res.g_sr_hat - g_sr) < 1e-9
             assert not res.degenerate
 
     def test_recovery_chain_stepwise(self, gold):
         # each constructive step reproduces its target from exact inputs
         rng = np.random.default_rng(1)
         layout = _layout(gold, rng)
-        frame, c_data, x_data, g_str, g_sr = _frame(layout, rng)
-        y = frame.y
+        y, c_data, x_data, g_str, g_sr = _frame(layout, rng)
         c = np.concatenate([layout.c_pilot, c_data])
         xi = conv_matrix_from_code(c, 2)
-        a_str, a_sr = xi @ g_str.taps, xi @ g_sr.taps
+        a_str, a_sr = xi @ g_str, xi @ g_sr
         # step 1: slow-time inversion of the pilot rows
         basis = np.stack([layout.x_pilot.astype(complex), np.ones(2)], axis=1)
         shapes = pinv_apply(basis, y[:2])
@@ -94,11 +93,11 @@ class TestDecodeNoniterative:
         # step 2: channel deconvolution on the pilot-only rows
         xi_p = conv_matrix_from_code(layout.c_pilot, 2)[:3]
         g_hat = pinv_apply(xi_p, np.stack([a_str[:3], a_sr[:3]], axis=1))
-        assert np.linalg.norm(g_hat[:, 0] - g_str.taps) < 1e-8
-        assert np.linalg.norm(g_hat[:, 1] - g_sr.taps) < 1e-8
+        assert np.linalg.norm(g_hat[:, 0] - g_str) < 1e-8
+        assert np.linalg.norm(g_hat[:, 1] - g_sr) < 1e-8
         # step 3: source data by averaging the two deconvolved tails
-        g1p, g1d = conv_matrix_from_channel(g_str.taps, 3, 4)
-        g2p, g2d = conv_matrix_from_channel(g_sr.taps, 3, 4)
+        g1p, g1d = conv_matrix_from_channel(g_str, 3, 4)
+        g2p, g2d = conv_matrix_from_channel(g_sr, 3, 4)
         cp = layout.c_pilot.astype(complex)
         c_cont = 0.5 * (pinv_apply(g1d, a_str - g1p @ cp)
                         + pinv_apply(g2d, a_sr - g2p @ cp))
@@ -111,8 +110,8 @@ class TestDecodeNoniterative:
         rng = np.random.default_rng(2)
         layout = PilotLayout(c_pilot=gold.words[0], x_pilot=alternating_pilot(9),
                              n_data=0, l_data=1)
-        frame, c_data, x_data, *_ = _frame(layout, rng)
-        res = decode_noniterative(frame.y, layout)
+        y, c_data, x_data, *_ = _frame(layout, rng)
+        res = decode_noniterative(y, layout)
         assert res.c_data_hat.size == 0
         assert np.array_equal(res.x_data_hat, x_data)
 
@@ -124,9 +123,9 @@ class TestDecodeNoniterative:
         c = np.concatenate([layout.c_pilot.astype(np.int64), c_data])
         x = np.concatenate([layout.x_pilot.astype(np.int64), x_data])
         g_str = sample_channel(2, 3, 1.0, -10.0, False, rng)
-        zero = ChannelTaps(np.zeros(3), np.array([]), 0.0, -10.0)
-        frame = synthesize_frame(c, x, g_str, zero, 0.0, rng)
-        res = decode_noniterative(frame.y, layout)
+        zero = np.zeros(3)
+        y = synthesize_frame(c, x, g_str, zero, 0.0, rng)
+        res = decode_noniterative(y, layout)
         assert np.array_equal(res.x_data_hat, x_data)
         assert np.linalg.norm(res.g_sr_hat) < 1e-10
 
@@ -147,10 +146,10 @@ class TestDecodeNoniterative:
                             1 - 2 * rng.integers(0, 2, 4)])
         x = np.concatenate([layout.x_pilot.astype(np.int64),
                             1 - 2 * rng.integers(0, 2, 8)])
-        zero = ChannelTaps(np.zeros(3), np.array([]), 0.0, -10.0)
+        zero = np.zeros(3)
         g_sr = sample_channel(2, 3, 1.0, -10.0, False, rng)
-        frame = synthesize_frame(c, x, zero, g_sr, 0.0, rng)
-        res = decode_noniterative(frame.y, layout)
+        y = synthesize_frame(c, x, zero, g_sr, 0.0, rng)
+        res = decode_noniterative(y, layout)
         assert set(np.unique(res.x_data_hat)) <= {-1, 1}
         assert np.linalg.norm(res.g_str_hat) < 1e-10
 
@@ -165,12 +164,12 @@ class TestIterativeChannelUpdate:
     def test_noiseless_exact(self, gold):
         rng = np.random.default_rng(5)
         layout = _layout(gold, rng)
-        frame, c_data, x_data, g_str, g_sr = _frame(layout, rng)
+        y, c_data, x_data, g_str, g_sr = _frame(layout, rng)
         c = np.concatenate([layout.c_pilot, c_data])
         x = np.concatenate([layout.x_pilot, x_data])
-        gs, gr = iterative_channel_update(frame.y, c, x, REG0)
-        assert np.linalg.norm(gs - g_str.taps) < 1e-9
-        assert np.linalg.norm(gr - g_sr.taps) < 1e-9
+        gs, gr = iterative_channel_update(y, c, x, REG0)
+        assert np.linalg.norm(gs - g_str) < 1e-9
+        assert np.linalg.norm(gr - g_sr) < 1e-9
 
     def test_decouples_for_zero_sum_tag_word(self, gold):
         # joint update with lambda=0 equals the two slow-time-projected fits
@@ -181,10 +180,10 @@ class TestIterativeChannelUpdate:
         x = tag.words[31]
         g_str = sample_channel(2, 3, 1.0, -10.0, False, rng)
         g_sr = sample_channel(2, 3, 1.0, -10.0, False, rng)
-        frame = synthesize_frame(c, x, g_str, g_sr, 1.0, rng)
+        y = synthesize_frame(c, x, g_str, g_sr, 1.0, rng)
         reg = RegularizationConfig(kind="l2", lambda_str=0.0, lambda_sr=0.0)
-        gs_joint, gr_joint = iterative_channel_update(frame.y, c, x, reg)
-        gs_dec, gr_dec = channel_estimates_given(c, x, frame.y, reg)
+        gs_joint, gr_joint = iterative_channel_update(y, c, x, reg)
+        gs_dec, gr_dec = channel_estimates_given(c, x, y, reg)
         assert np.linalg.norm(gs_joint - gs_dec) < 1e-9
         assert np.linalg.norm(gr_joint - gr_dec) < 1e-9
 
@@ -194,9 +193,9 @@ class TestIterativeChannelUpdate:
         c = gold.words[0]
         x = np.ones(10)
         g = sample_channel(2, 3, 1.0, -10.0, False, rng)
-        frame = synthesize_frame(c, x, g, g, 1.0, rng)
+        y = synthesize_frame(c, x, g, g, 1.0, rng)
         reg = RegularizationConfig(kind="l2", lambda_str=0.5, lambda_sr=0.5)
-        gs, gr = iterative_channel_update(frame.y, c, x, reg)
+        gs, gr = iterative_channel_update(y, c, x, reg)
         # symmetric problem: both halves must agree
         assert np.linalg.norm(gs - gr) < 1e-9
 
@@ -204,17 +203,17 @@ class TestIterativeChannelUpdate:
         from radartag import lasso_solve
         rng = np.random.default_rng(8)
         layout = _layout(gold, rng)
-        frame, c_data, x_data, *_ = _frame(layout, rng, noise=1.0)
+        y, c_data, x_data, *_ = _frame(layout, rng, noise=1.0)
         c = np.concatenate([layout.c_pilot, c_data])
         x = np.concatenate([layout.x_pilot, x_data])
         reg = RegularizationConfig(kind="l1", lambda_str=0.4, lambda_sr=0.4)
-        gs, gr = iterative_channel_update(frame.y, c, x, reg)
+        gs, gr = iterative_channel_update(y, c, x, reg)
         xi = conv_matrix_from_code(c, 2)
         sensing = np.hstack([np.kron(x.reshape(-1, 1).astype(complex), xi),
                              np.kron(np.ones((10, 1)), xi)])
-        sol = lasso_solve(sensing, frame.y.reshape(-1), 0.4, reg)
+        sol = lasso_solve(sensing, y.reshape(-1), 0.4, reg)
         joint = np.concatenate([gs, gr])
-        obj_mine = (np.sum(np.abs(frame.y.reshape(-1) - sensing @ joint) ** 2)
+        obj_mine = (np.sum(np.abs(y.reshape(-1) - sensing @ joint) ** 2)
                     + 0.4 * np.sum(np.abs(joint)))
         assert obj_mine <= sol.objective * (1 + 1e-6) + 1e-9
 
@@ -223,10 +222,10 @@ class TestDiscreteDataUpdates:
     def test_source_update_noiseless_truth(self, gold):
         rng = np.random.default_rng(9)
         layout = _layout(gold, rng)
-        frame, c_data, x_data, g_str, g_sr = _frame(layout, rng)
+        y, c_data, x_data, g_str, g_sr = _frame(layout, rng)
         x = np.concatenate([layout.x_pilot, x_data])
-        got = source_data_update_discrete(frame.y, x, layout.c_pilot,
-                                          g_str.taps, g_sr.taps)
+        got = source_data_update_discrete(y, x, layout.c_pilot,
+                                          g_str, g_sr)
         assert np.array_equal(got, c_data)
 
     @pytest.mark.parametrize("n_data", [1, 3])
@@ -234,45 +233,45 @@ class TestDiscreteDataUpdates:
         # the quadratic-form argmin equals the residual argmin over every word
         rng = np.random.default_rng(10)
         layout = _layout(gold, rng, n_pilot=31 - n_data, n_data=n_data)
-        frame, c_data, x_data, g_str, g_sr = _frame(layout, rng, noise=2.0)
+        y, c_data, x_data, g_str, g_sr = _frame(layout, rng, noise=2.0)
         x = np.concatenate([layout.x_pilot, x_data])
-        got = source_data_update_discrete(frame.y, x, layout.c_pilot,
-                                          g_str.taps, g_sr.taps)
+        got = source_data_update_discrete(y, x, layout.c_pilot,
+                                          g_str, g_sr)
         cands = _binary_candidates(n_data)
-        scores = [_objective(frame.y, np.concatenate([layout.c_pilot, cand]).astype(complex),
-                             x.astype(complex), g_str.taps, g_sr.taps, REG0)
+        scores = [_objective(y, np.concatenate([layout.c_pilot, cand]).astype(complex),
+                             x.astype(complex), g_str, g_sr, REG0)
                   for cand in cands]
         assert np.array_equal(got, cands[int(np.argmin(scores))])
 
     def test_source_update_budget(self, gold):
         rng = np.random.default_rng(11)
         layout = _layout(gold, rng, n_pilot=11, n_data=20)
-        frame, *_ = _frame(layout, rng)
+        y, *_ = _frame(layout, rng)
         g = sample_channel(2, 3, 1.0, -10.0, False, rng)
         x = np.concatenate([layout.x_pilot, np.ones(8)])
         with pytest.raises(BudgetExceededError):
-            source_data_update_discrete(frame.y, x, layout.c_pilot, g.taps, g.taps)
+            source_data_update_discrete(y, x, layout.c_pilot, g, g)
 
     def test_tag_update_noiseless_truth(self, gold):
         rng = np.random.default_rng(12)
         layout = _layout(gold, rng)
-        frame, c_data, x_data, g_str, g_sr = _frame(layout, rng)
+        y, c_data, x_data, g_str, g_sr = _frame(layout, rng)
         c = np.concatenate([layout.c_pilot, c_data])
-        got = tag_data_update_discrete(frame.y, c, layout.x_pilot,
-                                       g_str.taps, g_sr.taps)
+        got = tag_data_update_discrete(y, c, layout.x_pilot,
+                                       g_str, g_sr)
         assert np.array_equal(got, x_data)
 
     def test_tag_update_matches_per_row_oracle(self, gold):
         rng = np.random.default_rng(13)
         layout = _layout(gold, rng)
-        frame, c_data, x_data, g_str, g_sr = _frame(layout, rng, noise=2.0)
+        y, c_data, x_data, g_str, g_sr = _frame(layout, rng, noise=2.0)
         c = np.concatenate([layout.c_pilot, c_data])
-        got = tag_data_update_discrete(frame.y, c, layout.x_pilot,
-                                       g_str.taps, g_sr.taps)
+        got = tag_data_update_discrete(y, c, layout.x_pilot,
+                                       g_str, g_sr)
         xi = conv_matrix_from_code(c, 2)
-        a_str, a_sr = xi @ g_str.taps, xi @ g_sr.taps
+        a_str, a_sr = xi @ g_str, xi @ g_sr
         for p in range(8):
-            row = frame.y[2 + p] - a_sr
+            row = y[2 + p] - a_sr
             plus = np.sum(np.abs(row - a_str) ** 2)
             minus = np.sum(np.abs(row + a_str) ** 2)
             want = +1 if plus <= minus else -1
@@ -281,11 +280,11 @@ class TestDiscreteDataUpdates:
     def test_tag_update_zero_backscatter_ties_to_plus_one(self, gold):
         rng = np.random.default_rng(14)
         layout = _layout(gold, rng)
-        frame, c_data, *_ = _frame(layout, rng)
+        y, c_data, *_ = _frame(layout, rng)
         c = np.concatenate([layout.c_pilot, c_data])
         g_sr = sample_channel(2, 3, 1.0, -10.0, False, rng)
-        got = tag_data_update_discrete(frame.y, c, layout.x_pilot,
-                                       np.zeros(3), g_sr.taps)
+        got = tag_data_update_discrete(y, c, layout.x_pilot,
+                                       np.zeros(3), g_sr)
         assert np.all(got == 1)
 
 
@@ -293,36 +292,36 @@ class TestRelaxedDataUpdates:
     def test_noiseless_exact_at_zero_penalty(self, gold):
         rng = np.random.default_rng(15)
         layout = _layout(gold, rng)
-        frame, c_data, x_data, g_str, g_sr = _frame(layout, rng)
-        c_new, x_new = relaxed_data_updates(frame.y, layout,
+        y, c_data, x_data, g_str, g_sr = _frame(layout, rng)
+        c_new, x_new = relaxed_data_updates(y, layout,
                                             c_data.astype(complex),
                                             x_data.astype(complex),
-                                            g_str.taps, g_sr.taps, 0.0, 0.0)
+                                            g_str, g_sr, 0.0, 0.0)
         assert np.linalg.norm(c_new - c_data) < 1e-8
         assert np.linalg.norm(x_new - x_data) < 1e-8
 
     def test_huge_tag_penalty_shrinks_to_zero(self, gold):
         rng = np.random.default_rng(16)
         layout = _layout(gold, rng)
-        frame, c_data, x_data, g_str, g_sr = _frame(layout, rng)
-        _, x_new = relaxed_data_updates(frame.y, layout, c_data.astype(complex),
+        y, c_data, x_data, g_str, g_sr = _frame(layout, rng)
+        _, x_new = relaxed_data_updates(y, layout, c_data.astype(complex),
                                         x_data.astype(complex),
-                                        g_str.taps, g_sr.taps, 1.0, 1e12)
+                                        g_str, g_sr, 1.0, 1e12)
         assert np.linalg.norm(x_new) < 1e-6
 
     def test_single_pri_scalar_ratio(self, gold):
         # closed form for one data PRI: matched filter over (lambda_x + energy)
         rng = np.random.default_rng(17)
         layout = _layout(gold, rng, n_pilot=31, n_data=0, l_pilot=9, l_data=1)
-        frame, c_data, x_data, g_str, g_sr = _frame(layout, rng, noise=0.5)
+        y, c_data, x_data, g_str, g_sr = _frame(layout, rng, noise=0.5)
         lam_x = 0.7
-        _, x_new = relaxed_data_updates(frame.y, layout, np.zeros(0, complex),
+        _, x_new = relaxed_data_updates(y, layout, np.zeros(0, complex),
                                         x_data.astype(complex),
-                                        g_str.taps, g_sr.taps, 0.0, lam_x)
+                                        g_str, g_sr, 0.0, lam_x)
         c = layout.c_pilot
         xi = conv_matrix_from_code(c, 2)
-        a_str, a_sr = xi @ g_str.taps, xi @ g_sr.taps
-        want = (frame.y[9] - a_sr) @ a_str.conj() / (lam_x + np.sum(np.abs(a_str) ** 2))
+        a_str, a_sr = xi @ g_str, xi @ g_sr
+        want = (y[9] - a_sr) @ a_str.conj() / (lam_x + np.sum(np.abs(a_str) ** 2))
         assert abs(x_new[0] - want) < 1e-10
 
 
@@ -330,8 +329,8 @@ class TestDecodeIterative:
     def test_noiseless_converges_immediately(self, gold):
         rng = np.random.default_rng(18)
         layout = _layout(gold, rng)
-        frame, c_data, x_data, g_str, g_sr = _frame(layout, rng)
-        res = decode_iterative(frame.y, layout, REG0, mode="discrete")
+        y, c_data, x_data, g_str, g_sr = _frame(layout, rng)
+        res = decode_iterative(y, layout, REG0, mode="discrete")
         assert res.converged
         assert res.iters == 1
         assert np.array_equal(res.c_data_hat, c_data)
@@ -340,8 +339,8 @@ class TestDecodeIterative:
     def test_truth_is_fixed_point(self, gold):
         rng = np.random.default_rng(19)
         layout = _layout(gold, rng)
-        frame, c_data, x_data, g_str, g_sr = _frame(layout, rng)
-        res = decode_iterative(frame.y, layout, REG0, mode="discrete",
+        y, c_data, x_data, g_str, g_sr = _frame(layout, rng)
+        res = decode_iterative(y, layout, REG0, mode="discrete",
                                init_data=(c_data, x_data))
         assert np.array_equal(res.c_data_hat, c_data)
         assert np.array_equal(res.x_data_hat, x_data)
@@ -351,9 +350,9 @@ class TestDecodeIterative:
         rng = np.random.default_rng(20)
         for _ in range(15):
             layout = _layout(gold, rng)
-            frame, *_ = _frame(layout, rng, sigma_str2=10 ** -0.55 / 31,
-                               sigma_sr2=1 / 31, noise=1.0)
-            res = decode_iterative(frame.y, layout, REG, mode=mode)
+            y, *_ = _frame(layout, rng, sigma_str2=10 ** -0.55 / 31,
+                           sigma_sr2=1 / 31, noise=1.0)
+            res = decode_iterative(y, layout, REG, mode=mode)
             trace = np.asarray(res.objective_trace)
             assert np.all(np.diff(trace) <= 1e-12)
             assert res.iters <= 50
@@ -368,10 +367,10 @@ class TestDecodeIterative:
         trials = 30
         for _ in range(trials):
             layout = _layout(gold, rng)
-            frame, *_ = _frame(layout, rng, sigma_str2=10 ** -0.5 / 31,
-                               sigma_sr2=1 / 31, noise=1.0)
-            good = decode_iterative(frame.y, layout, REG, mode="discrete")
-            rand = decode_iterative(frame.y, layout, REG, mode="discrete",
+            y, *_ = _frame(layout, rng, sigma_str2=10 ** -0.5 / 31,
+                           sigma_sr2=1 / 31, noise=1.0)
+            good = decode_iterative(y, layout, REG, mode="discrete")
+            rand = decode_iterative(y, layout, REG, mode="discrete",
                                     init_data=_random_start(layout, rng))
             start_good.append(good.objective_trace[0])
             start_rand.append(rand.objective_trace[0])
@@ -382,8 +381,8 @@ class TestDecodeIterative:
     def test_relaxed_slices_to_alphabet(self, gold):
         rng = np.random.default_rng(22)
         layout = _layout(gold, rng)
-        frame, *_ = _frame(layout, rng, noise=1.0)
-        res = decode_iterative(frame.y, layout, REG, mode="relaxed")
+        y, *_ = _frame(layout, rng, noise=1.0)
+        res = decode_iterative(y, layout, REG, mode="relaxed")
         assert set(np.unique(res.c_data_hat)) <= {-1, 1}
         assert set(np.unique(res.x_data_hat)) <= {-1, 1}
 
@@ -393,7 +392,7 @@ class TestDecodeIterative:
         # the fit at the initial data serves sweep 1; it is not repeated
         rng = np.random.default_rng(28)
         layout = _layout(gold, rng)
-        frame, *_ = _frame(layout, rng, sigma_str2=0.3, noise=1.0)
+        y, *_ = _frame(layout, rng, sigma_str2=0.3, noise=1.0)
         start = np.random.default_rng(30)
         calls = []
         update = pilot_aided.iterative_channel_update
@@ -403,7 +402,7 @@ class TestDecodeIterative:
             return update(*args)
 
         monkeypatch.setattr(pilot_aided, "iterative_channel_update", counted)
-        res = decode_iterative(frame.y, layout, reg, mode=mode,
+        res = decode_iterative(y, layout, reg, mode=mode,
                                init_data=_random_start(layout, start))
         assert res.iters >= 2
         assert len(calls) == res.iters
@@ -412,11 +411,11 @@ class TestDecodeIterative:
     def test_default_start_is_the_noniterative_data(self, gold, mode):
         rng = np.random.default_rng(31)
         layout = _layout(gold, rng)
-        frame, *_ = _frame(layout, rng, sigma_str2=0.3, noise=1.0)
-        start = decode_noniterative(frame.y, layout)
+        y, *_ = _frame(layout, rng, sigma_str2=0.3, noise=1.0)
+        start = decode_noniterative(y, layout)
         init_data = (start.c_data_hat.copy(), start.x_data_hat.copy())
-        default = decode_iterative(frame.y, layout, REG, mode=mode)
-        given = decode_iterative(frame.y, layout, REG, mode=mode, init_data=init_data)
+        default = decode_iterative(y, layout, REG, mode=mode)
+        given = decode_iterative(y, layout, REG, mode=mode, init_data=init_data)
         assert default.objective_trace == given.objective_trace
         assert np.array_equal(default.c_data_hat, given.c_data_hat)
         assert np.array_equal(default.x_data_hat, given.x_data_hat)
@@ -427,18 +426,18 @@ class TestDecodeIterative:
     def test_start_must_fit_the_layout(self, gold):
         rng = np.random.default_rng(32)
         layout = _layout(gold, rng)
-        frame, c_data, x_data, *_ = _frame(layout, rng)
+        y, c_data, x_data, *_ = _frame(layout, rng)
         for init_data in ((c_data[1:], x_data), (c_data, np.append(x_data, 1))):
             with pytest.raises(DimensionMismatchError):
-                decode_iterative(frame.y, layout, REG, init_data=init_data)
+                decode_iterative(y, layout, REG, init_data=init_data)
 
 
 class TestExhaustiveSearch:
     def test_noiseless_exact(self, gold):
         rng = np.random.default_rng(23)
         layout = _layout(gold, rng, n_pilot=27, n_data=4, l_pilot=6, l_data=4)
-        frame, c_data, x_data, *_ = _frame(layout, rng)
-        res = exhaustive_search(frame.y, layout, REG0)
+        y, c_data, x_data, *_ = _frame(layout, rng)
+        res = exhaustive_search(y, layout, REG0)
         assert np.array_equal(res.c_data_hat, c_data)
         assert np.array_equal(res.x_data_hat, x_data)
         assert res.objective_trace[0] < 1e-18
@@ -447,10 +446,10 @@ class TestExhaustiveSearch:
         rng = np.random.default_rng(24)
         for _ in range(10):
             layout = _layout(gold, rng, n_pilot=27, n_data=4, l_pilot=6, l_data=4)
-            frame, *_ = _frame(layout, rng, sigma_str2=10 ** 1.5 / 31,
-                               sigma_sr2=10 ** 2 / 31, noise=1.0)
-            ex = exhaustive_search(frame.y, layout, REG)
-            it = decode_iterative(frame.y, layout, REG, mode="discrete")
+            y, *_ = _frame(layout, rng, sigma_str2=10 ** 1.5 / 31,
+                           sigma_sr2=10 ** 2 / 31, noise=1.0)
+            ex = exhaustive_search(y, layout, REG)
+            it = decode_iterative(y, layout, REG, mode="discrete")
             assert ex.objective_trace[0] <= it.objective_trace[-1] + 1e-12
 
     # (n_data, l_data); a zero-length block has the single empty candidate
@@ -461,15 +460,15 @@ class TestExhaustiveSearch:
         rng = np.random.default_rng(25)
         layout = _layout(gold, rng, n_pilot=31 - n_data, n_data=n_data,
                          l_pilot=10 - l_data, l_data=l_data)
-        frame, *_ = _frame(layout, rng, noise=1.0)
-        res = exhaustive_search(frame.y, layout, reg)
+        y, *_ = _frame(layout, rng, noise=1.0)
+        res = exhaustive_search(y, layout, reg)
         best = None
         for c_cand in _binary_candidates(n_data):
             for x_cand in _binary_candidates(l_data):
                 c = np.concatenate([layout.c_pilot, c_cand]).astype(complex)
                 x = np.concatenate([layout.x_pilot, x_cand]).astype(complex)
-                gs, gr = iterative_channel_update(frame.y, c, x, reg)
-                val = _objective(frame.y, c, x, gs, gr, reg)
+                gs, gr = iterative_channel_update(y, c, x, reg)
+                val = _objective(y, c, x, gs, gr, reg)
                 if best is None or val < best[0]:
                     best = (val, c_cand, x_cand, gs, gr)
         assert np.array_equal(res.c_data_hat, best[1])
@@ -482,16 +481,16 @@ class TestExhaustiveSearch:
         # 256 pairs in chunks of 7: a partial last chunk, minima compared across chunks
         rng = np.random.default_rng(27)
         layout = _layout(gold, rng, n_pilot=27, n_data=4, l_pilot=6, l_data=4)
-        frame, *_ = _frame(layout, rng, noise=1.0)
-        whole = exhaustive_search(frame.y, layout, REG)
+        y, *_ = _frame(layout, rng, noise=1.0)
+        whole = exhaustive_search(y, layout, REG)
         monkeypatch.setattr(pilot_aided, "_SEARCH_CHUNK", 7)
-        chunked = exhaustive_search(frame.y, layout, REG)
+        chunked = exhaustive_search(y, layout, REG)
         assert np.array_equal(chunked.c_data_hat, whole.c_data_hat)
         assert np.array_equal(chunked.x_data_hat, whole.x_data_hat)
         assert chunked.objective_trace == whole.objective_trace
         # a noiseless all-zero frame ties every pair at the pure penalty
         # minimum; the first pair in (source, tag) order wins
-        zero = exhaustive_search(np.zeros_like(frame.y), layout, REG)
+        zero = exhaustive_search(np.zeros_like(y), layout, REG)
         assert np.all(zero.c_data_hat == 1) and np.all(zero.x_data_hat == 1)
 
     def test_budget(self, gold):
@@ -505,13 +504,15 @@ class TestExhaustiveSearch:
 def test_every_decoder_rejects_non_finite_frames(gold, bad):
     rng = np.random.default_rng(29)
     layout = _layout(gold, rng, n_pilot=27, n_data=4, l_pilot=6, l_data=4)
-    frame, *_ = _frame(layout, rng, noise=1.0)
-    y = frame.y.copy()
+    y, c_data, x_data, *_ = _frame(layout, rng, noise=1.0)
     y[4, 7] = bad
+    c = np.concatenate([layout.c_pilot, c_data])
+    x = np.concatenate([layout.x_pilot, x_data])
     for decode in (lambda: decode_noniterative(y, layout),
                    lambda: decode_iterative(y, layout, REG, mode="discrete"),
                    lambda: decode_iterative(y, layout, REG, mode="relaxed"),
-                   lambda: exhaustive_search(y, layout, REG)):
+                   lambda: exhaustive_search(y, layout, REG),
+                   lambda: iterative_channel_update(y, c, x, REG)):
         with pytest.raises(ValueError, match="non-finite"):
             decode()
 
@@ -524,14 +525,14 @@ def test_global_phase_rotates_estimates_only(gold, seed, theta, n_data, l_data, 
     rng = np.random.default_rng(seed)
     layout = _layout(gold, rng, n_pilot=31 - n_data, n_data=n_data,
                      l_pilot=l_pilot, l_data=l_data)
-    frame, *_ = _frame(layout, rng, sigma_str2=0.3, sigma_sr2=1.0, noise=1.0)
+    y, *_ = _frame(layout, rng, sigma_str2=0.3, sigma_sr2=1.0, noise=1.0)
     phase = np.exp(1j * theta)
     decoders = [decode_noniterative,
                 lambda y, lay: decode_iterative(y, lay, REG, mode="discrete"),
                 lambda y, lay: decode_iterative(y, lay, REG, mode="relaxed"),
                 lambda y, lay: exhaustive_search(y, lay, REG)]
     for decode in decoders:
-        plain, turned = decode(frame.y, layout), decode(phase * frame.y, layout)
+        plain, turned = decode(y, layout), decode(phase * y, layout)
         assert np.array_equal(turned.c_data_hat, plain.c_data_hat)
         assert np.array_equal(turned.x_data_hat, plain.x_data_hat)
         for got, want in ((turned.g_str_hat, plain.g_str_hat),
@@ -546,8 +547,8 @@ def test_noiseless_layouts_decode_exactly(gold, seed, word, n_data, l_data, l_pi
     # any Gold pilot word and data split decodes a noiseless frame exactly
     layout = PilotLayout(c_pilot=gold.words[word][:31 - n_data],
                          x_pilot=alternating_pilot(l_pilot), n_data=n_data, l_data=l_data)
-    frame, c_data, x_data, *_ = _frame(layout, np.random.default_rng(seed))
-    for res in (decode_noniterative(frame.y, layout),
-                exhaustive_search(frame.y, layout, REG0)):
+    y, c_data, x_data, *_ = _frame(layout, np.random.default_rng(seed))
+    for res in (decode_noniterative(y, layout),
+                exhaustive_search(y, layout, REG0)):
         assert np.array_equal(res.c_data_hat, c_data)
         assert np.array_equal(res.x_data_hat, x_data)

@@ -19,7 +19,7 @@ from radartag import (
     sample_channel,
     synthesize_frame,
 )
-from radartag.channel import ChannelTaps, conv_matrix_from_code, response_vector
+from radartag.channel import conv_matrix_from_code, response_vector
 from radartag import pilot_free
 from radartag.errors import EmptyCodebookError
 
@@ -98,18 +98,18 @@ class TestChannelEstimatesGiven:
         for _ in range(10):
             g_str, g_sr = _draw_channels(rng)
             c, x = src.words[3], tag.words[5]
-            frame = synthesize_frame(c, x, g_str, g_sr, 0.0, rng)
-            gs, gr = channel_estimates_given(c, x, frame.y, REG0)
-            assert np.linalg.norm(gs - g_str.taps) < 1e-10
-            assert np.linalg.norm(gr - g_sr.taps) < 1e-10
+            y = synthesize_frame(c, x, g_str, g_sr, 0.0, rng)
+            gs, gr = channel_estimates_given(c, x, y, REG0)
+            assert np.linalg.norm(gs - g_str) < 1e-10
+            assert np.linalg.norm(gr - g_sr) < 1e-10
 
     def test_huge_lambda_shrinks_to_zero(self, books):
         src, tag = books
         rng = np.random.default_rng(1)
         g_str, g_sr = _draw_channels(rng)
-        frame = synthesize_frame(src.words[0], tag.words[0], g_str, g_sr, 0.0, rng)
+        y = synthesize_frame(src.words[0], tag.words[0], g_str, g_sr, 0.0, rng)
         big = RegularizationConfig(kind="l2", lambda_str=1e14, lambda_sr=1e14)
-        gs, gr = channel_estimates_given(src.words[0], tag.words[0], frame.y, big)
+        gs, gr = channel_estimates_given(src.words[0], tag.words[0], y, big)
         assert np.linalg.norm(gs) < 1e-8
         assert np.linalg.norm(gr) < 1e-8
 
@@ -117,9 +117,9 @@ class TestChannelEstimatesGiven:
         src, tag = books
         rng = np.random.default_rng(2)
         g_str, g_sr = _draw_channels(rng)
-        frame = synthesize_frame(src.words[0], tag.words[0], g_str, g_sr, 0.0, rng)
+        y = synthesize_frame(src.words[0], tag.words[0], g_str, g_sr, 0.0, rng)
         big = RegularizationConfig(kind="l1", lambda_str=1e9, lambda_sr=1e9)
-        gs, gr = channel_estimates_given(src.words[0], tag.words[0], frame.y, big)
+        gs, gr = channel_estimates_given(src.words[0], tag.words[0], y, big)
         assert np.all(gs == 0)
         assert np.all(gr == 0)
 
@@ -139,11 +139,11 @@ class TestDecodeJoint:
         for _ in range(25):
             ci, xi = int(rng.integers(16)), int(rng.integers(16))
             g_str, g_sr = _draw_channels(rng)
-            frame = synthesize_frame(src.words[ci], tag.words[xi], g_str, g_sr, 0.0, rng)
-            res = decode_joint(frame.y, src, tag, REG0)
+            y = synthesize_frame(src.words[ci], tag.words[xi], g_str, g_sr, 0.0, rng)
+            res = decode_joint(y, src, tag, REG0)
             assert (res.c_index, res.x_index) == (ci, xi)
-            assert np.linalg.norm(res.g_str_hat - g_str.taps) < 1e-9
-            assert np.linalg.norm(res.g_sr_hat - g_sr.taps) < 1e-9
+            assert np.linalg.norm(res.g_str_hat - g_str) < 1e-9
+            assert np.linalg.norm(res.g_sr_hat - g_sr) < 1e-9
 
     def test_small_instance_exhaustive_roundtrip(self):
         src, tag = _small_instance()
@@ -152,9 +152,9 @@ class TestDecodeJoint:
             g_str, g_sr = _draw_channels(rng, q=1)
             for ci in range(len(src)):
                 for xi in range(len(tag)):
-                    frame = synthesize_frame(src.words[ci], tag.words[xi],
-                                             g_str, g_sr, 0.0, rng)
-                    res = decode_joint(frame.y, src, tag, REG0)
+                    y = synthesize_frame(src.words[ci], tag.words[xi],
+                                         g_str, g_sr, 0.0, rng)
+                    res = decode_joint(y, src, tag, REG0)
                     assert (res.c_index, res.x_index) == (ci, xi)
 
     def test_decomposition_identity(self, books):
@@ -164,15 +164,15 @@ class TestDecodeJoint:
         reg = RegularizationConfig(kind="l2", lambda_str=0.3, lambda_sr=0.7)
         for _ in range(20):
             g_str, g_sr = _draw_channels(rng)
-            frame = synthesize_frame(src.words[rng.integers(16)],
-                                     tag.words[rng.integers(16)],
-                                     g_str, g_sr, 1.0, rng)
+            y = synthesize_frame(src.words[rng.integers(16)],
+                                 tag.words[rng.integers(16)],
+                                 g_str, g_sr, 1.0, rng)
             c = src.words[int(rng.integers(16))]
             x = tag.words[int(rng.integers(16))]
             gs = (rng.standard_normal(3) + 1j * rng.standard_normal(3))
             gr = (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-            raw = _raw_objective(frame.y, c, x, gs, gr, reg)
-            dec = _decomposed_objective(frame.y, c, x, gs, gr, reg)
+            raw = _raw_objective(y, c, x, gs, gr, reg)
+            dec = _decomposed_objective(y, c, x, gs, gr, reg)
             assert abs(raw - dec) <= 1e-8 * abs(raw)
 
     def test_zero_lambda_reduces_to_projection_metric(self, books):
@@ -180,8 +180,7 @@ class TestDecodeJoint:
         src, tag = books
         rng = np.random.default_rng(6)
         g_str, g_sr = _draw_channels(rng)
-        frame = synthesize_frame(src.words[2], tag.words[9], g_str, g_sr, 1.0, rng)
-        y = frame.y
+        y = synthesize_frame(src.words[2], tag.words[9], g_str, g_sr, 1.0, rng)
         big_l = y.shape[0]
         for ci in (0, 5):
             for xi in (1, 7):
@@ -207,7 +206,7 @@ class TestDecodeJoint:
             g_str, g_sr = _draw_channels(rng, sigma2=0.3)
             y = synthesize_frame(src.words[rng.integers(16)],
                                  tag.words[rng.integers(16)],
-                                 g_str, g_sr, 1.0, rng).y
+                                 g_str, g_sr, 1.0, rng)
             u_cols = y.T @ tag.words.T.astype(np.complex128)
             u_ones = y.sum(axis=0)
             _, gam_str, _, gam_sr = pilot_free._candidate_fits(ops, u_cols, u_ones,
@@ -224,10 +223,10 @@ class TestDecodeJoint:
         # tag choice is a tie broken toward index 0; the source still decodes
         src, tag = books
         rng = np.random.default_rng(16)
-        zero = ChannelTaps(np.zeros(3), np.array([]), 0.0, -10.0)
+        zero = np.zeros(3)
         g_sr = sample_channel(2, 3, 1.0, -10.0, False, rng)
-        frame = synthesize_frame(src.words[9], tag.words[4], zero, g_sr, 0.0, rng)
-        res = decode_joint(frame.y, src, tag, REG0)
+        y = synthesize_frame(src.words[9], tag.words[4], zero, g_sr, 0.0, rng)
+        res = decode_joint(y, src, tag, REG0)
         assert res.x_index == 0
         assert res.c_index == 9
 
@@ -235,9 +234,9 @@ class TestDecodeJoint:
         src, tag = books
         rng = np.random.default_rng(7)
         g_str, g_sr = _draw_channels(rng)
-        frame = synthesize_frame(src.words[4], tag.words[11], g_str, g_sr, 1.0, rng)
-        res1 = decode_joint(frame.y, src, tag, REG0)
-        res2 = decode_joint(3.7 * frame.y, src, tag, REG0)
+        y = synthesize_frame(src.words[4], tag.words[11], g_str, g_sr, 1.0, rng)
+        res1 = decode_joint(y, src, tag, REG0)
+        res2 = decode_joint(3.7 * y, src, tag, REG0)
         assert (res1.c_index, res1.x_index) == (res2.c_index, res2.x_index)
 
     def test_degenerate_zero_frame(self, books):
@@ -275,9 +274,9 @@ class TestFullCodebookNoiselessSweep:
             for xi in range(len(tag)):
                 g_str, g_sr = pool[k % 100]
                 k += 1
-                frame = synthesize_frame(gold.words[ci], tag.words[xi],
-                                         g_str, g_sr, 0.0, rng)
-                res = decode_joint(frame.y, gold, tag, REG0)
+                y = synthesize_frame(gold.words[ci], tag.words[xi],
+                                     g_str, g_sr, 0.0, rng)
+                res = decode_joint(y, gold, tag, REG0)
                 assert (res.c_index, res.x_index) == (ci, xi)
 
 
@@ -288,34 +287,34 @@ class TestDecodeDisjoint:
         for _ in range(25):
             ci, xi = int(rng.integers(16)), int(rng.integers(16))
             g_str, g_sr = _draw_channels(rng)
-            frame = synthesize_frame(src.words[ci], tag.words[xi], g_str, g_sr, 0.0, rng)
-            res = decode_disjoint(frame.y, src, tag, REG0)
+            y = synthesize_frame(src.words[ci], tag.words[xi], g_str, g_sr, 0.0, rng)
+            res = decode_disjoint(y, src, tag, REG0)
             assert (res.c_index, res.x_index) == (ci, xi)
-            assert np.linalg.norm(res.g_str_hat - g_str.taps) < 1e-9
+            assert np.linalg.norm(res.g_str_hat - g_str) < 1e-9
 
     def test_joint_metric_never_worse(self, books):
         src, tag = books
         rng = np.random.default_rng(10)
         for _ in range(15):
             g_str, g_sr = _draw_channels(rng)
-            frame = synthesize_frame(src.words[rng.integers(16)],
-                                     tag.words[rng.integers(16)],
-                                     g_str, g_sr, 1.0, rng)
-            joint = decode_joint(frame.y, src, tag, REG0)
-            disjoint = decode_disjoint(frame.y, src, tag, REG0)
+            y = synthesize_frame(src.words[rng.integers(16)],
+                                 tag.words[rng.integers(16)],
+                                 g_str, g_sr, 1.0, rng)
+            joint = decode_joint(y, src, tag, REG0)
+            disjoint = decode_disjoint(y, src, tag, REG0)
             assert joint.metric <= disjoint.metric + 1e-9
 
     def test_sr_only_variant_matches_when_no_backscatter(self, books):
         src, tag = books
         rng = np.random.default_rng(11)
-        zero = ChannelTaps(np.zeros(3), np.array([]), 0.0, -10.0)
+        zero = np.zeros(3)
         for _ in range(10):
             g_sr = sample_channel(2, 3, 1.0, -10.0, False, rng)
-            frame = synthesize_frame(src.words[rng.integers(16)],
-                                     tag.words[rng.integers(16)],
-                                     zero, g_sr, 0.0, rng)
-            with_str = decode_disjoint(frame.y, src, tag, REG0)
-            sr_only = decode_disjoint(frame.y, src, tag, REG0,
+            y = synthesize_frame(src.words[rng.integers(16)],
+                                 tag.words[rng.integers(16)],
+                                 zero, g_sr, 0.0, rng)
+            with_str = decode_disjoint(y, src, tag, REG0)
+            sr_only = decode_disjoint(y, src, tag, REG0,
                                       use_str_for_source=False)
             assert with_str.c_index == sr_only.c_index
 
@@ -327,8 +326,8 @@ class TestDecodePerfectCsi:
         for _ in range(20):
             ci, xi = int(rng.integers(16)), int(rng.integers(16))
             g_str, g_sr = _draw_channels(rng)
-            frame = synthesize_frame(src.words[ci], tag.words[xi], g_str, g_sr, 0.0, rng)
-            res = decode_perfect_csi(frame.y, src, tag, g_str, g_sr)
+            y = synthesize_frame(src.words[ci], tag.words[xi], g_str, g_sr, 0.0, rng)
+            res = decode_perfect_csi(y, src, tag, g_str, g_sr)
             assert (res.c_index, res.x_index) == (ci, xi)
 
     def test_single_pair_returned_under_heavy_noise(self):
@@ -336,8 +335,8 @@ class TestDecodePerfectCsi:
         src = SourceCodebook(n=7, words=(1 - 2 * rng.integers(0, 2, (1, 7))))
         tag = TagCodebook(l=4, words=np.array([[1, 1, -1, -1]]))
         g_str, g_sr = _draw_channels(rng, q=1)
-        frame = synthesize_frame(src.words[0], tag.words[0], g_str, g_sr, 1e6, rng)
-        res = decode_perfect_csi(frame.y, src, tag, g_str, g_sr)
+        y = synthesize_frame(src.words[0], tag.words[0], g_str, g_sr, 1e6, rng)
+        res = decode_perfect_csi(y, src, tag, g_str, g_sr)
         assert (res.c_index, res.x_index) == (0, 0)
 
     def test_matches_direct_residual_minimization(self, books):
@@ -347,16 +346,16 @@ class TestDecodePerfectCsi:
             for _ in range(4):
                 g_str = sample_channel(q, 3, 0.2, -10.0, q > 2, rng)
                 g_sr = sample_channel(q, 3, 0.5, -10.0, q > 2, rng)
-                frame = synthesize_frame(src.words[rng.integers(16)],
-                                         tag.words[rng.integers(16)],
-                                         g_str, g_sr, 1.0, rng)
-                res = decode_perfect_csi(frame.y, src, tag, g_str, g_sr)
+                y = synthesize_frame(src.words[rng.integers(16)],
+                                     tag.words[rng.integers(16)],
+                                     g_str, g_sr, 1.0, rng)
+                res = decode_perfect_csi(y, src, tag, g_str, g_sr)
                 best = None
                 for ci in range(16):
                     a = response_vector(src.words[ci], g_str)
                     b = response_vector(src.words[ci], g_sr)
                     for xi in range(16):
-                        resid = (frame.y - np.outer(tag.words[xi], a)
+                        resid = (y - np.outer(tag.words[xi], a)
                                  - np.outer(np.ones(10), b))
                         val = np.sum(np.abs(resid) ** 2)
                         if best is None or val < best[0]:
@@ -380,7 +379,7 @@ class TestStackedQuadraticForm:
             g_sr = sample_channel(q, 3, 0.3, -10.0, q > 2, rng)
             y = synthesize_frame(src.words[rng.integers(16)],
                                  tag.words[rng.integers(16)],
-                                 g_str, g_sr, 1.0, rng).y
+                                 g_str, g_sr, 1.0, rng)
             fits = {}
             for ci, c in enumerate(src.words):
                 for xi, x in enumerate(tag.words):
@@ -416,13 +415,15 @@ class TestNonFiniteFrames:
         src, tag = books
         rng = np.random.default_rng(18)
         g_str, g_sr = _draw_channels(rng)
-        y = synthesize_frame(src.words[1], tag.words[2], g_str, g_sr, 1.0, rng).y
+        y = synthesize_frame(src.words[1], tag.words[2], g_str, g_sr, 1.0, rng)
         y[4, 7] = bad
         l1 = RegularizationConfig(kind="l1", lambda_str=0.5, lambda_sr=0.5)
         for decode in (lambda: decode_joint(y, src, tag, REG0),
                        lambda: decode_joint(y, src, tag, l1),
                        lambda: decode_disjoint(y, src, tag, REG0),
-                       lambda: decode_perfect_csi(y, src, tag, g_str, g_sr)):
+                       lambda: decode_perfect_csi(y, src, tag, g_str, g_sr),
+                       lambda: channel_estimates_given(src.words[1], tag.words[2], y, REG0),
+                       lambda: channel_estimates_given(src.words[1], tag.words[2], y, l1)):
             with pytest.raises(ValueError, match="non-finite"):
                 decode()
 
@@ -446,7 +447,7 @@ def test_noiseless_subsets_decode_exactly(pools, seed, src_bits, tag_bits):
         np.sort(rng.choice(126, 2 ** tag_bits, replace=False))])
     ci, xi = int(rng.integers(len(src))), int(rng.integers(len(tag)))
     g_str, g_sr = _draw_channels(rng)
-    frame = synthesize_frame(src.words[ci], tag.words[xi], g_str, g_sr, 0.0, rng)
+    y = synthesize_frame(src.words[ci], tag.words[xi], g_str, g_sr, 0.0, rng)
     for decode in (decode_joint, decode_disjoint):
-        res = decode(frame.y, src, tag, REG0)
+        res = decode(y, src, tag, REG0)
         assert (res.c_index, res.x_index) == (ci, xi)
