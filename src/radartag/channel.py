@@ -10,6 +10,7 @@ matrix times the codeword) is what the pilot-aided decoders exploit.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -24,8 +25,16 @@ __all__ = [
 ]
 
 
+def _generator_stack(rng) -> tuple[list[np.random.Generator], bool]:
+    """(generators, single): one Generator is the F = 1 stack, squeezed on return."""
+    if isinstance(rng, np.random.Generator):
+        return [rng], True
+    return list(rng), False
+
+
 def sample_channel(q: int, n_taps: int, sigma2: float, kappa_db: float,
-                   sparse: bool, rng: np.random.Generator) -> np.ndarray:
+                   sparse: bool,
+                   rng: np.random.Generator | Sequence[np.random.Generator]) -> np.ndarray:
     """Draw the (q+1,) complex tap vector, ``n_taps`` of its entries nonzero.
 
     Each nonzero tap is sqrt(sigma2) times a specular term of deterministic
@@ -33,28 +42,41 @@ def sample_channel(q: int, n_taps: int, sigma2: float, kappa_db: float,
     term, mixed by the linear specular-to-diffuse ratio 10^(kappa_db/10) so
     that E|tap|^2 = sigma2.  Dense mode uses delays 0..n_taps-1; sparse mode
     draws the support uniformly without replacement.
+
+    ``rng`` is one Generator, or a sequence of F of them for an (F, q+1)
+    stack whose row f equals the single draw from generator f.
     """
     if n_taps < 1 or n_taps > q + 1:
         raise TooManyTapsError(f"n_taps must lie in [1, {q + 1}], got {n_taps}")
     if sigma2 < 0:
         raise ValueError("sigma2 must be nonnegative")
+    rngs, single = _generator_stack(rng)
+    f_count = len(rngs)
+    support = (np.empty((f_count, n_taps), dtype=np.int64) if sparse
+               else np.broadcast_to(np.arange(n_taps), (f_count, n_taps)))
+    # rows: phases, diffuse real parts, diffuse imaginary parts
+    draws = np.empty((3, f_count, n_taps))
+    for f, gen in enumerate(rngs):
+        if sparse:
+            support[f] = gen.choice(q + 1, size=n_taps, replace=False)
+        draws[0, f] = gen.uniform(0.0, 2.0 * np.pi, size=n_taps)
+        gen.standard_normal(out=draws[1, f])
+        gen.standard_normal(out=draws[2, f])
     if sparse:
-        support = np.sort(rng.choice(q + 1, size=n_taps, replace=False))
-    else:
-        support = np.arange(n_taps)
+        support.sort(axis=-1)
     if math.isinf(kappa_db):
         spec_frac, diff_frac = (1.0, 0.0) if kappa_db > 0 else (0.0, 1.0)
     else:
         kappa = 10.0 ** (kappa_db / 10.0)
         spec_frac = kappa / (1.0 + kappa)
         diff_frac = 1.0 / (1.0 + kappa)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=n_taps)
-    diffuse = (rng.standard_normal(n_taps) + 1j * rng.standard_normal(n_taps)) / np.sqrt(2.0)
+    phases, diffuse_re, diffuse_im = draws
+    diffuse = (diffuse_re + 1j * diffuse_im) / np.sqrt(2.0)
     values = np.sqrt(sigma2) * (np.sqrt(spec_frac) * np.exp(1j * phases)
                                 + np.sqrt(diff_frac) * diffuse)
-    taps = np.zeros(q + 1, dtype=np.complex128)
-    taps[support] = values
-    return taps
+    taps = np.zeros((f_count, q + 1), dtype=np.complex128)
+    np.put_along_axis(taps, support, values, axis=-1)
+    return taps[0] if single else taps
 
 
 @lru_cache(maxsize=64)

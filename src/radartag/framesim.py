@@ -9,11 +9,12 @@ pulse shape.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import response_vector
+from .channel import _generator_stack, conv_matrix_from_code
 from .errors import DimensionMismatchError
 
 __all__ = [
@@ -109,23 +110,39 @@ def snr_pair(snr_sr_db: float, rho_db: float) -> SnrConfig:
 
 
 def synthesize_frame(c, x, g_str, g_sr, sigma_omega2: float,
-                     rng: np.random.Generator) -> np.ndarray:
+                     rng: np.random.Generator | Sequence[np.random.Generator]
+                     ) -> np.ndarray:
     """One received l x k frame: y = x a_str^T + 1 a_sr^T + noise.
 
     a_i is the pulse shape of codeword c through channel taps g_i; noise
     entries are i.i.d. circular complex Gaussian with variance sigma_omega2.
+
+    ``rng`` is one Generator, or a sequence of F of them; with F generators
+    ``c``, ``x`` and both tap arrays carry one row per frame, and the result
+    is the (F, l, k) stack whose frame f equals the single call on row f
+    with generator f.
     """
-    c = np.asarray(c, dtype=np.complex128)
-    x = np.asarray(x, dtype=np.complex128)
-    if np.size(g_str) != np.size(g_sr):
+    rngs, single = _generator_stack(rng)
+    c, x, g_str, g_sr = (np.asarray(v, dtype=np.complex128) for v in (c, x, g_str, g_sr))
+    if single:
+        c, x, g_str, g_sr = c[None], x[None], g_str[None], g_sr[None]
+    if any(v.ndim != 2 or len(v) != len(rngs) for v in (c, x, g_str, g_sr)):
+        raise DimensionMismatchError(
+            f"codewords and taps need one row per generator ({len(rngs)})")
+    if g_str.shape != g_sr.shape or g_str.shape[1] < 1:
         raise DimensionMismatchError("channels must share the same delay spread")
     if sigma_omega2 < 0:
         raise ValueError("sigma_omega2 must be nonnegative")
-    a_str = response_vector(c, g_str)
-    a_sr = response_vector(c, g_sr)
-    l, k = x.size, a_str.size
-    y = np.outer(x, a_str) + np.outer(np.ones(l), a_sr)
+    xi = conv_matrix_from_code(c, g_str.shape[1] - 1)
+    a_str = (xi @ g_str[:, :, None])[:, :, 0]
+    a_sr = (xi @ g_sr[:, :, None])[:, :, 0]
+    f_count, l, k = len(rngs), x.shape[1], a_str.shape[1]
+    y = x[:, :, None] * a_str[:, None, :] + np.ones((l, 1)) * a_sr[:, None, :]
     if sigma_omega2 > 0:
+        noise = np.empty((2, f_count, l, k))     # real parts, imaginary parts
+        for f, gen in enumerate(rngs):
+            gen.standard_normal(out=noise[0, f])
+            gen.standard_normal(out=noise[1, f])
         scale = np.sqrt(sigma_omega2 / 2.0)
-        y = y + scale * (rng.standard_normal((l, k)) + 1j * rng.standard_normal((l, k)))
-    return y
+        y += scale * (noise[0] + 1j * noise[1])
+    return y[0] if single else y

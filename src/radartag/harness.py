@@ -289,56 +289,89 @@ class _Context:
             entropy=self.cfg.seed, spawn_key=(1, grid_idx, trial_idx)))
 
 
-# trial results: (src_bit_err, src_bits, tag_bit_err, tag_bits,
-#                 e2_str, n2_str, e2_sr, n2_sr, iters)
-def _run_one_trial(ctx: _Context, noise, grid_idx: int, trial_idx: int):
-    cfg = ctx.cfg
-    rng = ctx.trial_rng(grid_idx, trial_idx)
-    sigma_omega2, sigma_str2, sigma_sr2 = noise
-    aided, decode = _SCHEME_TABLE[cfg.scheme]
-    if aided:
-        pilot_word = int(rng.integers(len(ctx.gold)))
-        c_pilot = ctx.gold.words[pilot_word][:cfg.n_pilot]
-        c_data = 1 - 2 * rng.integers(0, 2, ctx.n_data)
-        x_data = 1 - 2 * rng.integers(0, 2, ctx.l_data)
-        c = np.concatenate([c_pilot, c_data])
-        x = np.concatenate([ctx.x_pilot, x_data])
-        layout = PilotLayout(c_pilot=c_pilot, x_pilot=ctx.x_pilot,
-                             n_data=ctx.n_data, l_data=ctx.l_data)
-    else:
-        ci = int(rng.integers(len(ctx.source)))
-        xi = int(rng.integers(len(ctx.tag)))
-        c = ctx.source.words[ci]
-        x = ctx.tag.words[xi]
-    g_str = sample_channel(cfg.params.q, cfg.channel.n_taps, sigma_str2,
-                           cfg.channel.kappa_db, cfg.channel.sparse, rng)
-    g_sr = sample_channel(cfg.params.q, cfg.channel.n_taps, sigma_sr2,
-                          cfg.channel.kappa_db, cfg.channel.sparse, rng)
-    y = synthesize_frame(c, x, g_str, g_sr, sigma_omega2, rng)
-    res = decode(ctx, y, layout if aided else (g_str, g_sr))
-    e2_str = float(np.sum(np.abs(res.g_str_hat - g_str) ** 2))
-    n2_str = float(np.sum(np.abs(g_str) ** 2))
-    e2_sr = float(np.sum(np.abs(res.g_sr_hat - g_sr) ** 2))
-    n2_sr = float(np.sum(np.abs(g_sr) ** 2))
-    if aided:
-        return (int(np.count_nonzero(res.c_data_hat != c_data)), ctx.n_data,
-                int(np.count_nonzero(res.x_data_hat != x_data)), ctx.l_data,
-                e2_str, n2_str, e2_sr, n2_sr, res.iters)
-    return (_index_bit_errors(ci, res.c_index, ctx.src_bits), ctx.src_bits,
-            _index_bit_errors(xi, res.x_index, ctx.tag_bits), ctx.tag_bits,
-            e2_str, n2_str, e2_sr, n2_sr, 0)
-
-
 @lru_cache(maxsize=8)
 def _context_for(cfg_json: str) -> _Context:
     return _Context(config_from_dict(json.loads(cfg_json)))
+
+
+# trials per stacked draw: one sample_channel call per link and one
+# synthesize_frame call cover this many trials; at 16 the stack's arrays
+# stay a few kB per frame, and larger stacks gained no speed but memory
+_DRAW_STACK = 16
 
 
 def _trial_batch(args):
     cfg_json, grid_idx, snr, start, stop = args
     ctx = _context_for(cfg_json)
     noise = noise_variance(snr, ctx.cfg.params.n)
-    return [_run_one_trial(ctx, noise, grid_idx, i) for i in range(start, stop)]
+    return [r for a in range(start, stop, _DRAW_STACK)
+            for r in _trial_stack(ctx, noise, grid_idx,
+                                  range(a, min(a + _DRAW_STACK, stop)))]
+
+
+# trial results: (src_bit_err, src_bits, tag_bit_err, tag_bits,
+#                 e2_str, n2_str, e2_sr, n2_sr, iters)
+def _trial_stack(ctx: _Context, noise, grid_idx: int, trials: range) -> list[tuple]:
+    """Results of a stack of trials, in trial order.
+
+    Each trial keeps its own substream: the Generator calls (messages, both
+    channels, noise) run per trial in the order a lone trial makes them, and
+    everything computed from the draws runs on the stack.  Decoding is one
+    table call per frame.
+    """
+    cfg, chan = ctx.cfg, ctx.cfg.channel
+    sigma_omega2, sigma_str2, sigma_sr2 = noise
+    aided, decode = _SCHEME_TABLE[cfg.scheme]
+    rngs = [ctx.trial_rng(grid_idx, t) for t in trials]
+    f_count = len(rngs)
+    if aided:
+        pilot_words = np.empty(f_count, dtype=np.int64)
+        c_bits = np.empty((f_count, ctx.n_data), dtype=np.int64)
+        x_bits = np.empty((f_count, ctx.l_data), dtype=np.int64)
+        for f, rng in enumerate(rngs):
+            pilot_words[f] = rng.integers(len(ctx.gold))
+            c_bits[f] = rng.integers(0, 2, ctx.n_data)
+            x_bits[f] = rng.integers(0, 2, ctx.l_data)
+        c_pilot = ctx.gold.words[pilot_words, :cfg.n_pilot]
+        c_data, x_data = 1 - 2 * c_bits, 1 - 2 * x_bits
+        c = np.concatenate([c_pilot, c_data], axis=1)
+        x = np.concatenate([np.broadcast_to(ctx.x_pilot, (f_count, cfg.l_pilot)), x_data],
+                           axis=1)
+    else:
+        messages = np.array([(rng.integers(len(ctx.source)), rng.integers(len(ctx.tag)))
+                             for rng in rngs], dtype=np.int64)
+        c = ctx.source.words[messages[:, 0]]
+        x = ctx.tag.words[messages[:, 1]]
+    g_str = sample_channel(cfg.params.q, chan.n_taps, sigma_str2, chan.kappa_db,
+                           chan.sparse, rngs)
+    g_sr = sample_channel(cfg.params.q, chan.n_taps, sigma_sr2, chan.kappa_db,
+                          chan.sparse, rngs)
+    y = synthesize_frame(c, x, g_str, g_sr, sigma_omega2, rngs)
+    if aided:
+        results = [decode(ctx, y[f], PilotLayout(c_pilot=c_pilot[f], x_pilot=ctx.x_pilot,
+                                                 n_data=ctx.n_data, l_data=ctx.l_data))
+                   for f in range(f_count)]
+    else:
+        results = [decode(ctx, y[f], (g_str[f], g_sr[f])) for f in range(f_count)]
+    e2_str = np.sum(np.abs(np.array([r.g_str_hat for r in results]) - g_str) ** 2, axis=1)
+    n2_str = np.sum(np.abs(g_str) ** 2, axis=1)
+    e2_sr = np.sum(np.abs(np.array([r.g_sr_hat for r in results]) - g_sr) ** 2, axis=1)
+    n2_sr = np.sum(np.abs(g_sr) ** 2, axis=1)
+    if aided:
+        src_err = np.count_nonzero(np.array([r.c_data_hat for r in results]) != c_data, axis=1)
+        tag_err = np.count_nonzero(np.array([r.x_data_hat for r in results]) != x_data, axis=1)
+        bits = (ctx.n_data, ctx.l_data)
+        iters = [r.iters for r in results]
+    else:
+        src_err = [_index_bit_errors(int(m), r.c_index, ctx.src_bits)
+                   for m, r in zip(messages[:, 0], results)]
+        tag_err = [_index_bit_errors(int(m), r.x_index, ctx.tag_bits)
+                   for m, r in zip(messages[:, 1], results)]
+        bits = (ctx.src_bits, ctx.tag_bits)
+        iters = [0] * f_count
+    return [(int(src_err[f]), bits[0], int(tag_err[f]), bits[1],
+             float(e2_str[f]), float(n2_str[f]), float(e2_sr[f]), float(n2_sr[f]), iters[f])
+            for f in range(f_count)]
 
 
 def _reduce(scheme: str, snr: SnrConfig, trial_results, trials: int,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -147,6 +148,28 @@ def _tag_filter(data_rows, a_str, a_sr) -> np.ndarray:
     return (data_rows - a_sr) @ np.conj(a_str)
 
 
+@lru_cache(maxsize=128)
+def _pilot_pinvs(x_pilot_bytes: bytes, c_pilot_bytes: bytes, q: int):
+    """(pinv([x_pilot, 1]), pinv(Xi_pilot)) of a pilot pair, or None when
+    ``check_pilot_conditions`` fails; keyed by the float64 pilot bytes.
+
+    Only the pilots enter here, so each pair is inverted once per process
+    rather than once per frame; the arrays are read-only because every
+    caller shares them.
+    """
+    x_pilot = np.frombuffer(x_pilot_bytes, dtype=np.float64)
+    c_pilot = np.frombuffer(c_pilot_bytes, dtype=np.float64)
+    if not check_pilot_conditions(x_pilot, c_pilot, q):
+        return None
+    pilot_basis = np.stack([x_pilot.astype(np.complex128),
+                            np.ones(x_pilot.size, dtype=np.complex128)], axis=1)
+    xi_pilot = conv_matrix_from_code(c_pilot, q)[:c_pilot.size]
+    pinvs = (np.linalg.pinv(pilot_basis), np.linalg.pinv(xi_pilot))
+    for op in pinvs:
+        op.setflags(write=False)
+    return pinvs
+
+
 def decode_noniterative(y, layout: PilotLayout) -> PilotAidedResult:
     """Single-pass constructive recovery from the pilot structure.
 
@@ -164,19 +187,17 @@ def decode_noniterative(y, layout: PilotLayout) -> PilotAidedResult:
     q = _frame_dims(y, layout)
     n_p, n_d = layout.c_pilot.size, layout.n_data
     l_p, l_d = layout.x_pilot.size, layout.l_data
-    if not check_pilot_conditions(layout.x_pilot, layout.c_pilot, q):
+    pilot_ops = _pilot_pinvs(layout.x_pilot.tobytes(), layout.c_pilot.tobytes(), q)
+    if pilot_ops is None:
         raise PilotConditionViolatedError(
             "pilot rank conditions fail; pick a tag pilot not proportional to "
             "all-ones and a source pilot of length >= q+1 with nonzero lead"
         )
+    basis_pinv, xi_pilot_pinv = pilot_ops
 
-    pilot_basis = np.stack([layout.x_pilot.astype(np.complex128),
-                            np.ones(l_p, dtype=np.complex128)], axis=1)
-    shapes = pinv_apply(pilot_basis, y[:l_p])        # rows: backscatter, direct
+    shapes = basis_pinv @ y[:l_p]                    # rows: backscatter, direct
     alpha_str, alpha_sr = shapes[0], shapes[1]
-
-    xi_pilot = conv_matrix_from_code(layout.c_pilot, q)[:n_p]
-    gammas = pinv_apply(xi_pilot, np.stack([alpha_str[:n_p], alpha_sr[:n_p]], axis=1))
+    gammas = xi_pilot_pinv @ np.stack([alpha_str[:n_p], alpha_sr[:n_p]], axis=1)
     g_str, g_sr = gammas[:, 0], gammas[:, 1]
 
     if n_d > 0:

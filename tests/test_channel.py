@@ -59,6 +59,19 @@ class TestSampleChannel:
         with pytest.raises(TooManyTapsError):
             sample_channel(2, 4, 1.0, -10.0, sparse=False, rng=rng)
 
+    @pytest.mark.parametrize("stack", (1, 3, 16))
+    @pytest.mark.parametrize("sparse", (False, True))
+    @pytest.mark.parametrize("sigma2", (0.0, 0.7))
+    def test_stack_equals_single_draws(self, stack, sparse, sigma2):
+        # row f of a stacked draw is the single draw from generator f, bit for bit
+        seeds = [[11, f] for f in range(stack)]
+        got = sample_channel(14, 3, sigma2, -10.0, sparse,
+                             [np.random.default_rng(s) for s in seeds])
+        want = np.array([sample_channel(14, 3, sigma2, -10.0, sparse,
+                                        np.random.default_rng(s)) for s in seeds])
+        assert got.shape == (stack, 15)
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
 
 class TestConvMatrixFromCode:
     def test_q_zero_single_column(self):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from radartag import (
+    DimensionMismatchError,
     SnrConfig,
     SystemParams,
     check_assumptions,
@@ -131,3 +132,35 @@ class TestSynthesizeFrame:
         y1 = synthesize_frame(c, x, g_str, g_sr, 1.0, np.random.default_rng(99))
         y2 = synthesize_frame(c, x, g_str, g_sr, 1.0, np.random.default_rng(99))
         assert np.array_equal(y1, y2)
+
+    @pytest.mark.parametrize("stack", (1, 3, 16))
+    @pytest.mark.parametrize("sparse", (False, True))
+    @pytest.mark.parametrize("sigma_omega2", (0.0, 0.3))
+    def test_stack_equals_single_frames(self, stack, sparse, sigma_omega2):
+        # frame f of a stacked call is the single call on row f with a fresh
+        # generator from the same seed, bit for bit
+        setup = np.random.default_rng(6)
+        c = gen_gold(5).words[setup.integers(0, 33, stack)]
+        x = 1 - 2 * setup.integers(0, 2, (stack, 10))
+        seeds = [[12, f] for f in range(stack)]
+        gens = [np.random.default_rng(s) for s in seeds]
+        g_str = sample_channel(14, 3, 0.8, -10.0, sparse, gens)
+        g_sr = sample_channel(14, 3, 1.2, -10.0, sparse, gens)
+        got = synthesize_frame(c, x, g_str, g_sr, sigma_omega2, gens)
+        want = []
+        for f, seed in enumerate(seeds):
+            gen = np.random.default_rng(seed)
+            g_str_f = sample_channel(14, 3, 0.8, -10.0, sparse, gen)
+            g_sr_f = sample_channel(14, 3, 1.2, -10.0, sparse, gen)
+            want.append(synthesize_frame(c[f], x[f], g_str_f, g_sr_f, sigma_omega2, gen))
+        assert got.shape == (stack, 10, 45)
+        assert np.array_equal(got.view(np.float64), np.array(want).view(np.float64))
+
+    @pytest.mark.parametrize("short", ("c", "x", "g_str", "g_sr"))
+    def test_generator_count_must_match_rows(self, short):
+        rows = dict(c=np.ones((3, 7)), x=np.ones((3, 4)),
+                    g_str=np.ones((3, 2)), g_sr=np.ones((3, 2)))
+        rows[short] = rows[short][:2]
+        gens = [np.random.default_rng(f) for f in range(3)]
+        with pytest.raises(DimensionMismatchError):
+            synthesize_frame(rows["c"], rows["x"], rows["g_str"], rows["g_sr"], 1.0, gens)

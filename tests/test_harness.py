@@ -18,8 +18,9 @@ from radartag import (
     run_trials,
     sweep,
 )
-from radartag import harness, solvers
+from radartag import harness, sample_channel, solvers, synthesize_frame
 from radartag.framesim import noise_variance
+from radartag.pilot_aided import PilotLayout
 from radartag.harness import (
     MetricsRow,
     _index_bit_errors,
@@ -479,6 +480,94 @@ def test_rows_match_recorded_parent_output():
     assert rows_to_csv(sweep(cfg, "rho", values=[-10.0, 0.0])).splitlines()[1:] == [
         "pilot_free_joint,rho,-10,-10,0,0,0.4166666667,1.811692464,0.3274120417,0,6,2026",
         "pilot_free_joint,rho,0,0,0,0,0,0.346406444,0.349946487,0,6,2026"]
+
+
+# the per-trial runner that the stacked draw replaced, kept as its oracle:
+# one generator, one channel pair and one frame per trial
+def _reference_trial(ctx, noise, grid_idx, trial_idx):
+    cfg = ctx.cfg
+    rng = ctx.trial_rng(grid_idx, trial_idx)
+    sigma_omega2, sigma_str2, sigma_sr2 = noise
+    aided, decode = harness._SCHEME_TABLE[cfg.scheme]
+    if aided:
+        pilot_word = int(rng.integers(len(ctx.gold)))
+        c_pilot = ctx.gold.words[pilot_word][:cfg.n_pilot]
+        c_data = 1 - 2 * rng.integers(0, 2, ctx.n_data)
+        x_data = 1 - 2 * rng.integers(0, 2, ctx.l_data)
+        c = np.concatenate([c_pilot, c_data])
+        x = np.concatenate([ctx.x_pilot, x_data])
+        layout = PilotLayout(c_pilot=c_pilot, x_pilot=ctx.x_pilot,
+                             n_data=ctx.n_data, l_data=ctx.l_data)
+    else:
+        ci = int(rng.integers(len(ctx.source)))
+        xi = int(rng.integers(len(ctx.tag)))
+        c = ctx.source.words[ci]
+        x = ctx.tag.words[xi]
+    g_str = sample_channel(cfg.params.q, cfg.channel.n_taps, sigma_str2,
+                           cfg.channel.kappa_db, cfg.channel.sparse, rng)
+    g_sr = sample_channel(cfg.params.q, cfg.channel.n_taps, sigma_sr2,
+                          cfg.channel.kappa_db, cfg.channel.sparse, rng)
+    y = synthesize_frame(c, x, g_str, g_sr, sigma_omega2, rng)
+    res = decode(ctx, y, layout if aided else (g_str, g_sr))
+    e2_str = float(np.sum(np.abs(res.g_str_hat - g_str) ** 2))
+    n2_str = float(np.sum(np.abs(g_str) ** 2))
+    e2_sr = float(np.sum(np.abs(res.g_sr_hat - g_sr) ** 2))
+    n2_sr = float(np.sum(np.abs(g_sr) ** 2))
+    if aided:
+        return (int(np.count_nonzero(res.c_data_hat != c_data)), ctx.n_data,
+                int(np.count_nonzero(res.x_data_hat != x_data)), ctx.l_data,
+                e2_str, n2_str, e2_sr, n2_sr, res.iters)
+    return (_index_bit_errors(ci, res.c_index, ctx.src_bits), ctx.src_bits,
+            _index_bit_errors(xi, res.x_index, ctx.tag_bits), ctx.tag_bits,
+            e2_str, n2_str, e2_sr, n2_sr, 0)
+
+
+_ORACLE_CASES = [(scheme, "l2") for scheme in sorted(harness.SCHEMES)] + [
+    ("pilot_free_joint", "l1_sparse")]
+
+
+@pytest.mark.parametrize("scheme,setting", _ORACLE_CASES)
+@pytest.mark.parametrize("start,stop", ((0, 37), (5, 21)))
+def test_stacked_trials_equal_per_trial_oracle(scheme, setting, start, stop):
+    # trial ranges that are not multiples of the draw stack end on a short stack
+    layout = {}
+    if scheme in harness.PILOT_AIDED_SCHEMES:
+        layout = dict(n_source_words=None, n_tag_words=None, n_pilot=27,
+                      l_pilot=6 if scheme == "pilot_aided_exhaustive" else 2)
+    cfg = _quick_cfg(scheme=scheme, seed=31, trials=stop, **layout)
+    if setting == "l1_sparse":
+        cfg = _quick_cfg(scheme=scheme, seed=31, trials=stop,
+                         params=SystemParams(q=14),
+                         channel=ChannelConfig(n_taps=3, sparse=True),
+                         reg=RegularizationConfig(kind="l1", lambda_str=12.0,
+                                                  lambda_sr=12.0))
+    snr = SnrConfig(5.0, 10.0)
+    cfg_json = json.dumps(config_to_dict(cfg), sort_keys=True)
+    got = harness._trial_batch((cfg_json, 1, snr, start, stop))
+    ctx = harness._context_for(cfg_json)
+    noise = noise_variance(snr, cfg.params.n)
+    want = [_reference_trial(ctx, noise, 1, t) for t in range(start, stop)]
+    assert got == want
+
+
+def test_run_trials_decodes_per_trial_and_calls_the_draw_names(monkeypatch):
+    # the benchmark tracer wraps these module names and counts one decoder
+    # call per trial; the draw must still go through the two draw names
+    calls = {"decode_joint": 0, "sample_channel": 0, "synthesize_frame": 0}
+
+    def counting(name):
+        original = getattr(harness, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counting(name))
+    run_trials(ExperimentConfig(trials=2))
+    assert calls["decode_joint"] == 2
+    assert calls["sample_channel"] > 0 and calls["synthesize_frame"] > 0
 
 
 class TestSerialization:
