@@ -20,7 +20,9 @@ from itertools import product
 
 import numpy as np
 
-from .channel import conv_matrix_from_code, conv_matrix_from_channel
+# conv_matrix_from_channel has no caller here; it stays importable from this
+# module because perfbench/spans.py traces the name at this site
+from .channel import conv_matrix_from_channel, conv_matrix_from_code  # noqa: F401
 from .codebooks import check_pilot_conditions
 from .errors import (
     BudgetExceededError,
@@ -29,7 +31,7 @@ from .errors import (
     PilotConditionViolatedError,
     SingularSystemError,
 )
-from .solvers import RegularizationConfig, fista_stacked, numeric_rank, pinv_apply
+from .solvers import RegularizationConfig, fista_stacked, numeric_rank
 
 __all__ = [
     "PilotLayout",
@@ -107,10 +109,13 @@ def _slice_pm1(values) -> np.ndarray:
     return np.where(np.real(np.asarray(values)) >= 0, 1, -1).astype(np.int64)
 
 
+@lru_cache(maxsize=32)
 def _binary_candidates(width: int) -> np.ndarray:
-    """All +/-1 words of the given width, index 0 being all +1."""
-    return np.array(list(product((1, -1), repeat=width)),
-                    dtype=np.int64).reshape(2 ** width, width)
+    """All +/-1 words of the given width, index 0 being all +1 (read-only)."""
+    cands = np.array(list(product((1, -1), repeat=width)),
+                     dtype=np.int64).reshape(2 ** width, width)
+    cands.setflags(write=False)
+    return cands
 
 
 def _frame_dims(y: np.ndarray, layout: PilotLayout) -> int:
@@ -136,9 +141,24 @@ def _with_pilot(pilot, data) -> np.ndarray:
     return np.concatenate([pilot, data], axis=-1).astype(np.complex128)
 
 
-def _pulse_shapes(c_full, q: int, g_str, g_sr):
+class _Frame:
+    """A checked (L, k) frame with the constants every channel fit reads.
+
+    Built once per decode, so the sweeps of ``decode_iterative`` and the
+    chunks of ``exhaustive_search`` share Y^T, the column sums Y^T 1 and the
+    ridge diagonal instead of rebuilding them per call.
+    """
+
+    __slots__ = ("y", "yt", "ysum", "weights", "ridge")
+
+    def __init__(self, y: np.ndarray, q: int, reg: RegularizationConfig):
+        self.y, self.yt, self.ysum = y, y.T, y.sum(axis=0)
+        self.weights = np.repeat([reg.lambda_str, reg.lambda_sr], q + 1)
+        self.ridge = np.diag(self.weights)
+
+
+def _pulse_shapes(xi, g_str, g_sr):
     """Received pulse shapes Xi_c g of a codeword (stack) through both channels."""
-    xi = conv_matrix_from_code(c_full, q)
     return tuple((xi @ np.asarray(g, dtype=np.complex128)[..., None])[..., 0]
                  for g in (g_str, g_sr))
 
@@ -146,6 +166,19 @@ def _pulse_shapes(c_full, q: int, g_str, g_sr):
 def _tag_filter(data_rows, a_str, a_sr) -> np.ndarray:
     """Data rows with the direct pulse shape removed, matched to the backscatter one."""
     return (data_rows - a_sr) @ np.conj(a_str)
+
+
+def _tag_signs(data_rows, a_str, a_sr) -> np.ndarray:
+    """Exact +/-1 tag data: the per-row sign of the matched filter, ties to +1."""
+    return _slice_pm1(np.real(_tag_filter(data_rows, a_str, a_sr)))
+
+
+def _tag_relaxed(data_rows, a_str, a_sr, lambda_x: float) -> np.ndarray:
+    """Penalized continuous tag data: the matched filter over lambda_x + ||a_str||^2."""
+    denom = lambda_x + float((np.abs(a_str) ** 2).sum())
+    if denom == 0.0:
+        return np.zeros(data_rows.shape[0], dtype=np.complex128)
+    return _tag_filter(data_rows, a_str, a_sr) / denom
 
 
 @lru_cache(maxsize=128)
@@ -170,6 +203,11 @@ def _pilot_pinvs(x_pilot_bytes: bytes, c_pilot_bytes: bytes, q: int):
     return pinvs
 
 
+def _channel_matrices(g_str, g_sr, n: int) -> np.ndarray:
+    """(2, n+q, n) Toeplitz matrices of both channels; column j is g delayed by j."""
+    return conv_matrix_from_code(np.stack([g_str, g_sr]), n - 1)
+
+
 def decode_noniterative(y, layout: PilotLayout) -> PilotAidedResult:
     """Single-pass constructive recovery from the pilot structure.
 
@@ -184,7 +222,11 @@ def decode_noniterative(y, layout: PilotLayout) -> PilotAidedResult:
     the degenerate flag set.
     """
     y = np.asarray(y, dtype=np.complex128)
-    q = _frame_dims(y, layout)
+    return _noniterative(y, layout, _frame_dims(y, layout))
+
+
+def _noniterative(y, layout: PilotLayout, q: int) -> PilotAidedResult:
+    """:func:`decode_noniterative` on a frame already checked against the layout."""
     n_p, n_d = layout.c_pilot.size, layout.n_data
     l_p, l_d = layout.x_pilot.size, layout.l_data
     pilot_ops = _pilot_pinvs(layout.x_pilot.tobytes(), layout.c_pilot.tobytes(), q)
@@ -201,18 +243,17 @@ def decode_noniterative(y, layout: PilotLayout) -> PilotAidedResult:
     g_str, g_sr = gammas[:, 0], gammas[:, 1]
 
     if n_d > 0:
-        g1_p, g1_d = conv_matrix_from_channel(g_str, n_p, n_d)
-        g2_p, g2_d = conv_matrix_from_channel(g_sr, n_p, n_d)
-        c_pilot = layout.c_pilot.astype(np.complex128)
-        c_cont = 0.5 * (pinv_apply(g1_d, alpha_str - g1_p @ c_pilot)
-                        + pinv_apply(g2_d, alpha_sr - g2_p @ c_pilot))
-        c_data = _slice_pm1(c_cont)
+        # both channels' pilot and data columns, both data pseudoinverses at once
+        full = _channel_matrices(g_str, g_sr, n_p + n_d)
+        tails = shapes - full[:, :, :n_p] @ layout.c_pilot.astype(np.complex128)
+        c_conts = np.linalg.pinv(full[:, :, n_p:]) @ tails[..., None]
+        c_data = _slice_pm1(0.5 * (c_conts[0, :, 0] + c_conts[1, :, 0]))
     else:
         log.debug("noniterative decode with no source data symbols (n_data=0)")
         c_data = np.zeros(0, dtype=np.int64)
 
     degenerate = False
-    denom = float(np.sum(np.abs(alpha_str) ** 2))
+    denom = float((np.abs(alpha_str) ** 2).sum())
     if denom == 0.0:
         degenerate = True
         x_data = np.ones(l_d, dtype=np.int64)
@@ -224,7 +265,7 @@ def decode_noniterative(y, layout: PilotLayout) -> PilotAidedResult:
                             degenerate=degenerate)
 
 
-def _channel_fit(y, xi, x, reg: RegularizationConfig):
+def _channel_fit(frame: _Frame, xi, x, reg: RegularizationConfig):
     """Joint channel estimates for a stack of codeword pairs (Xi_c, x).
 
     Row-wise, the frame is linear in [g_str; g_sr] with sensing matrix
@@ -239,23 +280,26 @@ def _channel_fit(y, xi, x, reg: RegularizationConfig):
     m = xi.shape[-1]
     xi_h = np.conj(xi).swapaxes(-1, -2)
     gram0 = xi_h @ xi
-    sxx = np.sum(np.abs(x) ** 2, axis=-1)[..., None, None]
-    sx1 = np.sum(np.conj(x), axis=-1)[..., None, None]
-    sensing = np.block([[sxx * gram0, sx1 * gram0],
-                        [np.conj(sx1) * gram0, y.shape[0] * gram0]])
-    weights = np.repeat([reg.lambda_str, reg.lambda_sr], m)
-    rhs = np.concatenate([xi_h @ (y.T @ np.conj(x)[..., None]),
-                          xi_h @ y.sum(axis=0)[:, None]], axis=-2)
+    sxx = (np.abs(x) ** 2).sum(axis=-1)[..., None, None]
+    sx1 = np.conj(x).sum(axis=-1)[..., None, None]
+    top_left = sxx * gram0
+    sensing = np.empty(top_left.shape[:-2] + (2 * m, 2 * m), dtype=np.complex128)
+    sensing[..., :m, :m] = top_left
+    sensing[..., :m, m:] = sx1 * gram0
+    sensing[..., m:, :m] = np.conj(sx1) * gram0
+    sensing[..., m:, m:] = frame.y.shape[0] * gram0
+    rhs = np.concatenate([xi_h @ (frame.yt @ np.conj(x)[..., None]),
+                          xi_h @ frame.ysum[:, None]], axis=-2)
     try:
-        solution = np.linalg.solve(sensing + np.diag(weights), rhs)
+        solution = np.linalg.solve(sensing + frame.ridge, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError("joint channel system is singular") from exc
     if reg.kind == "l1":
         lips = np.linalg.eigvalsh(sensing)[..., -1]
-        bnorm2 = [[float(np.sum(np.abs(y) ** 2))]]
+        bnorm2 = [[float((np.abs(frame.y) ** 2).sum())]]
         for idx in np.ndindex(lips.shape):
             solution[idx] = fista_stacked(sensing[idx][None], rhs[idx][None], bnorm2,
-                                          lips[idx][None], weights, reg,
+                                          lips[idx][None], frame.weights, reg,
                                           solution[idx][None]).gamma[0]
     solution = solution[..., 0]
     return solution[..., :m], solution[..., m:]
@@ -277,7 +321,7 @@ def iterative_channel_update(y, c, x, reg: RegularizationConfig):
     q = k - c.size
     if q < 0:
         raise DimensionMismatchError("codeword longer than fast-time window")
-    return _channel_fit(y, conv_matrix_from_code(c, q), x, reg)
+    return _channel_fit(_Frame(y, q, reg), conv_matrix_from_code(c, q), x, reg)
 
 
 def _source_form(y, x, c_pilot, g_str, g_sr, n_d: int):
@@ -285,21 +329,45 @@ def _source_form(y, x, c_pilot, g_str, g_sr, n_d: int):
 
     With the pilot response removed, row p sees the data through
     x_p Gamma_str_D + Gamma_sr_D; for real c the residual energy is
-    Re(c^T gram c) - 2 Re(c^T rhs) plus a constant.
+    Re(c^T gram c) - 2 Re(c^T rhs) plus a constant.  ``c_pilot`` is complex.
     """
-    c_pilot = np.asarray(c_pilot, dtype=np.complex128)
-    g1_p, g1_d = conv_matrix_from_channel(g_str, c_pilot.size, n_d)
-    g2_p, g2_d = conv_matrix_from_channel(g_sr, c_pilot.size, n_d)
+    n_p = c_pilot.size
+    full = _channel_matrices(g_str, g_sr, n_p + n_d)
+    g1_p, g1_d = full[0, :, :n_p], full[0, :, n_p:]
+    g2_p, g2_d = full[1, :, :n_p], full[1, :, n_p:]
     big_l = y.shape[0]
     resid = (y - np.outer(x, g1_p @ c_pilot)
              - np.outer(np.ones(big_l), g2_p @ c_pilot))
-    sxx = float(np.sum(np.abs(x) ** 2))
-    sx1 = np.sum(np.conj(x))
+    sxx = float((np.abs(x) ** 2).sum())
+    sx1 = np.conj(x).sum()
     g1_h, g2_h = g1_d.conj().T, g2_d.conj().T
     gram = (sxx * (g1_h @ g1_d) + sx1 * (g1_h @ g2_d)
             + np.conj(sx1) * (g2_h @ g1_d) + big_l * (g2_h @ g2_d))
     rhs = g1_h @ (resid.T @ np.conj(x)) + g2_h @ resid.sum(axis=0)
     return gram, rhs
+
+
+def _source_best(gram, rhs, cands) -> np.ndarray:
+    """The +/-1 source word (row of ``cands``) of least residual; first on ties."""
+    metric = (np.einsum("bi,ij,bj->b", cands, gram.real, cands)
+              - 2.0 * (cands @ rhs.real))
+    return cands[int(np.argmin(metric))]
+
+
+def _source_relaxed(gram, rhs, lam_eye, lambda_c: float) -> np.ndarray:
+    """Penalized continuous source data: (gram + lambda_c I)^{-1} rhs."""
+    gram = gram + lam_eye
+    if lambda_c == 0.0 and numeric_rank(gram) < gram.shape[0]:
+        raise SingularSystemError("summed data Gram matrix is singular at lambda_c=0")
+    return np.linalg.solve(gram, rhs)
+
+
+def _check_enum_budget(n_d: int) -> None:
+    if 2 ** n_d > ENUM_BUDGET:
+        raise BudgetExceededError(
+            f"2^{n_d} source candidates exceed the budget {ENUM_BUDGET}; "
+            "use the relaxed update"
+        )
 
 
 def source_data_update_discrete(y, x, c_pilot, g_str, g_sr) -> np.ndarray:
@@ -311,16 +379,10 @@ def source_data_update_discrete(y, x, c_pilot, g_str, g_sr) -> np.ndarray:
         raise DimensionMismatchError("pilot longer than the codeword")
     if n_d == 0:
         return np.zeros(0, dtype=np.int64)
-    if 2 ** n_d > ENUM_BUDGET:
-        raise BudgetExceededError(
-            f"2^{n_d} source candidates exceed the budget {ENUM_BUDGET}; "
-            "use the relaxed update"
-        )
-    gram, rhs = _source_form(y, x, c_pilot, g_str, g_sr, n_d)
-    cands = _binary_candidates(n_d)
-    metric = (np.einsum("bi,ij,bj->b", cands, gram.real, cands)
-              - 2.0 * (cands @ rhs.real))
-    return cands[int(np.argmin(metric))].copy()
+    _check_enum_budget(n_d)
+    gram, rhs = _source_form(y, x, np.asarray(c_pilot, dtype=np.complex128),
+                             g_str, g_sr, n_d)
+    return _source_best(gram, rhs, _binary_candidates(n_d)).copy()
 
 
 def tag_data_update_discrete(y, c, x_pilot, g_str, g_sr) -> np.ndarray:
@@ -330,8 +392,8 @@ def tag_data_update_discrete(y, c, x_pilot, g_str, g_sr) -> np.ndarray:
     the per-row matched-filter sign; exact ties resolve to +1.
     """
     y = np.asarray(y, dtype=np.complex128)
-    a_str, a_sr = _pulse_shapes(c, np.size(g_str) - 1, g_str, g_sr)
-    return _slice_pm1(np.real(_tag_filter(y[np.size(x_pilot):], a_str, a_sr)))
+    xi = conv_matrix_from_code(c, np.size(g_str) - 1)
+    return _tag_signs(y[np.size(x_pilot):], *_pulse_shapes(xi, g_str, g_sr))
 
 
 def relaxed_data_updates(y, layout: PilotLayout, c_data, x_data, g_str, g_sr,
@@ -345,44 +407,45 @@ def relaxed_data_updates(y, layout: PilotLayout, c_data, x_data, g_str, g_sr,
     """
     y = np.asarray(y, dtype=np.complex128)
     q = _frame_dims(y, layout)
-    n_d, l_p, l_d = layout.n_data, layout.x_pilot.size, layout.l_data
+    n_d, l_p = layout.n_data, layout.x_pilot.size
     if n_d > 0:
         gram, rhs = _source_form(y, _with_pilot(layout.x_pilot, x_data),
-                                 layout.c_pilot, g_str, g_sr, n_d)
-        gram = gram + lambda_c * np.eye(n_d)
-        if lambda_c == 0.0 and numeric_rank(gram) < n_d:
-            raise SingularSystemError("summed data Gram matrix is singular at lambda_c=0")
-        c_data_new = np.linalg.solve(gram, rhs)
+                                 layout.c_pilot.astype(np.complex128), g_str, g_sr, n_d)
+        c_data_new = _source_relaxed(gram, rhs, lambda_c * np.eye(n_d), lambda_c)
     else:
         c_data_new = np.zeros(0, dtype=np.complex128)
 
-    a_str, a_sr = _pulse_shapes(_with_pilot(layout.c_pilot, c_data_new), q, g_str, g_sr)
-    denom = lambda_x + float(np.sum(np.abs(a_str) ** 2))
-    if denom == 0.0:
-        x_data_new = np.zeros(l_d, dtype=np.complex128)
-    else:
-        x_data_new = _tag_filter(y[l_p:], a_str, a_sr) / denom
+    xi = conv_matrix_from_code(_with_pilot(layout.c_pilot, c_data_new), q)
+    x_data_new = _tag_relaxed(y[l_p:], *_pulse_shapes(xi, g_str, g_sr), lambda_x)
     return c_data_new, x_data_new
+
+
+def _objective_at(y, x_full, a_str, a_sr, g_str, g_sr, reg: RegularizationConfig,
+                  lambda_c: float = 0.0, lambda_x: float = 0.0,
+                  c_data=None, x_data=None):
+    """Penalized residual energy of the frame model at given pulse shapes.
+
+    Leading axes of the tag words, pulse shapes, channels and data blocks
+    are a stack of candidates, scored at once; one candidate gives a scalar.
+    """
+    model = x_full[..., :, None] * a_str[..., None, :] + a_sr[..., None, :]
+    value = (np.abs(y - model) ** 2).sum(axis=(-2, -1))
+    power = 2 if reg.kind == "l2" else 1
+    value = value + reg.lambda_str * (np.abs(g_str) ** power).sum(axis=-1)
+    value = value + reg.lambda_sr * (np.abs(g_sr) ** power).sum(axis=-1)
+    for lam, data in ((lambda_c, c_data), (lambda_x, x_data)):
+        if data is not None:
+            value = value + lam * (np.abs(data) ** 2).sum(axis=-1)
+    return value
 
 
 def _objective(y, c_full, x_full, g_str, g_sr, reg: RegularizationConfig,
                lambda_c: float = 0.0, lambda_x: float = 0.0,
                c_data=None, x_data=None):
-    """Penalized residual energy of the frame model.
-
-    Leading axes of the codewords, channels and data blocks are a stack of
-    candidates, scored at once; one candidate gives a scalar.
-    """
-    a_str, a_sr = _pulse_shapes(c_full, y.shape[1] - c_full.shape[-1], g_str, g_sr)
-    model = x_full[..., :, None] * a_str[..., None, :] + a_sr[..., None, :]
-    value = np.sum(np.abs(y - model) ** 2, axis=(-2, -1))
-    power = 2 if reg.kind == "l2" else 1
-    value = value + reg.lambda_str * np.sum(np.abs(g_str) ** power, axis=-1)
-    value = value + reg.lambda_sr * np.sum(np.abs(g_sr) ** power, axis=-1)
-    for lam, data in ((lambda_c, c_data), (lambda_x, x_data)):
-        if data is not None:
-            value = value + lam * np.sum(np.abs(data) ** 2, axis=-1)
-    return value
+    """Penalized residual energy of the frame model at codewords (c, x)."""
+    xi = conv_matrix_from_code(c_full, y.shape[1] - c_full.shape[-1])
+    return _objective_at(y, x_full, *_pulse_shapes(xi, g_str, g_sr), g_str, g_sr, reg,
+                         lambda_c, lambda_x, c_data, x_data)
 
 
 def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
@@ -401,6 +464,11 @@ def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
     change falls below ``REL_TOL``.
     In relaxed mode the data blocks stay continuous until a single slice at
     exit and the trace includes the quadratic data penalties.
+
+    The frame is checked once.  The sweeps then run the kernels of the
+    public block updates directly: the tag update's convolution matrix and
+    pulse shapes serve the sweep's objective and the next sweep's channel
+    fit, since neither the codeword nor the channels change in between.
     """
     y = np.asarray(y, dtype=np.complex128)
     q = _frame_dims(y, layout)
@@ -416,50 +484,61 @@ def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
     lambda_x = float(reg.lambda_x) if relaxed else 0.0
 
     if init_data is None:
-        start = decode_noniterative(y, layout)
+        start = _noniterative(y, layout, q)
         init_data = (start.c_data_hat, start.x_data_hat)
     c = _with_pilot(layout.c_pilot, init_data[0])
     x = _with_pilot(layout.x_pilot, init_data[1])
     if c.shape != (layout.n,) or x.shape != (layout.l,):
         raise DimensionMismatchError("init_data lengths must match the layout's data")
-    n_p, l_p = layout.c_pilot.size, layout.x_pilot.size
+    n_p, l_p, n_d = layout.c_pilot.size, layout.x_pilot.size, layout.n_data
     c_data, x_data = c[n_p:], x[l_p:]       # views: the blocks the updates write
+    c_pilot, data_rows = c[:n_p], y[l_p:]
+    frame = _Frame(y, q, reg)
     penalized = {"c_data": c_data, "x_data": x_data} if relaxed else {}
 
-    def score(gs, gr):
-        return _objective(y, c, x, gs, gr, reg, lambda_c, lambda_x, **penalized)
+    def score(a_str, a_sr, gs, gr):
+        return _objective_at(y, x, a_str, a_sr, gs, gr, reg, lambda_c, lambda_x,
+                             **penalized)
 
     # trace[0] is the objective after a channel update at the initial data,
     # so initial objectives are comparable across initializations
-    g_str, g_sr = iterative_channel_update(y, c, x, reg)
-    trace = [score(g_str, g_sr)]
+    xi = conv_matrix_from_code(c, q)
+    g_str, g_sr = _channel_fit(frame, xi, x, reg)
+    a_str, a_sr = _pulse_shapes(xi, g_str, g_sr)
+    trace = [score(a_str, a_sr, g_str, g_sr)]
+    if relaxed:
+        lam_eye, cands = lambda_c * np.eye(n_d), None
+    else:
+        _check_enum_budget(n_d)
+        lam_eye, cands = None, _binary_candidates(n_d)
     # objective values this close to zero are float crumbs, treated as equal
-    zero_floor = (np.finfo(float).eps * float(np.sum(np.abs(y) ** 2))) ** 2
+    zero_floor = (np.finfo(float).eps * float((np.abs(y) ** 2).sum())) ** 2
     converged = False
     iters = 0
     for iters in range(1, MAX_SWEEPS + 1):
         # sweep 1 starts from the data the channels were just fitted to
         if iters > 1:
-            g_new = iterative_channel_update(y, c, x, reg)
+            g_new = _channel_fit(frame, xi, x, reg)
             # FISTA is inexact; never accept a step that worsens the objective
-            if reg.kind == "l1" and score(*g_new) > trace[-1]:
+            if reg.kind == "l1" and score(*_pulse_shapes(xi, *g_new), *g_new) > trace[-1]:
                 g_new = g_str, g_sr
             g_str, g_sr = g_new
 
-        if relaxed:
-            c[n_p:], x[l_p:] = relaxed_data_updates(y, layout, c_data, x_data,
-                                                    g_str, g_sr, lambda_c, lambda_x)
-        else:
-            c[n_p:] = source_data_update_discrete(y, x, layout.c_pilot, g_str, g_sr)
-            x[l_p:] = tag_data_update_discrete(y, c, layout.x_pilot, g_str, g_sr)
+        if n_d > 0:
+            gram, rhs = _source_form(y, x, c_pilot, g_str, g_sr, n_d)
+            c_data[:] = (_source_relaxed(gram, rhs, lam_eye, lambda_c) if relaxed
+                         else _source_best(gram, rhs, cands))
+        xi = conv_matrix_from_code(c, q)
+        a_str, a_sr = _pulse_shapes(xi, g_str, g_sr)
+        x_data[:] = (_tag_relaxed(data_rows, a_str, a_sr, lambda_x) if relaxed
+                     else _tag_signs(data_rows, a_str, a_sr))
 
-        trace.append(score(g_str, g_sr))
+        trace.append(score(a_str, a_sr, g_str, g_sr))
         delta = abs(trace[-1] - trace[-2])
         if delta < REL_TOL * abs(trace[-2]) or delta <= zero_floor:
             converged = True
             break
 
-    a_str = _pulse_shapes(c, q, g_str, g_sr)[0]
     return PilotAidedResult(
         c_data_hat=_slice_pm1(c_data), x_data_hat=_slice_pm1(x_data),
         g_str_hat=g_str, g_sr_hat=g_sr,
@@ -484,15 +563,16 @@ def exhaustive_search(y, layout: PilotLayout, reg: RegularizationConfig) -> Pilo
             f"2^{n_d + l_d} data pairs exceed the search budget {SEARCH_BUDGET}"
         )
     c_data, x_data = _binary_candidates(n_d), _binary_candidates(l_d)
-    c_words = _with_pilot(layout.c_pilot, c_data)
     x_words = _with_pilot(layout.x_pilot, x_data)
-    xi_words = conv_matrix_from_code(c_words, q)
-    pairs = len(c_words) * len(x_words)
+    xi_words = conv_matrix_from_code(_with_pilot(layout.c_pilot, c_data), q)
+    frame = _Frame(y, q, reg)
+    pairs = len(c_data) * len(x_words)
     best = None
     for start in range(0, pairs, _SEARCH_CHUNK):
         ci, ti = np.divmod(np.arange(start, min(start + _SEARCH_CHUNK, pairs)), len(x_words))
-        g_str, g_sr = _channel_fit(y, xi_words[ci], x_words[ti], reg)
-        values = _objective(y, c_words[ci], x_words[ti], g_str, g_sr, reg)
+        xi, xw = xi_words[ci], x_words[ti]
+        g_str, g_sr = _channel_fit(frame, xi, xw, reg)
+        values = _objective_at(y, xw, *_pulse_shapes(xi, g_str, g_sr), g_str, g_sr, reg)
         i = int(np.argmin(values))
         if best is None or values[i] < best[0]:
             best = (values[i], ci[i], ti[i], g_str[i], g_sr[i])

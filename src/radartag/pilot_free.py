@@ -46,6 +46,12 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+# most multiply-adds in one Y^T X^T product.  On a 2-core x86 VM, OpenBLAS
+# handed complex products of 67k-81k multiply-adds and more to its worker
+# threads, which stall for milliseconds when the other cores are busy, so
+# larger tag codebooks (128 words at l >= 16) are projected in column chunks
+_PROJECTION_MACS = 60_000
+
 
 @dataclass
 class PilotFreeResult:
@@ -174,6 +180,20 @@ def _candidate_fits(ops, u_cols, u_ones, big_l, reg):
     return f_str - energy, gam_str, f_sr, gam_sr
 
 
+def _tag_projections(y, tag: TagCodebook) -> np.ndarray:
+    """Y^T x for every tag word x, as the columns of a (k, |X|) array.
+
+    Computed in column chunks of at most ``_PROJECTION_MACS`` multiply-adds;
+    a codebook that fits in one chunk takes a single product.
+    """
+    words_t = tag.words.T.astype(np.complex128)     # words are real
+    big_l, k = y.shape
+    chunk = max(1, _PROJECTION_MACS // (big_l * k))
+    parts = [y.T @ words_t[:, i:i + chunk] for i in range(0, words_t.shape[1], chunk)]
+    # one chunk skips the copy, about 2 us of a small pilot-free decode
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+
 def _frame_dims(y: np.ndarray, source: SourceCodebook, tag: TagCodebook) -> int:
     if len(source) < 1 or len(tag) < 1:
         raise EmptyCodebookError("both codebooks must be nonempty")
@@ -231,7 +251,7 @@ def decode_joint(y, source: SourceCodebook, tag: TagCodebook,
     big_l = y.shape[0]
     ops = _source_ops(source, q, big_l, reg)
 
-    u_cols = y.T @ tag.words.T.astype(np.complex128)  # (k, |X|); words are real
+    u_cols = _tag_projections(y, tag)
     u_ones = y.sum(axis=0)
 
     f_str, gam_str, f_sr, gam_sr = _candidate_fits(ops, u_cols, u_ones, big_l, reg)
@@ -263,7 +283,7 @@ def decode_disjoint(y, source: SourceCodebook, tag: TagCodebook,
     big_l = y.shape[0]
     ops = _source_ops(source, q, big_l, reg)
 
-    u_cols = y.T @ tag.words.T.astype(np.complex128)
+    u_cols = _tag_projections(y, tag)
     energies = np.sum(np.abs(u_cols) ** 2, axis=0)
     xi_idx = int(np.argmax(energies))
     u_x = u_cols[:, xi_idx:xi_idx + 1]

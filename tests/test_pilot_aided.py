@@ -25,8 +25,15 @@ from radartag import (
 )
 from radartag import pilot_aided
 from radartag.channel import conv_matrix_from_code, conv_matrix_from_channel
-from radartag.pilot_aided import _binary_candidates, _objective
-from radartag.solvers import pinv_apply
+from radartag.pilot_aided import (
+    _binary_candidates,
+    _objective,
+    _pilot_pinvs,
+    _slice_pm1,
+    _tag_filter,
+    _with_pilot,
+)
+from radartag.solvers import fista_stacked, pinv_apply
 
 REG0 = RegularizationConfig(kind="l2", lambda_str=0.0, lambda_sr=0.0,
                             lambda_c=0.0, lambda_x=0.0)
@@ -395,13 +402,13 @@ class TestDecodeIterative:
         y, *_ = _frame(layout, rng, sigma_str2=0.3, noise=1.0)
         start = np.random.default_rng(30)
         calls = []
-        update = pilot_aided.iterative_channel_update
+        update = pilot_aided._channel_fit
 
         def counted(*args):
             calls.append(args)
             return update(*args)
 
-        monkeypatch.setattr(pilot_aided, "iterative_channel_update", counted)
+        monkeypatch.setattr(pilot_aided, "_channel_fit", counted)
         res = decode_iterative(y, layout, reg, mode=mode,
                                init_data=_random_start(layout, start))
         assert res.iters >= 2
@@ -552,3 +559,270 @@ def test_noiseless_layouts_decode_exactly(gold, seed, word, n_data, l_data, l_pi
                 exhaustive_search(y, layout, REG0)):
         assert np.array_equal(res.c_data_hat, c_data)
         assert np.array_equal(res.x_data_hat, x_data)
+
+
+# --- bit-identity oracle -------------------------------------------------------
+# The pilot-aided decoders as they were before they ran on per-frame state:
+# every sweep called the public, self-validating block updates, the joint
+# channel Gram came from np.block, each channel's Toeplitz matrix had its own
+# builder call, and the non-iterative chain took two validating
+# pseudoinverses.  The decoders must reproduce these floats exactly.
+
+def _reference_pulse_shapes(c_full, q, g_str, g_sr):
+    xi = conv_matrix_from_code(c_full, q)
+    return tuple((xi @ np.asarray(g, dtype=np.complex128)[..., None])[..., 0]
+                 for g in (g_str, g_sr))
+
+
+def _reference_channel_fit(y, xi, x, reg):
+    m = xi.shape[-1]
+    xi_h = np.conj(xi).swapaxes(-1, -2)
+    gram0 = xi_h @ xi
+    sxx = np.sum(np.abs(x) ** 2, axis=-1)[..., None, None]
+    sx1 = np.sum(np.conj(x), axis=-1)[..., None, None]
+    sensing = np.block([[sxx * gram0, sx1 * gram0],
+                        [np.conj(sx1) * gram0, y.shape[0] * gram0]])
+    weights = np.repeat([reg.lambda_str, reg.lambda_sr], m)
+    rhs = np.concatenate([xi_h @ (y.T @ np.conj(x)[..., None]),
+                          xi_h @ y.sum(axis=0)[:, None]], axis=-2)
+    solution = np.linalg.solve(sensing + np.diag(weights), rhs)
+    if reg.kind == "l1":
+        lips = np.linalg.eigvalsh(sensing)[..., -1]
+        bnorm2 = [[float(np.sum(np.abs(y) ** 2))]]
+        for idx in np.ndindex(lips.shape):
+            solution[idx] = fista_stacked(sensing[idx][None], rhs[idx][None], bnorm2,
+                                          lips[idx][None], weights, reg,
+                                          solution[idx][None]).gamma[0]
+    solution = solution[..., 0]
+    return solution[..., :m], solution[..., m:]
+
+
+def _reference_channel_update(y, c, x, reg):
+    assert np.all(np.isfinite(y))
+    return _reference_channel_fit(y, conv_matrix_from_code(c, y.shape[1] - c.size), x, reg)
+
+
+def _reference_source_form(y, x, c_pilot, g_str, g_sr, n_d):
+    c_pilot = np.asarray(c_pilot, dtype=np.complex128)
+    g1_p, g1_d = conv_matrix_from_channel(g_str, c_pilot.size, n_d)
+    g2_p, g2_d = conv_matrix_from_channel(g_sr, c_pilot.size, n_d)
+    big_l = y.shape[0]
+    resid = (y - np.outer(x, g1_p @ c_pilot)
+             - np.outer(np.ones(big_l), g2_p @ c_pilot))
+    sxx = float(np.sum(np.abs(x) ** 2))
+    sx1 = np.sum(np.conj(x))
+    g1_h, g2_h = g1_d.conj().T, g2_d.conj().T
+    gram = (sxx * (g1_h @ g1_d) + sx1 * (g1_h @ g2_d)
+            + np.conj(sx1) * (g2_h @ g1_d) + big_l * (g2_h @ g2_d))
+    rhs = g1_h @ (resid.T @ np.conj(x)) + g2_h @ resid.sum(axis=0)
+    return gram, rhs
+
+
+def _reference_source_discrete(y, x, c_pilot, g_str, g_sr):
+    n_d = (y.shape[1] - np.size(g_str) + 1) - np.size(c_pilot)
+    if n_d == 0:
+        return np.zeros(0, dtype=np.int64)
+    gram, rhs = _reference_source_form(y, x, c_pilot, g_str, g_sr, n_d)
+    cands = _binary_candidates(n_d)
+    metric = (np.einsum("bi,ij,bj->b", cands, gram.real, cands)
+              - 2.0 * (cands @ rhs.real))
+    return cands[int(np.argmin(metric))].copy()
+
+
+def _reference_tag_discrete(y, c, x_pilot, g_str, g_sr):
+    a_str, a_sr = _reference_pulse_shapes(c, np.size(g_str) - 1, g_str, g_sr)
+    return _slice_pm1(np.real(_tag_filter(y[np.size(x_pilot):], a_str, a_sr)))
+
+
+def _reference_relaxed(y, layout, x_data, g_str, g_sr, lambda_c, lambda_x):
+    q = y.shape[1] - layout.n
+    n_d, l_p, l_d = layout.n_data, layout.x_pilot.size, layout.l_data
+    if n_d > 0:
+        gram, rhs = _reference_source_form(y, _with_pilot(layout.x_pilot, x_data),
+                                           layout.c_pilot, g_str, g_sr, n_d)
+        gram = gram + lambda_c * np.eye(n_d)
+        c_data_new = np.linalg.solve(gram, rhs)
+    else:
+        c_data_new = np.zeros(0, dtype=np.complex128)
+    a_str, a_sr = _reference_pulse_shapes(_with_pilot(layout.c_pilot, c_data_new), q,
+                                          g_str, g_sr)
+    denom = lambda_x + float(np.sum(np.abs(a_str) ** 2))
+    if denom == 0.0:
+        x_data_new = np.zeros(l_d, dtype=np.complex128)
+    else:
+        x_data_new = _tag_filter(y[l_p:], a_str, a_sr) / denom
+    return c_data_new, x_data_new
+
+
+def _reference_objective(y, c_full, x_full, g_str, g_sr, reg, lambda_c=0.0, lambda_x=0.0,
+                         c_data=None, x_data=None):
+    a_str, a_sr = _reference_pulse_shapes(c_full, y.shape[1] - c_full.shape[-1],
+                                          g_str, g_sr)
+    model = x_full[..., :, None] * a_str[..., None, :] + a_sr[..., None, :]
+    value = np.sum(np.abs(y - model) ** 2, axis=(-2, -1))
+    power = 2 if reg.kind == "l2" else 1
+    value = value + reg.lambda_str * np.sum(np.abs(g_str) ** power, axis=-1)
+    value = value + reg.lambda_sr * np.sum(np.abs(g_sr) ** power, axis=-1)
+    for lam, data in ((lambda_c, c_data), (lambda_x, x_data)):
+        if data is not None:
+            value = value + lam * np.sum(np.abs(data) ** 2, axis=-1)
+    return value
+
+
+def _reference_decode_noniterative(y, layout):
+    q = y.shape[1] - layout.n
+    n_p, n_d = layout.c_pilot.size, layout.n_data
+    l_p, l_d = layout.x_pilot.size, layout.l_data
+    basis_pinv, xi_pilot_pinv = _pilot_pinvs(layout.x_pilot.tobytes(),
+                                             layout.c_pilot.tobytes(), q)
+    shapes = basis_pinv @ y[:l_p]
+    alpha_str, alpha_sr = shapes[0], shapes[1]
+    gammas = xi_pilot_pinv @ np.stack([alpha_str[:n_p], alpha_sr[:n_p]], axis=1)
+    g_str, g_sr = gammas[:, 0], gammas[:, 1]
+    if n_d > 0:
+        g1_p, g1_d = conv_matrix_from_channel(g_str, n_p, n_d)
+        g2_p, g2_d = conv_matrix_from_channel(g_sr, n_p, n_d)
+        c_pilot = layout.c_pilot.astype(np.complex128)
+        c_cont = 0.5 * (pinv_apply(g1_d, alpha_str - g1_p @ c_pilot)
+                        + pinv_apply(g2_d, alpha_sr - g2_p @ c_pilot))
+        c_data = _slice_pm1(c_cont)
+    else:
+        c_data = np.zeros(0, dtype=np.int64)
+    degenerate = False
+    denom = float(np.sum(np.abs(alpha_str) ** 2))
+    if denom == 0.0:
+        degenerate = True
+        x_data = np.ones(l_d, dtype=np.int64)
+    else:
+        x_data = _slice_pm1(_tag_filter(y[l_p:], alpha_str, alpha_sr) / denom)
+    return pilot_aided.PilotAidedResult(c_data_hat=c_data, x_data_hat=x_data,
+                                        g_str_hat=g_str, g_sr_hat=g_sr,
+                                        objective_trace=[], iters=0, converged=True,
+                                        degenerate=degenerate)
+
+
+def _reference_decode_iterative(y, layout, reg, mode, init_data=None):
+    q = y.shape[1] - layout.n
+    relaxed = mode == "relaxed"
+    lambda_c = float(reg.lambda_c) if relaxed else 0.0
+    lambda_x = float(reg.lambda_x) if relaxed else 0.0
+    if init_data is None:
+        start = _reference_decode_noniterative(y, layout)
+        init_data = (start.c_data_hat, start.x_data_hat)
+    c = _with_pilot(layout.c_pilot, init_data[0])
+    x = _with_pilot(layout.x_pilot, init_data[1])
+    n_p, l_p = layout.c_pilot.size, layout.x_pilot.size
+    c_data, x_data = c[n_p:], x[l_p:]
+    penalized = {"c_data": c_data, "x_data": x_data} if relaxed else {}
+
+    def score(gs, gr):
+        return _reference_objective(y, c, x, gs, gr, reg, lambda_c, lambda_x, **penalized)
+
+    g_str, g_sr = _reference_channel_update(y, c, x, reg)
+    trace = [score(g_str, g_sr)]
+    zero_floor = (np.finfo(float).eps * float(np.sum(np.abs(y) ** 2))) ** 2
+    converged = False
+    iters = 0
+    for iters in range(1, pilot_aided.MAX_SWEEPS + 1):
+        if iters > 1:
+            g_new = _reference_channel_update(y, c, x, reg)
+            if reg.kind == "l1" and score(*g_new) > trace[-1]:
+                g_new = g_str, g_sr
+            g_str, g_sr = g_new
+        if relaxed:
+            c[n_p:], x[l_p:] = _reference_relaxed(y, layout, x_data, g_str, g_sr,
+                                                  lambda_c, lambda_x)
+        else:
+            c[n_p:] = _reference_source_discrete(y, x, layout.c_pilot, g_str, g_sr)
+            x[l_p:] = _reference_tag_discrete(y, c, layout.x_pilot, g_str, g_sr)
+        trace.append(score(g_str, g_sr))
+        delta = abs(trace[-1] - trace[-2])
+        if delta < pilot_aided.REL_TOL * abs(trace[-2]) or delta <= zero_floor:
+            converged = True
+            break
+    a_str = _reference_pulse_shapes(c, q, g_str, g_sr)[0]
+    return pilot_aided.PilotAidedResult(
+        c_data_hat=_slice_pm1(c_data), x_data_hat=_slice_pm1(x_data),
+        g_str_hat=g_str, g_sr_hat=g_sr,
+        objective_trace=trace, iters=iters, converged=converged,
+        degenerate=float(np.linalg.norm(a_str)) == 0.0,
+    )
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.float64)
+
+
+def _assert_same_bits(got, want):
+    assert got.objective_trace == want.objective_trace
+    assert (got.iters, got.converged, got.degenerate) == (
+        want.iters, want.converged, want.degenerate)
+    for a, b in ((got.g_str_hat, want.g_str_hat), (got.g_sr_hat, want.g_sr_hat)):
+        assert np.array_equal(_bits(a), _bits(b))
+    assert np.array_equal(got.c_data_hat, want.c_data_hat)
+    assert np.array_equal(got.x_data_hat, want.x_data_hat)
+    assert got.c_data_hat.dtype == want.c_data_hat.dtype
+    assert got.x_data_hat.dtype == want.x_data_hat.dtype
+
+
+# (regularization, frames, layout (n_pilot, n_data, l_pilot, l_data), zero
+# backscatter channel); every case runs both modes from the default start and
+# from a random one, 330 frames in all
+_ORACLE_CASES = {
+    "l2": (REG, 60, (3, 4, 2, 8), False),
+    "l2_zero_penalty": (REG0, 15, (3, 4, 2, 8), False),
+    "l1": (REG_L1, 10, (3, 4, 2, 8), False),
+    "no_source_data": (REG, 15, (31, 0, 2, 8), False),
+    "no_tag_data": (REG, 15, (27, 4, 10, 0), False),
+    "long_pilots": (REG, 10, (27, 4, 6, 4), False),
+    "zero_backscatter": (REG, 15, (3, 4, 2, 8), True),
+}
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_decoders_match_the_per_call_reference_bit_for_bit(gold, case):
+    reg, frames, (n_pilot, n_data, l_pilot, l_data), zero_str = _ORACLE_CASES[case]
+    rng = np.random.default_rng(list(_ORACLE_CASES).index(case) + 500)
+    for _ in range(frames):
+        layout = _layout(gold, rng, n_pilot=n_pilot, n_data=n_data,
+                         l_pilot=l_pilot, l_data=l_data)
+        y, *_ = _frame(layout, rng, sigma_str2=0.0 if zero_str else 10 ** rng.uniform(-2, 0),
+                       sigma_sr2=10 ** rng.uniform(-1, 0.5), noise=0.0 if zero_str else 1.0)
+        start = _random_start(layout, rng)
+        # a noiseless frame without backscatter, then the all-zero frame, whose
+        # fitted backscatter channel is exactly zero: the degenerate exits
+        for frame in ([y, np.zeros_like(y)] if zero_str else [y]):
+            noniter = decode_noniterative(frame, layout)
+            _assert_same_bits(noniter, _reference_decode_noniterative(frame, layout))
+            for mode in ("discrete", "relaxed"):
+                for init_data in (None, start):
+                    res = decode_iterative(frame, layout, reg, mode=mode, init_data=init_data)
+                    _assert_same_bits(res, _reference_decode_iterative(frame, layout, reg,
+                                                                       mode, init_data))
+            if zero_str and not frame.any():
+                assert noniter.degenerate and res.degenerate
+
+
+@pytest.mark.parametrize("reg", [REG, REG_L1], ids=["l2", "l1"])
+def test_exhaustive_search_matches_the_reference_channel_fit(gold, reg):
+    rng = np.random.default_rng(540)
+    for _ in range(3):
+        layout = _layout(gold, rng, n_pilot=27, n_data=4, l_pilot=6, l_data=4)
+        y, *_ = _frame(layout, rng, sigma_str2=0.3, noise=1.0)
+        res = exhaustive_search(y, layout, reg)
+        c_words = _with_pilot(layout.c_pilot, _binary_candidates(4))
+        x_words = _with_pilot(layout.x_pilot, _binary_candidates(4))
+        best = None
+        for start in range(0, 256, pilot_aided._SEARCH_CHUNK):
+            ci, ti = np.divmod(np.arange(start, min(start + pilot_aided._SEARCH_CHUNK, 256)), 16)
+            gs, gr = _reference_channel_fit(y, conv_matrix_from_code(c_words[ci], 2),
+                                            x_words[ti], reg)
+            values = _reference_objective(y, c_words[ci], x_words[ti], gs, gr, reg)
+            i = int(np.argmin(values))
+            if best is None or values[i] < best[0]:
+                best = (values[i], ci[i], ti[i], gs[i], gr[i])
+        assert res.objective_trace == [best[0]]
+        assert np.array_equal(res.c_data_hat, _binary_candidates(4)[best[1]])
+        assert np.array_equal(res.x_data_hat, _binary_candidates(4)[best[2]])
+        assert np.array_equal(_bits(res.g_str_hat), _bits(best[3]))
+        assert np.array_equal(_bits(res.g_sr_hat), _bits(best[4]))

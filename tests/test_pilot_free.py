@@ -409,6 +409,33 @@ class TestStackedQuadraticForm:
         assert np.linalg.norm(res.g_sr_hat - gr) <= 1e-9 * max(np.linalg.norm(gr), 1.0)
 
 
+@pytest.mark.parametrize("l", [16, 18])
+def test_chunked_tag_projections_match_one_product(monkeypatch, l):
+    # 128 tags, the harness's largest codebook, take two column chunks at k = 33
+    n_tags = 128
+    rng = np.random.default_rng(l)
+    pool = gen_tag_codebook(l).words
+    tag = TagCodebook(l=l, words=pool[np.sort(rng.choice(len(pool), n_tags, replace=False))])
+    source = SourceCodebook(n=31, words=gen_gold(5).words[:16])
+    reg = RegularizationConfig(kind="l2", lambda_str=0.1, lambda_sr=0.1)
+    assert n_tags * l * 33 > pilot_free._PROJECTION_MACS
+    frames = []
+    for _ in range(500):
+        g_str, g_sr = _draw_channels(rng, sigma2=10 ** rng.uniform(-2, 0))
+        frames.append(synthesize_frame(source.words[rng.integers(16)],
+                                       tag.words[rng.integers(n_tags)], g_str, g_sr, 1.0, rng))
+    decoders = (pilot_free.decode_joint, pilot_free.decode_disjoint)
+    chunked = [[decode(y, source, tag, reg) for decode in decoders] for y in frames]
+    monkeypatch.setattr(pilot_free, "_PROJECTION_MACS", 10 ** 9)
+    for y, results in zip(frames, chunked):
+        for decode, got in zip(decoders, results):
+            want = decode(y, source, tag, reg)
+            assert (got.c_index, got.x_index, got.metric) == (
+                want.c_index, want.x_index, want.metric)
+            assert np.array_equal(got.g_str_hat, want.g_str_hat)
+            assert np.array_equal(got.g_sr_hat, want.g_sr_hat)
+
+
 class TestNonFiniteFrames:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     def test_every_decoder_rejects(self, books, bad):
