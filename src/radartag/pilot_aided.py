@@ -299,7 +299,7 @@ def _channel_fit(frame: _Frame, xi, x, reg: RegularizationConfig):
         bnorm2 = [[float((np.abs(frame.y) ** 2).sum())]]
         for idx in np.ndindex(lips.shape):
             solution[idx] = fista_stacked(sensing[idx][None], rhs[idx][None], bnorm2,
-                                          lips[idx][None], frame.weights, reg,
+                                          lips[idx][None], frame.weights[:, None], reg,
                                           solution[idx][None]).gamma[0]
     solution = solution[..., 0]
     return solution[..., :m], solution[..., m:]
@@ -437,15 +437,6 @@ def _objective_at(y, x_full, a_str, a_sr, g_str, g_sr, reg: RegularizationConfig
         if data is not None:
             value = value + lam * (np.abs(data) ** 2).sum(axis=-1)
     return value
-
-
-def _objective(y, c_full, x_full, g_str, g_sr, reg: RegularizationConfig,
-               lambda_c: float = 0.0, lambda_x: float = 0.0,
-               c_data=None, x_data=None):
-    """Penalized residual energy of the frame model at codewords (c, x)."""
-    xi = conv_matrix_from_code(c_full, y.shape[1] - c_full.shape[-1])
-    return _objective_at(y, x_full, *_pulse_shapes(xi, g_str, g_sr), g_str, g_sr, reg,
-                         lambda_c, lambda_x, c_data, x_data)
 
 
 def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,

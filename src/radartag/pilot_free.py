@@ -75,16 +75,16 @@ def _cached_xi_stack(words_bytes: bytes, m: int, n: int, q: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _cached_source_ops(words_bytes: bytes, m: int, n: int, q: int, big_l: int,
-                       lam_str: float, lam_sr: float):
+                       lam_str: float, lam_sr: float, l1: bool):
     """Stacked operators of a source codebook: (xis, block, grams, lips).
 
     ``block[c]`` is [Xi_c^H; Op_str; Op_sr], shape (3(q+1), n+q), with the
     ridge solve operators Op = (L Xi_c^H Xi_c + lam I)^{-1} Xi_c^H.  One
     matmul of the block against slow-time projections gives every
     codeword's Xi^H u and both ridge channel estimates, so it is built once
-    per (codebook, q, L, lambdas).  ``xis`` is the shared Xi stack, ``grams``
-    the (Mc, q+1, q+1) stack L Xi^H Xi and ``lips`` their largest
-    eigenvalues.
+    per (codebook, q, L, lambdas, penalty).  ``xis`` is the shared Xi stack,
+    ``grams`` the (Mc, q+1, q+1) stack L Xi^H Xi and ``lips`` their largest
+    eigenvalues, which only the l1 fits read (None for l2).
     """
     xis = _cached_xi_stack(words_bytes, m, n, q)
     xi_h = xis.conj().transpose(0, 2, 1)
@@ -99,9 +99,12 @@ def _cached_source_ops(words_bytes: bytes, m: int, n: int, q: int, big_l: int,
             "convolution matrices"
         ) from exc
     block = np.concatenate([xi_h, ops_str, ops_sr], axis=1)
+    block.setflags(write=False)
+    grams.setflags(write=False)
+    if not l1:
+        return xis, block, grams, None
     lips = np.array([_power_iteration_largest(gram) for gram in grams])
-    for arr in (block, grams, lips):
-        arr.setflags(write=False)
+    lips.setflags(write=False)
     return xis, block, grams, lips
 
 
@@ -112,7 +115,7 @@ def _words_key(source: SourceCodebook) -> tuple[bytes, int, int]:
 
 def _source_ops(source: SourceCodebook, q: int, big_l: int, reg: RegularizationConfig):
     return _cached_source_ops(*_words_key(source), q, big_l,
-                              float(reg.lambda_str), float(reg.lambda_sr))
+                              float(reg.lambda_str), float(reg.lambda_sr), reg.kind == "l1")
 
 
 def _reference_fit(xi, op, gram, lipschitz, u, lam, big_l, reg):
@@ -151,15 +154,17 @@ def _candidate_fits(ops, u_cols, u_ones, big_l, reg):
     [u_cols, u_ones] gives Xi^H u and the ridge estimates of every
     codeword.  With l2 those estimates are the minimizers and a fit is
     ||u||^2/L - Re(u^H Xi Op u); with l1 they warm-start one stacked FISTA
-    run per family.
+    run over all r + 1 columns, in which the direct fit is its own stop
+    family with its own weight.
     """
     xis, block, grams, lips = ops
     q1 = block.shape[1] // 3
     r = u_cols.shape[1]
+    u_all = np.column_stack([u_cols, u_ones])
     # stacked, each BLAS call is one codeword in size; one 2-D product of the
     # whole block is big enough for OpenBLAS to use worker threads, which
     # stall for milliseconds when the other cores are busy
-    prod = block @ np.column_stack([u_cols, u_ones])
+    prod = block @ u_all
     atb = prod[:, :q1]
     gam_str = prod[:, q1:2 * q1, :r]
     gam_sr = prod[:, 2 * q1:, r]
@@ -169,15 +174,14 @@ def _candidate_fits(ops, u_cols, u_ones, big_l, reg):
                 - np.einsum("ci,ci->c", atb[:, :, r].conj(), gam_sr).real)
         return f_str, gam_str, f_sr, gam_sr
 
-    mc = block.shape[0]
-    energy = np.sum(np.abs(u_cols) ** 2, axis=0) / big_l
-    gam_str = fista_stacked(grams, atb[:, :, :r], np.broadcast_to(energy, (mc, r)),
-                            lips, reg.lambda_str, reg, gam_str).gamma
-    bn1 = np.full((mc, 1), float(np.sum(np.abs(u_ones) ** 2)) / big_l)
-    gam_sr = fista_stacked(grams, atb[:, :, r:], bn1, lips, reg.lambda_sr, reg,
-                           gam_sr[:, :, None]).gamma[:, :, 0]
+    energy = np.sum(np.abs(u_all) ** 2, axis=0) / big_l
+    lam = np.repeat([reg.lambda_str, reg.lambda_sr], [r, 1])
+    warm = np.concatenate([gam_str, gam_sr[:, :, None]], axis=2)
+    gam = fista_stacked(grams, atb, np.broadcast_to(energy, (block.shape[0], r + 1)), lips,
+                        lam, reg, warm, families=np.repeat([0, 1], [r, 1])).gamma
+    gam_str, gam_sr = gam[:, :, :r], gam[:, :, r]
     f_str, f_sr = _residual_fits(xis, u_cols, u_ones, gam_str, gam_sr, big_l, reg)
-    return f_str - energy, gam_str, f_sr, gam_sr
+    return f_str - energy[:r], gam_str, f_sr, gam_sr
 
 
 def _tag_projections(y, tag: TagCodebook) -> np.ndarray:

@@ -5,8 +5,11 @@ these four primitives: ridge (Tikhonov) solves, complex LASSO via FISTA,
 pseudoinverse application, and numerical rank.
 
 There is one FISTA loop, :func:`fista_stacked`, which iterates a stack of
-normal-equation LASSO problems; :func:`fista_precomputed` and
-:func:`lasso_solve` are its single-problem entry points.  Callers choose the
+normal-equation LASSO problems with one Gram product per iteration; its
+columns may form several stop families, each stopping and freezing on its
+own, so unrelated problem families can share one call.
+:func:`fista_precomputed` and :func:`lasso_solve` are its single-problem
+entry points.  Callers choose the
 step: ``lasso_solve`` and the pilot-aided channel fit take the exact largest
 eigenvalue of the Gram matrix, while the pilot-free fits keep
 :func:`_power_iteration_largest`, which can stop short of it, because the
@@ -78,12 +81,13 @@ class LassoSolution:
     """FISTA output: the minimizer plus convergence bookkeeping.
 
     ``objective`` is ||A g - b||^2 + sum_i lam_i |g_i| at ``gamma``, one
-    value per right-hand side (and per family of a stacked solve).
+    value per right-hand side (and per Gram of a stacked solve).  A stacked
+    solve reports ``converged`` and ``iterations`` per stop family.
     """
 
     gamma: np.ndarray
-    converged: bool
-    iterations: int
+    converged: bool | np.ndarray
+    iterations: int | np.ndarray
     objective: float | np.ndarray
 
 
@@ -152,60 +156,85 @@ def _power_iteration_largest(gram: np.ndarray, iters: int = 50, rtol: float = 1e
 
 
 def fista_stacked(grams, atbs, bnorm2s, lipschitzes, lam,
-                  cfg: RegularizationConfig, x0: np.ndarray) -> LassoSolution:
-    """FISTA on the normal-equation form of a stack of LASSO problem families.
+                  cfg: RegularizationConfig, x0: np.ndarray,
+                  families=None) -> LassoSolution:
+    """FISTA on the normal-equation form of a stack of LASSO problems.
 
     Solves min_x ||A x - b||^2 + sum_i lam_i |x_i| given only gram = A^H A,
     atb = A^H b, bnorm2 = ||b||^2 and a step constant L (the 1/L step needs
-    L >= the largest eigenvalue of gram) for s problem families iterated in
+    L >= the largest eigenvalue of gram) for s Gram matrices iterated in
     lockstep: ``grams`` is (s, n, n), ``atbs``/``x0`` are (s, n, r),
-    ``bnorm2s`` is (s, r) and ``lipschitzes`` (s,), each family with r
-    right-hand sides.  The joint stop rule waits until every column's
-    relative objective change falls below ``cfg.fista_tol``.  The best
-    iterate seen is kept per column, so the returned objective (s, r) never
-    exceeds the starting one; ``gamma`` is (s, n, r).  This is the one FISTA
-    loop: :func:`fista_precomputed` and :func:`lasso_solve` are its s = 1 case.
+    ``bnorm2s`` is (s, r) and ``lipschitzes`` (s,), each Gram with r
+    right-hand sides.  ``lam`` broadcasts to (n, r), so each column may
+    carry its own weights.
+
+    ``families`` labels each of the r columns with a stop family 0..F-1
+    (default: one family).  A family stops when every one of its columns
+    has a relative objective change below ``cfg.fista_tol`` in the same
+    iteration, over all s Grams; from then on its columns are frozen, so a
+    family stops at the iteration it would stop at alone (its products may
+    round differently, since BLAS picks kernels by column count).  The loop
+    ends when every family has stopped.  ``iterations`` and ``converged`` are (F,) arrays,
+    one entry per family.  The best iterate seen is kept per column, so the
+    returned objective (s, r) never exceeds the starting one; ``gamma`` is
+    (s, n, r).
+
+    Each iteration takes one Gram product, G x: the next gradient's G z is
+    G x_new + beta (G x_new - G x), and the objective is
+    Re x^H (G x - 2 A^H b) + ||b||^2 + sum_i lam_i |x_i|.  This is the one
+    FISTA loop: :func:`fista_precomputed` and :func:`lasso_solve` are its
+    s = 1 case.
     """
     grams = np.asarray(grams, dtype=np.complex128)
     atbs = np.asarray(atbs, dtype=np.complex128)
     s, n, r = atbs.shape
-    lam = np.asarray(lam, dtype=float)
-    if lam.ndim == 0:
-        lam = np.full(n, float(lam))
+    lam = np.broadcast_to(np.asarray(lam, dtype=float), (n, r))
     bnorm2s = np.asarray(bnorm2s, dtype=float).reshape(s, r)
-    steps = 1.0 / np.maximum(np.asarray(lipschitzes, dtype=float), 1e-30)
-    thresh = lam[None, :, None] * (steps[:, None, None] / 2.0)
+    steps = (1.0 / np.maximum(np.asarray(lipschitzes, dtype=float), 1e-30))[:, None, None]
+    thresh = lam * (steps / 2.0)
+    labels = np.zeros(r, dtype=np.intp) if families is None else np.asarray(families)
+    n_fam = int(labels.max(initial=0)) + 1
+    atbs2 = 2.0 * atbs
 
-    def objective(x):
-        gx = grams @ x
-        quad = np.real(np.einsum("sij,sij->sj", x.conj(), gx))
-        cross = np.real(np.einsum("sij,sij->sj", x.conj(), atbs))
-        return quad - 2.0 * cross + bnorm2s + np.einsum("i,sij->sj", lam, np.abs(x))
+    def objective(x, gx):
+        return (np.einsum("sij,sij->sj", x.conj(), gx - atbs2).real + bnorm2s
+                + np.einsum("ij,sij->sj", lam, np.abs(x)))
 
-    x = np.array(x0, dtype=np.complex128).reshape(s, n, r).copy()
-    z = x.copy()
+    x = np.array(x0, dtype=np.complex128).reshape(s, n, r)
+    gx = grams @ x
+    z, gz = x, gx
     t = 1.0
-    obj = objective(x)
+    obj = objective(x, gx)
     best_obj = obj.copy()
     best_x = x.copy()
-    converged = False
-    it = 0
+    stopped = np.zeros(n_fam, dtype=bool)
+    iterations = np.full(n_fam, cfg.fista_max_iter)
+    frozen = None
     for it in range(1, cfg.fista_max_iter + 1):
-        grad = grams @ z - atbs  # gradient of (1/2)||A z - b||^2
-        x_new = soft_threshold(z - steps[:, None, None] * grad, thresh)
+        # gz - atbs is the gradient of (1/2)||A z - b||^2
+        x_new = soft_threshold(z - steps * (gz - atbs), thresh)
+        if frozen is not None:
+            np.copyto(x_new, x, where=frozen)
+        gx_new = grams @ x_new
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        z = x_new + ((t - 1.0) / t_new) * (x_new - x)
-        x, t = x_new, t_new
-        obj_new = objective(x)
+        beta = (t - 1.0) / t_new
+        z = x_new + beta * (x_new - x)
+        gz = gx_new + beta * (gx_new - gx)
+        x, gx, t = x_new, gx_new, t_new
+        obj_new = objective(x, gx)
         better = obj_new < best_obj
         np.copyto(best_obj, obj_new, where=better)
         np.copyto(best_x, x, where=better[:, None, :])
         rel = np.abs(obj_new - obj) / np.maximum(np.abs(obj), 1e-30)
         obj = obj_new
-        if np.all(rel < cfg.fista_tol):
-            converged = True
-            break
-    return LassoSolution(gamma=best_x, converged=converged, iterations=it,
+        done = np.bincount(labels, ~np.all(rel < cfg.fista_tol, axis=0), n_fam) == 0
+        if done.any():
+            iterations[done & ~stopped] = it
+            stopped |= done
+            if stopped.all():
+                break
+            frozen = stopped[labels]
+    return LassoSolution(gamma=best_x, converged=stopped, iterations=iterations,
                          objective=best_obj)
 
 
@@ -229,10 +258,11 @@ def fista_precomputed(gram, atb, bnorm2, lipschitz, lam, cfg: RegularizationConf
         raise ValueError("lam must be a nonnegative scalar or length-n vector")
     x0 = np.zeros((n, r)) if x0 is None else x0
     sol = fista_stacked(np.asarray(gram)[None], atb[None], np.reshape(bnorm2, (1, r)),
-                        [lipschitz], lam, cfg, np.reshape(x0, (1, n, r)))
+                        [lipschitz], lam[:, None], cfg, np.reshape(x0, (1, n, r)))
     gamma, objective = sol.gamma[0], sol.objective[0]
-    return LassoSolution(gamma=gamma[:, 0] if single else gamma, converged=sol.converged,
-                         iterations=sol.iterations,
+    return LassoSolution(gamma=gamma[:, 0] if single else gamma,
+                         converged=bool(sol.converged[0]),
+                         iterations=int(sol.iterations[0]),
                          objective=float(objective[0]) if single else objective)
 
 

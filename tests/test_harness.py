@@ -457,7 +457,7 @@ _RECORDED_ROWS = {
         "pilot_free_joint,snr_sr,0,-5,0,0,0.4166666667,0.9428885189,0.3274120417,0,6,2026",
         "pilot_free_joint,snr_sr,10,5,10,0,0,0.1948231603,0.1106348928,0,6,2026"],
     ("pilot_free_joint", "l1"): [
-        "pilot_free_joint,snr_sr,0,-5,0,0,0.4166666667,0.938946845,0.3268754668,0,6,2026",
+        "pilot_free_joint,snr_sr,0,-5,0,0,0.4166666667,0.9389468451,0.3268754662,0,6,2026",
         "pilot_free_joint,snr_sr,10,5,10,0,0,0.1947169288,0.1104990958,0,6,2026"],
 }
 

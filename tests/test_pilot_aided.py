@@ -27,8 +27,9 @@ from radartag import pilot_aided
 from radartag.channel import conv_matrix_from_code, conv_matrix_from_channel
 from radartag.pilot_aided import (
     _binary_candidates,
-    _objective,
+    _objective_at,
     _pilot_pinvs,
+    _pulse_shapes,
     _slice_pm1,
     _tag_filter,
     _with_pilot,
@@ -245,9 +246,12 @@ class TestDiscreteDataUpdates:
         got = source_data_update_discrete(y, x, layout.c_pilot,
                                           g_str, g_sr)
         cands = _binary_candidates(n_data)
-        scores = [_objective(y, np.concatenate([layout.c_pilot, cand]).astype(complex),
-                             x.astype(complex), g_str, g_sr, REG0)
-                  for cand in cands]
+        scores = []
+        for cand in cands:
+            c = np.concatenate([layout.c_pilot, cand]).astype(complex)
+            xi = conv_matrix_from_code(c, y.shape[1] - c.size)
+            scores.append(_objective_at(y, x.astype(complex), *_pulse_shapes(xi, g_str, g_sr),
+                                        g_str, g_sr, REG0))
         assert np.array_equal(got, cands[int(np.argmin(scores))])
 
     def test_source_update_budget(self, gold):
@@ -475,7 +479,8 @@ class TestExhaustiveSearch:
                 c = np.concatenate([layout.c_pilot, c_cand]).astype(complex)
                 x = np.concatenate([layout.x_pilot, x_cand]).astype(complex)
                 gs, gr = iterative_channel_update(y, c, x, reg)
-                val = _objective(y, c, x, gs, gr, reg)
+                xi = conv_matrix_from_code(c, y.shape[1] - c.size)
+                val = _objective_at(y, x, *_pulse_shapes(xi, gs, gr), gs, gr, reg)
                 if best is None or val < best[0]:
                     best = (val, c_cand, x_cand, gs, gr)
         assert np.array_equal(res.c_data_hat, best[1])
@@ -591,7 +596,7 @@ def _reference_channel_fit(y, xi, x, reg):
         bnorm2 = [[float(np.sum(np.abs(y) ** 2))]]
         for idx in np.ndindex(lips.shape):
             solution[idx] = fista_stacked(sensing[idx][None], rhs[idx][None], bnorm2,
-                                          lips[idx][None], weights, reg,
+                                          lips[idx][None], weights[:, None], reg,
                                           solution[idx][None]).gamma[0]
     solution = solution[..., 0]
     return solution[..., :m], solution[..., m:]

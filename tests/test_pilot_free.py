@@ -22,6 +22,8 @@ from radartag import (
 from radartag.channel import conv_matrix_from_code, response_vector
 from radartag import pilot_free
 from radartag.errors import EmptyCodebookError
+from radartag.framesim import SnrConfig, noise_variance
+from test_solvers import _two_product_fista
 
 REG0 = RegularizationConfig(kind="l2", lambda_str=0.0, lambda_sr=0.0)
 
@@ -434,6 +436,57 @@ def test_chunked_tag_projections_match_one_product(monkeypatch, l):
                 want.c_index, want.x_index, want.metric)
             assert np.array_equal(got.g_str_hat, want.g_str_hat)
             assert np.array_equal(got.g_sr_hat, want.g_sr_hat)
+
+
+def _two_call_l1_fits(ops, u_cols, u_ones, big_l, reg):
+    """``_candidate_fits``' l1 branch before both families shared one FISTA
+    call: the tag columns and the direct column in two runs of the
+    two-product loop, each with its own joint stop rule."""
+    xis, block, grams, lips = ops
+    q1 = block.shape[1] // 3
+    r = u_cols.shape[1]
+    prod = block @ np.column_stack([u_cols, u_ones])
+    atb = prod[:, :q1]
+    mc = block.shape[0]
+    energy = np.sum(np.abs(u_cols) ** 2, axis=0) / big_l
+    gam_str = _two_product_fista(grams, atb[:, :, :r], np.broadcast_to(energy, (mc, r)), lips,
+                                 reg.lambda_str, reg, prod[:, q1:2 * q1, :r])[0]
+    bn1 = np.full((mc, 1), float(np.sum(np.abs(u_ones) ** 2)) / big_l)
+    gam_sr = _two_product_fista(grams, atb[:, :, r:], bn1, lips, reg.lambda_sr, reg,
+                                prod[:, 2 * q1:, r:])[0][:, :, 0]
+    f_str, f_sr = pilot_free._residual_fits(xis, u_cols, u_ones, gam_str, gam_sr, big_l, reg)
+    return f_str - energy, gam_str, f_sr, gam_sr
+
+
+# (q, sparse channels, (lambda_str, lambda_sr), (snr_str, snr_sr) dB, frames):
+# the criterion-7c config, the golden l1 row's dense lambda = 0.3 at its low
+# SNR point, and unequal weights, so each link's fit must get its own
+@pytest.mark.parametrize("q,sparse,lams,snr,frames",
+                         [(14, True, (12.0, 12.0), (5.0, 10.0), 40),
+                          (2, False, (0.3, 0.3), (-5.0, 0.0), 120),
+                          (2, False, (0.3, 3.0), (-5.0, 0.0), 120)],
+                         ids=["7c", "dense_lam0.3", "dense_lam0.3_3"])
+def test_l1_decisions_match_two_call_path(books, monkeypatch, q, sparse, lams, snr, frames):
+    # one FISTA call with a stop family per link, one Gram product per
+    # iteration, against the two calls of the two-product loop: the same
+    # decisions, and estimates that differ only by rounding
+    src, tag = books
+    reg = RegularizationConfig(kind="l1", lambda_str=lams[0], lambda_sr=lams[1])
+    sigma_w2, sigma_str2, sigma_sr2 = noise_variance(SnrConfig(*snr), 31)
+    rng = np.random.default_rng(frames + q)
+    ys = [synthesize_frame(src.words[rng.integers(16)], tag.words[rng.integers(16)],
+                           sample_channel(q, 3, sigma_str2, -10.0, sparse, rng),
+                           sample_channel(q, 3, sigma_sr2, -10.0, sparse, rng), sigma_w2, rng)
+          for _ in range(frames)]
+    decoders = (decode_joint, decode_disjoint)
+    got = [[decode(y, src, tag, reg) for decode in decoders] for y in ys]
+    monkeypatch.setattr(pilot_free, "_candidate_fits", _two_call_l1_fits)
+    for y, results in zip(ys, got):
+        for decode, res in zip(decoders, results):
+            want = decode(y, src, tag, reg)
+            assert (res.c_index, res.x_index) == (want.c_index, want.x_index)
+            for est, ref in ((res.g_str_hat, want.g_str_hat), (res.g_sr_hat, want.g_sr_hat)):
+                assert np.linalg.norm(est - ref) <= 1e-6 * max(np.linalg.norm(ref), 1.0)
 
 
 class TestNonFiniteFrames:

@@ -15,11 +15,69 @@ from radartag import (
     ridge_solve,
 )
 from radartag.channel import conv_matrix_from_code
-from radartag.solvers import _power_iteration_largest, fista_stacked
+from radartag.solvers import _power_iteration_largest, fista_stacked, soft_threshold
 
 
 def _randc(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _two_product_fista(grams, atbs, bnorm2s, lipschitzes, lam, cfg, x0):
+    """fista_stacked as it was before it took one Gram product per iteration.
+
+    The reference loop: G z for the gradient, G x again for the objective
+    (quadratic and cross terms as separate reductions), a scalar or
+    length-n ``lam`` and one joint stop rule over every column.  Returns
+    (gamma, iterations, objective).
+    """
+    grams = np.asarray(grams, dtype=np.complex128)
+    atbs = np.asarray(atbs, dtype=np.complex128)
+    s, n, r = atbs.shape
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim == 0:
+        lam = np.full(n, float(lam))
+    bnorm2s = np.asarray(bnorm2s, dtype=float).reshape(s, r)
+    steps = 1.0 / np.maximum(np.asarray(lipschitzes, dtype=float), 1e-30)
+    thresh = lam[None, :, None] * (steps[:, None, None] / 2.0)
+
+    def objective(x):
+        gx = grams @ x
+        quad = np.real(np.einsum("sij,sij->sj", x.conj(), gx))
+        cross = np.real(np.einsum("sij,sij->sj", x.conj(), atbs))
+        return quad - 2.0 * cross + bnorm2s + np.einsum("i,sij->sj", lam, np.abs(x))
+
+    x = np.array(x0, dtype=np.complex128).reshape(s, n, r).copy()
+    z = x.copy()
+    t = 1.0
+    obj = objective(x)
+    best_obj = obj.copy()
+    best_x = x.copy()
+    it = 0
+    for it in range(1, cfg.fista_max_iter + 1):
+        grad = grams @ z - atbs
+        x_new = soft_threshold(z - steps[:, None, None] * grad, thresh)
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        z = x_new + ((t - 1.0) / t_new) * (x_new - x)
+        x, t = x_new, t_new
+        obj_new = objective(x)
+        better = obj_new < best_obj
+        np.copyto(best_obj, obj_new, where=better)
+        np.copyto(best_x, x, where=better[:, None, :])
+        rel = np.abs(obj_new - obj) / np.maximum(np.abs(obj), 1e-30)
+        obj = obj_new
+        if np.all(rel < cfg.fista_tol):
+            break
+    return best_x, it, best_obj
+
+
+def _lasso_stack(rng, s, n, r):
+    """(grams, atbs, bnorm2s, exact steps) of s random sparse-truth problems."""
+    mats = _randc(rng, s, 3 * n, n)
+    truth = _randc(rng, s, n, r) * (rng.random((s, n, r)) < 0.3)
+    b = mats @ truth + 0.3 * _randc(rng, s, 3 * n, r)
+    mats_h = mats.conj().transpose(0, 2, 1)
+    grams = mats_h @ mats
+    return grams, mats_h @ b, np.sum(np.abs(b) ** 2, axis=1), np.linalg.eigvalsh(grams)[:, -1]
 
 
 def _inv3_by_cofactors(m):
@@ -213,6 +271,53 @@ class TestFistaStacked:
             for j in range(2):
                 _, obj_oracle = _lasso_coordinate_descent(a, b[:, j], 0.5)
                 assert sol.objective[s, j] <= obj_oracle * (1 + 1e-6)
+
+
+    @pytest.mark.parametrize("r", [1, 16, 17])
+    @pytest.mark.parametrize("max_iter", [6, 500], ids=["capped", "uncapped"])
+    def test_one_product_loop_matches_two_product_reference(self, r, max_iter):
+        # G z = G x_new + beta (G x_new - G x) and the one-reduction objective
+        # change only the rounding, so both loops stop together and return
+        # the same objectives; per-row weights go in as an (n, 1) column
+        rng = np.random.default_rng(50 + r + max_iter)
+        cfg = RegularizationConfig(fista_max_iter=max_iter)
+        for _ in range(4):
+            grams, atbs, bnorm2s, lips = _lasso_stack(rng, 16, 15, r)
+            lam = rng.uniform(0.5, 8.0, 15)
+            x0 = np.linalg.solve(grams + np.eye(15), atbs)
+            sol = fista_stacked(grams, atbs, bnorm2s, lips, lam[:, None], cfg, x0)
+            _, iters, objective = _two_product_fista(grams, atbs, bnorm2s, lips, lam, cfg, x0)
+            assert sol.iterations.tolist() == [iters]
+            assert sol.converged.tolist() == [iters < max_iter]
+            np.testing.assert_allclose(sol.objective, objective, rtol=1e-12, atol=0)
+
+    def test_families_stop_as_separate_calls(self):
+        # a stopped family is frozen, so it ends where it would alone while the
+        # other family runs on.  BLAS picks its kernel by column count, so the
+        # separate calls' products round differently: stop iterations agree
+        # exactly, objectives to 1e-12 and estimates (a best iterate may flip
+        # on rounding) to 1e-6 relative; iterating past the stop moves the
+        # objective by far more than 1e-12
+        rng = np.random.default_rng(61)
+        cfg = RegularizationConfig()
+        stops = []
+        for ra, rb in [(16, 1), (3, 2), (4, 4), (1, 5)] * 2:
+            grams, atbs, bnorm2s, lips = _lasso_stack(rng, 6, 5, ra + rb)
+            x0 = np.zeros_like(atbs)
+            both = fista_stacked(grams, atbs, bnorm2s, lips, np.repeat([0.7, 3.0], [ra, rb]),
+                                 cfg, x0, families=np.repeat([0, 1], [ra, rb]))
+            parts = [fista_stacked(grams, atbs[:, :, cols], bnorm2s[:, cols], lips, lam, cfg,
+                                   x0[:, :, cols])
+                     for cols, lam in ((slice(0, ra), 0.7), (slice(ra, None), 3.0))]
+            assert both.iterations.tolist() == [p.iterations[0] for p in parts]
+            assert both.converged.tolist() == [True, True]
+            np.testing.assert_allclose(
+                both.objective, np.concatenate([p.objective for p in parts], axis=1),
+                rtol=1e-12, atol=0)
+            alone = np.concatenate([p.gamma for p in parts], axis=2)
+            assert np.max(np.abs(both.gamma - alone)) <= 1e-6 * np.max(np.abs(alone))
+            stops.append(both.iterations.tolist())
+        assert all(a != b for a, b in stops)   # one family always runs on
 
 
 class TestPinvApply:
