@@ -109,6 +109,25 @@ def snr_pair(snr_sr_db: float, rho_db: float) -> SnrConfig:
     return SnrConfig(snr_str_db=snr_sr_db + rho_db, snr_sr_db=snr_sr_db)
 
 
+def _checked_frame(y, l: int | None, n: int) -> tuple[np.ndarray, int]:
+    """The one input check of every decoder: (complex frame, q = k - n).
+
+    The frame must be a finite 2-D array with ``l`` rows (any number when
+    ``l`` is None) and at least ``n`` columns.
+    """
+    y = np.asarray(y, dtype=np.complex128)
+    if y.ndim != 2:
+        raise DimensionMismatchError(f"frame must be 2-D, got shape {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("frame contains non-finite samples")
+    big_l, k = y.shape
+    if l is not None and big_l != l:
+        raise DimensionMismatchError(f"frame has {big_l} PRIs, expected {l}")
+    if k < n:
+        raise DimensionMismatchError(f"frame has {k} fast-time samples, needs {n}")
+    return y, k - n
+
+
 def synthesize_frame(c, x, g_str, g_sr, sigma_omega2: float,
                      rng: np.random.Generator | Sequence[np.random.Generator]
                      ) -> np.ndarray:

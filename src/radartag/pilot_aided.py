@@ -31,6 +31,7 @@ from .errors import (
     PilotConditionViolatedError,
     SingularSystemError,
 )
+from .framesim import _checked_frame
 from .solvers import RegularizationConfig, fista_stacked, numeric_rank
 
 __all__ = [
@@ -116,22 +117,6 @@ def _binary_candidates(width: int) -> np.ndarray:
                      dtype=np.int64).reshape(2 ** width, width)
     cands.setflags(write=False)
     return cands
-
-
-def _frame_dims(y: np.ndarray, layout: PilotLayout) -> int:
-    if not np.all(np.isfinite(y)):
-        raise ValueError("frame contains non-finite samples")
-    big_l, k = y.shape
-    if big_l != layout.l:
-        raise DimensionMismatchError(
-            f"frame has {big_l} PRIs but layout implies {layout.l}"
-        )
-    q = k - layout.n
-    if q < 0:
-        raise DimensionMismatchError(
-            f"frame has {k} fast-time samples < codeword length {layout.n}"
-        )
-    return q
 
 
 def _with_pilot(pilot, data) -> np.ndarray:
@@ -221,8 +206,8 @@ def decode_noniterative(y, layout: PilotLayout) -> PilotAidedResult:
     pulse shape leaves the tag data undefined; +1 symbols are returned with
     the degenerate flag set.
     """
-    y = np.asarray(y, dtype=np.complex128)
-    return _noniterative(y, layout, _frame_dims(y, layout))
+    y, q = _checked_frame(y, layout.l, layout.n)
+    return _noniterative(y, layout, q)
 
 
 def _noniterative(y, layout: PilotLayout, q: int) -> PilotAidedResult:
@@ -310,17 +295,10 @@ def iterative_channel_update(y, c, x, reg: RegularizationConfig):
 
     Raises ``ValueError`` on a non-finite frame.
     """
-    y = np.asarray(y, dtype=np.complex128)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("frame contains non-finite samples")
-    c = np.asarray(c, dtype=np.complex128)
-    x = np.asarray(x, dtype=np.complex128)
-    big_l, k = y.shape
-    if x.size != big_l:
-        raise DimensionMismatchError("tag codeword length must match frame rows")
-    q = k - c.size
-    if q < 0:
-        raise DimensionMismatchError("codeword longer than fast-time window")
+    c, x = np.asarray(c, dtype=np.complex128), np.asarray(x, dtype=np.complex128)
+    if c.ndim != 1 or x.ndim != 1:
+        raise DimensionMismatchError("codewords must be 1-D")
+    y, q = _checked_frame(y, x.size, c.size)
     return _channel_fit(_Frame(y, q, reg), conv_matrix_from_code(c, q), x, reg)
 
 
@@ -371,12 +349,16 @@ def _check_enum_budget(n_d: int) -> None:
 
 
 def source_data_update_discrete(y, x, c_pilot, g_str, g_sr) -> np.ndarray:
-    """Exact minimizer of the residual over all +/-1 source data words."""
-    y = np.asarray(y, dtype=np.complex128)
+    """Exact minimizer of the residual over all +/-1 source data words.
+
+    ``x`` is the full tag word; the frame's columns beyond the channel's
+    q and the pilot are the data.  Raises ``ValueError`` on a non-finite
+    frame.
+    """
     x = np.asarray(x, dtype=np.complex128)
-    n_d = (y.shape[1] - np.size(g_str) + 1) - np.size(c_pilot)
-    if n_d < 0:
-        raise DimensionMismatchError("pilot longer than the codeword")
+    if x.ndim != 1:
+        raise DimensionMismatchError("tag codeword must be 1-D")
+    y, n_d = _checked_frame(y, x.size, np.size(g_str) - 1 + np.size(c_pilot))
     if n_d == 0:
         return np.zeros(0, dtype=np.int64)
     _check_enum_budget(n_d)
@@ -389,10 +371,13 @@ def tag_data_update_discrete(y, c, x_pilot, g_str, g_sr) -> np.ndarray:
     """Per-row sign decisions on the direct-component-free data rows.
 
     Rows decouple, so the joint minimizer over the +/-1 product alphabet is
-    the per-row matched-filter sign; exact ties resolve to +1.
+    the per-row matched-filter sign; exact ties resolve to +1.  ``c`` is
+    the full source word.  Raises ``ValueError`` on a non-finite frame.
     """
-    y = np.asarray(y, dtype=np.complex128)
-    xi = conv_matrix_from_code(c, np.size(g_str) - 1)
+    if np.ndim(c) != 1:
+        raise DimensionMismatchError("source codeword must be 1-D")
+    y, q = _checked_frame(y, None, np.size(c))
+    xi = conv_matrix_from_code(c, q)
     return _tag_signs(y[np.size(x_pilot):], *_pulse_shapes(xi, g_str, g_sr))
 
 
@@ -405,8 +390,7 @@ def relaxed_data_updates(y, layout: PilotLayout, c_data, x_data, g_str, g_sr,
     Both are exact minimizers of their blocks; slicing is the caller's job
     (once, at exit).
     """
-    y = np.asarray(y, dtype=np.complex128)
-    q = _frame_dims(y, layout)
+    y, q = _checked_frame(y, layout.l, layout.n)
     n_d, l_p = layout.n_data, layout.x_pilot.size
     if n_d > 0:
         gram, rhs = _source_form(y, _with_pilot(layout.x_pilot, x_data),
@@ -461,8 +445,7 @@ def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
     pulse shapes serve the sweep's objective and the next sweep's channel
     fit, since neither the codeword nor the channels change in between.
     """
-    y = np.asarray(y, dtype=np.complex128)
-    q = _frame_dims(y, layout)
+    y, q = _checked_frame(y, layout.l, layout.n)
     if mode not in ("discrete", "relaxed"):
         raise ValueError(f"unknown mode {mode!r}")
     relaxed = mode == "relaxed"
@@ -546,8 +529,7 @@ def exhaustive_search(y, layout: PilotLayout, reg: RegularizationConfig) -> Pilo
     one stacked channel fit and scored by one stacked objective, and the
     first minimum wins.
     """
-    y = np.asarray(y, dtype=np.complex128)
-    q = _frame_dims(y, layout)
+    y, q = _checked_frame(y, layout.l, layout.n)
     n_d, l_d = layout.n_data, layout.l_data
     if 2 ** (n_d + l_d) > SEARCH_BUDGET:
         raise BudgetExceededError(

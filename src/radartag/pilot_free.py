@@ -29,12 +29,11 @@ import numpy as np
 from .channel import conv_matrix_from_code
 from .codebooks import SourceCodebook, TagCodebook
 from .errors import DimensionMismatchError, EmptyCodebookError, SingularSystemError
-from .solvers import (
-    RegularizationConfig,
-    _power_iteration_largest,
-    fista_precomputed,
-    fista_stacked,
-)
+from .framesim import _checked_frame
+from .solvers import RegularizationConfig, _power_iteration_largest, fista_stacked
+# fista_precomputed has no caller here; it stays importable from this module
+# because perfbench/spans.py traces the name at this site
+from .solvers import fista_precomputed  # noqa: F401
 
 __all__ = [
     "PilotFreeResult",
@@ -73,23 +72,19 @@ def _cached_xi_stack(words_bytes: bytes, m: int, n: int, q: int) -> np.ndarray:
     return xis
 
 
-@lru_cache(maxsize=64)
-def _cached_source_ops(words_bytes: bytes, m: int, n: int, q: int, big_l: int,
-                       lam_str: float, lam_sr: float, l1: bool):
-    """Stacked operators of a source codebook: (xis, block, grams, lips).
+def _operators(xis, big_l: int, lam_str: float, lam_sr: float, l1: bool):
+    """Stacked operators of a codeword stack: (xis, block, grams, lips).
 
     ``block[c]`` is [Xi_c^H; Op_str; Op_sr], shape (3(q+1), n+q), with the
     ridge solve operators Op = (L Xi_c^H Xi_c + lam I)^{-1} Xi_c^H.  One
     matmul of the block against slow-time projections gives every
-    codeword's Xi^H u and both ridge channel estimates, so it is built once
-    per (codebook, q, L, lambdas, penalty).  ``xis`` is the shared Xi stack,
-    ``grams`` the (Mc, q+1, q+1) stack L Xi^H Xi and ``lips`` their largest
-    eigenvalues, which only the l1 fits read (None for l2).
+    codeword's Xi^H u and both ridge channel estimates.  ``grams`` is the
+    (Mc, q+1, q+1) stack L Xi^H Xi and ``lips`` their largest eigenvalues,
+    which only the l1 fits read (None for l2).
     """
-    xis = _cached_xi_stack(words_bytes, m, n, q)
     xi_h = xis.conj().transpose(0, 2, 1)
     grams = big_l * (xi_h @ xis)
-    eye = np.eye(q + 1)
+    eye = np.eye(xis.shape[2])
     try:
         ops_str = np.linalg.solve(grams + lam_str * eye, xi_h)
         ops_sr = np.linalg.solve(grams + lam_sr * eye, xi_h)
@@ -108,6 +103,14 @@ def _cached_source_ops(words_bytes: bytes, m: int, n: int, q: int, big_l: int,
     return xis, block, grams, lips
 
 
+@lru_cache(maxsize=64)
+def _cached_source_ops(words_bytes: bytes, m: int, n: int, q: int, big_l: int,
+                       lam_str: float, lam_sr: float, l1: bool):
+    """:func:`_operators` of a source codebook, built once per (codebook, q,
+    L, lambdas, penalty)."""
+    return _operators(_cached_xi_stack(words_bytes, m, n, q), big_l, lam_str, lam_sr, l1)
+
+
 def _words_key(source: SourceCodebook) -> tuple[bytes, int, int]:
     words = np.ascontiguousarray(source.words, dtype=np.int64)
     return words.tobytes(), words.shape[0], words.shape[1]
@@ -116,21 +119,6 @@ def _words_key(source: SourceCodebook) -> tuple[bytes, int, int]:
 def _source_ops(source: SourceCodebook, q: int, big_l: int, reg: RegularizationConfig):
     return _cached_source_ops(*_words_key(source), q, big_l,
                               float(reg.lambda_str), float(reg.lambda_sr), reg.kind == "l1")
-
-
-def _reference_fit(xi, op, gram, lipschitz, u, lam, big_l, reg):
-    """Channel estimate fitting Xi g to the projection u/L, for one codeword.
-
-    ``op`` is the ridge solve operator of weight ``lam``.  The l1 path
-    solves min ||sqrt(L) Xi g - u/sqrt(L)||^2 + lam |g|_1 on its
-    normal-equation form (gram = L Xi^H Xi is shared with the ridge path),
-    warm-started at the ridge solution.
-    """
-    warm = op @ u
-    if reg.kind == "l2":
-        return warm
-    return fista_precomputed(gram, xi.conj().T @ u, float(np.sum(np.abs(u) ** 2)) / big_l,
-                             lipschitz, lam, reg, x0=warm).gamma
 
 
 def _residual_fits(xis, u_cols, u_ones, gam_str, gam_sr, big_l, reg):
@@ -198,18 +186,10 @@ def _tag_projections(y, tag: TagCodebook) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
-def _frame_dims(y: np.ndarray, source: SourceCodebook, tag: TagCodebook) -> int:
+def _frame_dims(y, source: SourceCodebook, tag: TagCodebook) -> tuple[np.ndarray, int]:
     if len(source) < 1 or len(tag) < 1:
         raise EmptyCodebookError("both codebooks must be nonempty")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("frame contains non-finite samples")
-    big_l, k = y.shape
-    if tag.l != big_l:
-        raise DimensionMismatchError(f"frame has {big_l} PRIs but tag words have {tag.l}")
-    q = k - source.n
-    if q < 0:
-        raise DimensionMismatchError(f"frame has {k} fast-time samples < n = {source.n}")
-    return q
+    return _checked_frame(y, tag.l, source.n)
 
 
 def channel_estimates_given(c, x, y, reg: RegularizationConfig):
@@ -217,30 +197,20 @@ def channel_estimates_given(c, x, y, reg: RegularizationConfig):
 
     The backscatter estimate fits Xi_c g to the slow-time projection
     (1/L) Y^T x*, the direct estimate to the slow-time average (1/L) Y^T 1,
-    each with its own regularization weight.  Raises ``ValueError`` on a
-    non-finite frame.
+    each with its own regularization weight: the fits of
+    :func:`decode_joint`, run on the one codeword c.  Raises ``ValueError``
+    on a non-finite frame.
     """
-    y = np.asarray(y)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("frame contains non-finite samples")
-    c = np.asarray(c, dtype=np.complex128)
-    x = np.asarray(x, dtype=np.complex128)
-    big_l, k = y.shape
-    if x.size != big_l:
-        raise DimensionMismatchError("tag codeword length must match frame rows")
-    q = k - c.size
-    if q < 0:
-        raise DimensionMismatchError("codeword longer than fast-time window")
-    xi = conv_matrix_from_code(c, q)
-    eye = np.eye(q + 1)
-    gram = big_l * (xi.conj().T @ xi)
-    op_str = np.linalg.solve(gram + reg.lambda_str * eye, xi.conj().T)
-    op_sr = np.linalg.solve(gram + reg.lambda_sr * eye, xi.conj().T)
-    lipschitz = _power_iteration_largest(gram)
-    return (_reference_fit(xi, op_str, gram, lipschitz, y.T @ x.conj(), reg.lambda_str,
-                           big_l, reg),
-            _reference_fit(xi, op_sr, gram, lipschitz, y.sum(axis=0), reg.lambda_sr,
-                           big_l, reg))
+    c, x = np.asarray(c, dtype=np.complex128), np.asarray(x, dtype=np.complex128)
+    if c.ndim != 1 or x.ndim != 1:
+        raise DimensionMismatchError("codewords must be 1-D")
+    y, q = _checked_frame(y, x.size, c.size)
+    big_l = y.shape[0]
+    ops = _operators(conv_matrix_from_code(c, q)[None], big_l, reg.lambda_str, reg.lambda_sr,
+                     reg.kind == "l1")
+    _, gam_str, _, gam_sr = _candidate_fits(ops, (y.T @ x.conj())[:, None], y.sum(axis=0),
+                                            big_l, reg)
+    return gam_str[0, :, 0], gam_sr[0]
 
 
 def decode_joint(y, source: SourceCodebook, tag: TagCodebook,
@@ -250,8 +220,7 @@ def decode_joint(y, source: SourceCodebook, tag: TagCodebook,
     Ties break toward the smallest (source, tag) index pair.  Raises
     ``ValueError`` on a non-finite frame.
     """
-    y = np.asarray(y, dtype=np.complex128)
-    q = _frame_dims(y, source, tag)
+    y, q = _frame_dims(y, source, tag)
     big_l = y.shape[0]
     ops = _source_ops(source, q, big_l, reg)
 
@@ -282,8 +251,7 @@ def decode_disjoint(y, source: SourceCodebook, tag: TagCodebook,
     off, the backscatter fit at the decoded tag codeword.  Raises
     ``ValueError`` on a non-finite frame.
     """
-    y = np.asarray(y, dtype=np.complex128)
-    q = _frame_dims(y, source, tag)
+    y, q = _frame_dims(y, source, tag)
     big_l = y.shape[0]
     ops = _source_ops(source, q, big_l, reg)
 
@@ -316,8 +284,7 @@ def decode_perfect_csi(y, source: SourceCodebook, tag: TagCodebook,
     + L ||a_c||^2 - 2 Re x^T (y - 1 b_c^T) a_c^*, as tag words are +/-1.
     Raises ``ValueError`` on a non-finite frame.
     """
-    y = np.asarray(y, dtype=np.complex128)
-    q = _frame_dims(y, source, tag)
+    y, q = _frame_dims(y, source, tag)
     g_str = np.asarray(g_str, dtype=np.complex128)
     g_sr = np.asarray(g_sr, dtype=np.complex128)
     if g_str.shape != (q + 1,) or g_sr.shape != (q + 1,):

@@ -7,16 +7,32 @@ import pytest
 
 from radartag import (
     DimensionMismatchError,
+    PilotLayout,
+    RegularizationConfig,
     SnrConfig,
+    SourceCodebook,
     SystemParams,
+    TagCodebook,
+    alternating_pilot,
+    channel_estimates_given,
     check_assumptions,
+    decode_disjoint,
+    decode_iterative,
+    decode_joint,
+    decode_noniterative,
+    decode_perfect_csi,
+    exhaustive_search,
     gen_gold,
     gen_tag_codebook,
+    iterative_channel_update,
     noise_variance,
     numeric_rank,
+    relaxed_data_updates,
     sample_channel,
     snr_pair,
+    source_data_update_discrete,
     synthesize_frame,
+    tag_data_update_discrete,
 )
 from radartag.channel import response_vector
 
@@ -164,3 +180,58 @@ class TestSynthesizeFrame:
         gens = [np.random.default_rng(f) for f in range(3)]
         with pytest.raises(DimensionMismatchError):
             synthesize_frame(rows["c"], rows["x"], rows["g_str"], rows["g_sr"], 1.0, gens)
+
+
+def _entry_points():
+    """Every public decoder and block update of both decoder modules, as
+    calls of a (10, 33) frame ``y`` and the full codewords ``c`` (31) and
+    ``x`` (10) wherever the entry point takes them."""
+    gold, tags = gen_gold(5), gen_tag_codebook(10)
+    src, tag = SourceCodebook(n=31, words=gold.words[:4]), TagCodebook(l=10, words=tags.words[:4])
+    layout = PilotLayout(c_pilot=gold.words[0][:27], x_pilot=alternating_pilot(6),
+                         n_data=4, l_data=4)
+    reg = RegularizationConfig(lambda_c=1.0, lambda_x=1.0)
+    g = np.array([1.0, 0.5, 0.25])
+    return {
+        "decode_joint": lambda y, c, x: decode_joint(y, src, tag, reg),
+        "decode_disjoint": lambda y, c, x: decode_disjoint(y, src, tag, reg),
+        "decode_perfect_csi": lambda y, c, x: decode_perfect_csi(y, src, tag, g, g),
+        "channel_estimates_given": lambda y, c, x: channel_estimates_given(c, x, y, reg),
+        "decode_noniterative": lambda y, c, x: decode_noniterative(y, layout),
+        "decode_iterative": lambda y, c, x: decode_iterative(y, layout, reg),
+        "exhaustive_search": lambda y, c, x: exhaustive_search(y, layout, reg),
+        "iterative_channel_update": lambda y, c, x: iterative_channel_update(y, c, x, reg),
+        "source_data_update_discrete":
+            lambda y, c, x: source_data_update_discrete(y, x, layout.c_pilot, g, g),
+        "tag_data_update_discrete":
+            lambda y, c, x: tag_data_update_discrete(y, c, layout.x_pilot, g, g),
+        "relaxed_data_updates":
+            lambda y, c, x: relaxed_data_updates(y, layout, np.ones(4), np.ones(4), g, g,
+                                                 1.0, 1.0),
+    }
+
+
+_WRONG_RANK = {"frame (33,)": ("y", np.ones(33)),
+               "frame (10, 33, 1)": ("y", np.ones((10, 33, 1))),
+               "c (2, 31)": ("c", np.ones((2, 31))),
+               "x (2, 5)": ("x", np.ones((2, 5)))}
+_TAKES_C = ("channel_estimates_given", "iterative_channel_update", "tag_data_update_discrete")
+_TAKES_X = ("channel_estimates_given", "iterative_channel_update",
+            "source_data_update_discrete")
+
+
+@pytest.mark.parametrize("name, bad", [
+    *((name, bad) for name in _entry_points() for bad in ("frame (33,)", "frame (10, 33, 1)")),
+    *((name, "c (2, 31)") for name in _TAKES_C),
+    *((name, "x (2, 5)") for name in _TAKES_X),
+])
+def test_every_entry_point_rejects_wrong_rank_inputs(name, bad):
+    # one frame check serves every decoder entry point, so each of them
+    # reports a wrong-rank frame or codeword as a dimension mismatch
+    call = _entry_points()[name]
+    args = dict(y=np.ones((10, 33)), c=np.ones(31), x=np.ones(10))
+    assert call(**args) is not None          # the well-formed call decodes
+    key, value = _WRONG_RANK[bad]
+    args[key] = value
+    with pytest.raises(DimensionMismatchError):
+        call(**args)

@@ -516,7 +516,7 @@ class TestExhaustiveSearch:
 def test_every_decoder_rejects_non_finite_frames(gold, bad):
     rng = np.random.default_rng(29)
     layout = _layout(gold, rng, n_pilot=27, n_data=4, l_pilot=6, l_data=4)
-    y, c_data, x_data, *_ = _frame(layout, rng, noise=1.0)
+    y, c_data, x_data, g_str, g_sr = _frame(layout, rng, noise=1.0)
     y[4, 7] = bad
     c = np.concatenate([layout.c_pilot, c_data])
     x = np.concatenate([layout.x_pilot, x_data])
@@ -524,7 +524,11 @@ def test_every_decoder_rejects_non_finite_frames(gold, bad):
                    lambda: decode_iterative(y, layout, REG, mode="discrete"),
                    lambda: decode_iterative(y, layout, REG, mode="relaxed"),
                    lambda: exhaustive_search(y, layout, REG),
-                   lambda: iterative_channel_update(y, c, x, REG)):
+                   lambda: iterative_channel_update(y, c, x, REG),
+                   lambda: source_data_update_discrete(y, x, layout.c_pilot, g_str, g_sr),
+                   lambda: tag_data_update_discrete(y, c, layout.x_pilot, g_str, g_sr),
+                   lambda: relaxed_data_updates(y, layout, c_data, x_data, g_str, g_sr,
+                                                1.0, 1.0)):
         with pytest.raises(ValueError, match="non-finite"):
             decode()
 

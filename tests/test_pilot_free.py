@@ -20,8 +20,8 @@ from radartag import (
     synthesize_frame,
 )
 from radartag.channel import conv_matrix_from_code, response_vector
-from radartag import pilot_free
-from radartag.errors import EmptyCodebookError
+from radartag import pilot_aided, pilot_free, solvers
+from radartag.errors import EmptyCodebookError, SingularSystemError
 from radartag.framesim import SnrConfig, noise_variance
 from test_solvers import _two_product_fista
 
@@ -124,6 +124,15 @@ class TestChannelEstimatesGiven:
         gs, gr = channel_estimates_given(src.words[0], tag.words[0], y, big)
         assert np.all(gs == 0)
         assert np.all(gr == 0)
+
+    @pytest.mark.parametrize("kind", ["l2", "l1"])
+    def test_zero_codeword_at_lambda_zero_is_singular(self, books, kind):
+        src, tag = books
+        y = synthesize_frame(src.words[0], tag.words[0], np.ones(3), np.ones(3), 1.0,
+                             np.random.default_rng(3))
+        reg = RegularizationConfig(kind=kind, lambda_str=0.0, lambda_sr=0.0)
+        with pytest.raises(SingularSystemError):
+            channel_estimates_given(np.zeros(31), tag.words[0], y, reg)
 
     def test_zero_frame_gives_zero_estimates(self, books):
         src, tag = books
@@ -487,6 +496,16 @@ def test_l1_decisions_match_two_call_path(books, monkeypatch, q, sparse, lams, s
             assert (res.c_index, res.x_index) == (want.c_index, want.x_index)
             for est, ref in ((res.g_str_hat, want.g_str_hat), (res.g_sr_hat, want.g_sr_hat)):
                 assert np.linalg.norm(est - ref) <= 1e-6 * max(np.linalg.norm(ref), 1.0)
+
+
+def test_benchmark_seams_still_resolve():
+    # perfbench/selftest.py reads these module attributes directly (it
+    # deletes and restores fista_precomputed in two modules, and asserts the
+    # traced iterative_channel_update count), so dropping one breaks the
+    # benchmark's self-test; this keeps that failure inside tier-1
+    assert callable(pilot_free.fista_precomputed)
+    assert callable(solvers.fista_precomputed)
+    assert callable(pilot_aided.iterative_channel_update)
 
 
 class TestNonFiniteFrames:
