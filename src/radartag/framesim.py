@@ -128,6 +128,15 @@ def _checked_frame(y, l: int | None, n: int) -> tuple[np.ndarray, int]:
     return y, k - n
 
 
+def _checked_taps(g_str, g_sr, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both channels as complex (q+1,) tap vectors."""
+    taps = np.asarray(g_str, dtype=np.complex128), np.asarray(g_sr, dtype=np.complex128)
+    if any(g.shape != (q + 1,) for g in taps):
+        raise DimensionMismatchError(
+            f"channels need ({q + 1},) taps, got {[g.shape for g in taps]}")
+    return taps
+
+
 def synthesize_frame(c, x, g_str, g_sr, sigma_omega2: float,
                      rng: np.random.Generator | Sequence[np.random.Generator]
                      ) -> np.ndarray:

@@ -31,7 +31,7 @@ from .errors import (
     PilotConditionViolatedError,
     SingularSystemError,
 )
-from .framesim import _checked_frame
+from .framesim import _checked_frame, _checked_taps
 from .solvers import RegularizationConfig, fista_stacked, numeric_rank
 
 __all__ = [
@@ -53,10 +53,10 @@ MAX_SWEEPS = 50           # block-coordinate descent sweeps per decode_iterative
 REL_TOL = 1e-8            # relative objective change that ends the descent
 ENUM_BUDGET = 2 ** 16     # most source data words the discrete update enumerates
 SEARCH_BUDGET = 2 ** 20   # most data pairs exhaustive_search enumerates
-# candidate pairs fitted and scored per batched step of exhaustive_search; at
-# l = 10, k = 33 a chunk's (24, l, k) complex temporaries take 126 720 bytes,
-# below glibc's 128 KiB mmap and trim thresholds, so freeing them does not
-# hand the pages back to the kernel only for the next chunk to fault them in
+# candidate pairs fitted and scored per batched step of exhaustive_search; a
+# chunk's largest temporaries, its (24, k, q+1) convolution matrices, take
+# 38 016 bytes at k = 33, q = 2, far below glibc's 128 KiB mmap threshold, so
+# freeing them never hands pages back to the kernel for the next chunk to fault
 _SEARCH_CHUNK = 24
 
 
@@ -130,14 +130,15 @@ class _Frame:
     """A checked (L, k) frame with the constants every channel fit reads.
 
     Built once per decode, so the sweeps of ``decode_iterative`` and the
-    chunks of ``exhaustive_search`` share Y^T, the column sums Y^T 1 and the
-    ridge diagonal instead of rebuilding them per call.
+    chunks of ``exhaustive_search`` share Y^T, the column sums Y^T 1, the
+    energy ||Y||^2 and the ridge diagonal instead of rebuilding them per call.
     """
 
-    __slots__ = ("y", "yt", "ysum", "weights", "ridge")
+    __slots__ = ("y", "yt", "ysum", "ynorm2", "weights", "ridge")
 
     def __init__(self, y: np.ndarray, q: int, reg: RegularizationConfig):
         self.y, self.yt, self.ysum = y, y.T, y.sum(axis=0)
+        self.ynorm2 = float((np.abs(y) ** 2).sum())
         self.weights = np.repeat([reg.lambda_str, reg.lambda_sr], q + 1)
         self.ridge = np.diag(self.weights)
 
@@ -212,8 +213,7 @@ def decode_noniterative(y, layout: PilotLayout) -> PilotAidedResult:
 
 def _noniterative(y, layout: PilotLayout, q: int) -> PilotAidedResult:
     """:func:`decode_noniterative` on a frame already checked against the layout."""
-    n_p, n_d = layout.c_pilot.size, layout.n_data
-    l_p, l_d = layout.x_pilot.size, layout.l_data
+    n_p, n_d, l_p = layout.c_pilot.size, layout.n_data, layout.x_pilot.size
     pilot_ops = _pilot_pinvs(layout.x_pilot.tobytes(), layout.c_pilot.tobytes(), q)
     if pilot_ops is None:
         raise PilotConditionViolatedError(
@@ -237,30 +237,24 @@ def _noniterative(y, layout: PilotLayout, q: int) -> PilotAidedResult:
         log.debug("noniterative decode with no source data symbols (n_data=0)")
         c_data = np.zeros(0, dtype=np.int64)
 
-    degenerate = False
-    denom = float((np.abs(alpha_str) ** 2).sum())
-    if denom == 0.0:
-        degenerate = True
-        x_data = np.ones(l_d, dtype=np.int64)
-    else:
-        x_data = _slice_pm1(_tag_filter(y[l_p:], alpha_str, alpha_sr) / denom)
+    x_data = _slice_pm1(_tag_relaxed(y[l_p:], alpha_str, alpha_sr, 0.0))
     return PilotAidedResult(c_data_hat=c_data, x_data_hat=x_data,
                             g_str_hat=g_str, g_sr_hat=g_sr,
                             objective_trace=[], iters=0, converged=True,
-                            degenerate=degenerate)
+                            degenerate=float(np.linalg.norm(alpha_str)) == 0.0)
 
 
 def _channel_fit(frame: _Frame, xi, x, reg: RegularizationConfig):
-    """Joint channel estimates for a stack of codeword pairs (Xi_c, x).
+    """Joint channel fits (g_str, g_sr, objective) of a stack of pairs (Xi_c, x).
 
     Row-wise, the frame is linear in [g_str; g_sr] with sensing matrix
     [x (x) Xi_c, 1 (x) Xi_c], whose Gram is the block matrix
     [[sum|x|^2 G0, sum x* G0], [sum x G0, L G0]] in G0 = Xi_c^H Xi_c.  The l2
     path solves the 2(q+1) normal equations, Gram plus the ridge weights, for
-    the whole stack in one call; the l1 path refines each pair by FISTA on the
-    same Gram, with an exact 1/lambda_max step and per-block weights, warm
-    started at its l2 solution.  One FISTA call per pair keeps a pair's
-    estimate independent of the other pairs in the stack.
+    the whole stack in one call; its objective is ||Y||^2 - Re(rhs^H g).  The
+    l1 path refines the stack by one FISTA run on the same Grams (exact
+    1/lambda_max steps, per-block weights, warm started at the l2 solution)
+    with a stop family per pair, so each pair stops as it would alone.
     """
     m = xi.shape[-1]
     xi_h = np.conj(xi).swapaxes(-1, -2)
@@ -279,15 +273,18 @@ def _channel_fit(frame: _Frame, xi, x, reg: RegularizationConfig):
         solution = np.linalg.solve(sensing + frame.ridge, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError("joint channel system is singular") from exc
-    if reg.kind == "l1":
-        lips = np.linalg.eigvalsh(sensing)[..., -1]
-        bnorm2 = [[float((np.abs(frame.y) ** 2).sum())]]
-        for idx in np.ndindex(lips.shape):
-            solution[idx] = fista_stacked(sensing[idx][None], rhs[idx][None], bnorm2,
-                                          lips[idx][None], frame.weights[:, None], reg,
-                                          solution[idx][None]).gamma[0]
+    if reg.kind == "l2":
+        value = frame.ynorm2 - (np.conj(rhs) * solution).sum(axis=(-2, -1)).real
+    else:
+        grams = sensing.reshape(-1, 2 * m, 2 * m)
+        s = len(grams)
+        sol = fista_stacked(grams, rhs.reshape(s, 2 * m, 1), np.full((s, 1), frame.ynorm2),
+                            np.linalg.eigvalsh(grams)[:, -1], frame.weights[:, None], reg,
+                            solution, families=np.arange(s)[:, None])
+        solution = sol.gamma.reshape(solution.shape)
+        value = sol.objective.reshape(sensing.shape[:-2])
     solution = solution[..., 0]
-    return solution[..., :m], solution[..., m:]
+    return solution[..., :m], solution[..., m:], value
 
 
 def iterative_channel_update(y, c, x, reg: RegularizationConfig):
@@ -299,7 +296,7 @@ def iterative_channel_update(y, c, x, reg: RegularizationConfig):
     if c.ndim != 1 or x.ndim != 1:
         raise DimensionMismatchError("codewords must be 1-D")
     y, q = _checked_frame(y, x.size, c.size)
-    return _channel_fit(_Frame(y, q, reg), conv_matrix_from_code(c, q), x, reg)
+    return _channel_fit(_Frame(y, q, reg), conv_matrix_from_code(c, q), x, reg)[:2]
 
 
 def _source_form(y, x, c_pilot, g_str, g_sr, n_d: int):
@@ -359,6 +356,7 @@ def source_data_update_discrete(y, x, c_pilot, g_str, g_sr) -> np.ndarray:
     if x.ndim != 1:
         raise DimensionMismatchError("tag codeword must be 1-D")
     y, n_d = _checked_frame(y, x.size, np.size(g_str) - 1 + np.size(c_pilot))
+    g_str, g_sr = _checked_taps(g_str, g_sr, np.size(g_str) - 1)
     if n_d == 0:
         return np.zeros(0, dtype=np.int64)
     _check_enum_budget(n_d)
@@ -377,20 +375,22 @@ def tag_data_update_discrete(y, c, x_pilot, g_str, g_sr) -> np.ndarray:
     if np.ndim(c) != 1:
         raise DimensionMismatchError("source codeword must be 1-D")
     y, q = _checked_frame(y, None, np.size(c))
+    g_str, g_sr = _checked_taps(g_str, g_sr, q)
     xi = conv_matrix_from_code(c, q)
     return _tag_signs(y[np.size(x_pilot):], *_pulse_shapes(xi, g_str, g_sr))
 
 
-def relaxed_data_updates(y, layout: PilotLayout, c_data, x_data, g_str, g_sr,
+def relaxed_data_updates(y, layout: PilotLayout, x_data, g_str, g_sr,
                          lambda_c: float, lambda_x: float):
     """Continuous data updates of the quadratically penalized objective.
 
     The source block solves the penalized normal equations of the source
-    quadratic form; the tag block is a scalar-normalized matched filter.
-    Both are exact minimizers of their blocks; slicing is the caller's job
-    (once, at exit).
+    quadratic form at ``x_data``; the tag block is a scalar-normalized
+    matched filter at the new source block.  Both are exact minimizers of
+    their blocks; slicing is the caller's job (once, at exit).
     """
     y, q = _checked_frame(y, layout.l, layout.n)
+    g_str, g_sr = _checked_taps(g_str, g_sr, q)
     n_d, l_p = layout.n_data, layout.x_pilot.size
     if n_d > 0:
         gram, rhs = _source_form(y, _with_pilot(layout.x_pilot, x_data),
@@ -477,7 +477,7 @@ def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
     # trace[0] is the objective after a channel update at the initial data,
     # so initial objectives are comparable across initializations
     xi = conv_matrix_from_code(c, q)
-    g_str, g_sr = _channel_fit(frame, xi, x, reg)
+    g_str, g_sr, _ = _channel_fit(frame, xi, x, reg)
     a_str, a_sr = _pulse_shapes(xi, g_str, g_sr)
     trace = [score(a_str, a_sr, g_str, g_sr)]
     if relaxed:
@@ -486,13 +486,13 @@ def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
         _check_enum_budget(n_d)
         lam_eye, cands = None, _binary_candidates(n_d)
     # objective values this close to zero are float crumbs, treated as equal
-    zero_floor = (np.finfo(float).eps * float((np.abs(y) ** 2).sum())) ** 2
+    zero_floor = (np.finfo(float).eps * frame.ynorm2) ** 2
     converged = False
     iters = 0
     for iters in range(1, MAX_SWEEPS + 1):
         # sweep 1 starts from the data the channels were just fitted to
         if iters > 1:
-            g_new = _channel_fit(frame, xi, x, reg)
+            g_new = _channel_fit(frame, xi, x, reg)[:2]
             # FISTA is inexact; never accept a step that worsens the objective
             if reg.kind == "l1" and score(*_pulse_shapes(xi, *g_new), *g_new) > trace[-1]:
                 g_new = g_str, g_sr
@@ -525,9 +525,10 @@ def exhaustive_search(y, layout: PilotLayout, reg: RegularizationConfig) -> Pilo
     """Global minimizer over all +/-1 data pairs, with inner channel updates.
 
     Pairs run in (source, tag) order, ``_SEARCH_CHUNK`` at a time: each
-    source word's convolution matrix is built once, every chunk is fitted by
-    one stacked channel fit and scored by one stacked objective, and the
-    first minimum wins.
+    source word's convolution matrix is built once, every chunk is fitted
+    and scored by one stacked channel fit, whose minimized objective is the
+    pair's score, and the first minimum wins.  The reported objective is
+    recomputed from the residual at the winning pair only.
     """
     y, q = _checked_frame(y, layout.l, layout.n)
     n_d, l_d = layout.n_data, layout.l_data
@@ -543,13 +544,13 @@ def exhaustive_search(y, layout: PilotLayout, reg: RegularizationConfig) -> Pilo
     best = None
     for start in range(0, pairs, _SEARCH_CHUNK):
         ci, ti = np.divmod(np.arange(start, min(start + _SEARCH_CHUNK, pairs)), len(x_words))
-        xi, xw = xi_words[ci], x_words[ti]
-        g_str, g_sr = _channel_fit(frame, xi, xw, reg)
-        values = _objective_at(y, xw, *_pulse_shapes(xi, g_str, g_sr), g_str, g_sr, reg)
+        g_str, g_sr, values = _channel_fit(frame, xi_words[ci], x_words[ti], reg)
         i = int(np.argmin(values))
         if best is None or values[i] < best[0]:
             best = (values[i], ci[i], ti[i], g_str[i], g_sr[i])
-    value, ci, ti, g_str, g_sr = best
+    _, ci, ti, g_str, g_sr = best
+    value = _objective_at(y, x_words[ti], *_pulse_shapes(xi_words[ci], g_str, g_sr),
+                          g_str, g_sr, reg)
     return PilotAidedResult(
         c_data_hat=c_data[ci].copy(), x_data_hat=x_data[ti].copy(),
         g_str_hat=g_str, g_sr_hat=g_sr,

@@ -29,7 +29,7 @@ import numpy as np
 from .channel import conv_matrix_from_code
 from .codebooks import SourceCodebook, TagCodebook
 from .errors import DimensionMismatchError, EmptyCodebookError, SingularSystemError
-from .framesim import _checked_frame
+from .framesim import _checked_frame, _checked_taps
 from .solvers import RegularizationConfig, _power_iteration_largest, fista_stacked
 # fista_precomputed has no caller here; it stays importable from this module
 # because perfbench/spans.py traces the name at this site
@@ -73,7 +73,7 @@ def _cached_xi_stack(words_bytes: bytes, m: int, n: int, q: int) -> np.ndarray:
 
 
 def _operators(xis, big_l: int, lam_str: float, lam_sr: float, l1: bool):
-    """Stacked operators of a codeword stack: (xis, block, grams, lips).
+    """Stacked operators of a codeword stack: (block, grams, lips).
 
     ``block[c]`` is [Xi_c^H; Op_str; Op_sr], shape (3(q+1), n+q), with the
     ridge solve operators Op = (L Xi_c^H Xi_c + lam I)^{-1} Xi_c^H.  One
@@ -97,10 +97,10 @@ def _operators(xis, big_l: int, lam_str: float, lam_sr: float, l1: bool):
     block.setflags(write=False)
     grams.setflags(write=False)
     if not l1:
-        return xis, block, grams, None
+        return block, grams, None
     lips = np.array([_power_iteration_largest(gram) for gram in grams])
     lips.setflags(write=False)
-    return xis, block, grams, lips
+    return block, grams, lips
 
 
 @lru_cache(maxsize=64)
@@ -121,17 +121,6 @@ def _source_ops(source: SourceCodebook, q: int, big_l: int, reg: RegularizationC
                               float(reg.lambda_str), float(reg.lambda_sr), reg.kind == "l1")
 
 
-def _residual_fits(xis, u_cols, u_ones, gam_str, gam_sr, big_l, reg):
-    """Both families' fits L ||u/L - Xi_c g||^2 + lam phi(g) at given estimates."""
-    def fits(u, gam, lam):
-        resid = u[None, :, :] / big_l - xis @ gam
-        penalty = np.abs(gam) ** 2 if reg.kind == "l2" else np.abs(gam)
-        return big_l * np.sum(np.abs(resid) ** 2, axis=1) + lam * np.sum(penalty, axis=1)
-
-    return (fits(u_cols, gam_str, reg.lambda_str),
-            fits(u_ones[:, None], gam_sr[:, :, None], reg.lambda_sr)[:, 0])
-
-
 def _candidate_fits(ops, u_cols, u_ones, big_l, reg):
     """Channel fits of every source codeword against every projection column.
 
@@ -143,9 +132,9 @@ def _candidate_fits(ops, u_cols, u_ones, big_l, reg):
     codeword.  With l2 those estimates are the minimizers and a fit is
     ||u||^2/L - Re(u^H Xi Op u); with l1 they warm-start one stacked FISTA
     run over all r + 1 columns, in which the direct fit is its own stop
-    family with its own weight.
+    family with its own weight, and the fits are FISTA's objectives.
     """
-    xis, block, grams, lips = ops
+    block, grams, lips = ops
     q1 = block.shape[1] // 3
     r = u_cols.shape[1]
     u_all = np.column_stack([u_cols, u_ones])
@@ -165,11 +154,10 @@ def _candidate_fits(ops, u_cols, u_ones, big_l, reg):
     energy = np.sum(np.abs(u_all) ** 2, axis=0) / big_l
     lam = np.repeat([reg.lambda_str, reg.lambda_sr], [r, 1])
     warm = np.concatenate([gam_str, gam_sr[:, :, None]], axis=2)
-    gam = fista_stacked(grams, atb, np.broadcast_to(energy, (block.shape[0], r + 1)), lips,
-                        lam, reg, warm, families=np.repeat([0, 1], [r, 1])).gamma
-    gam_str, gam_sr = gam[:, :, :r], gam[:, :, r]
-    f_str, f_sr = _residual_fits(xis, u_cols, u_ones, gam_str, gam_sr, big_l, reg)
-    return f_str - energy[:r], gam_str, f_sr, gam_sr
+    sol = fista_stacked(grams, atb, np.broadcast_to(energy, (block.shape[0], r + 1)), lips,
+                        lam, reg, warm, families=np.repeat([0, 1], [r, 1]))
+    fits, gam = sol.objective, sol.gamma
+    return fits[:, :r] - energy[:r], gam[:, :, :r], fits[:, r], gam[:, :, r]
 
 
 def _tag_projections(y, tag: TagCodebook) -> np.ndarray:
@@ -285,10 +273,7 @@ def decode_perfect_csi(y, source: SourceCodebook, tag: TagCodebook,
     Raises ``ValueError`` on a non-finite frame.
     """
     y, q = _frame_dims(y, source, tag)
-    g_str = np.asarray(g_str, dtype=np.complex128)
-    g_sr = np.asarray(g_sr, dtype=np.complex128)
-    if g_str.shape != (q + 1,) or g_sr.shape != (q + 1,):
-        raise DimensionMismatchError("channel length inconsistent with frame width")
+    g_str, g_sr = _checked_taps(g_str, g_sr, q)
     big_l, k = y.shape
     xis = _cached_xi_stack(*_words_key(source), q)
     mc = xis.shape[0]

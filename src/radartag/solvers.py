@@ -170,16 +170,17 @@ def fista_stacked(grams, atbs, bnorm2s, lipschitzes, lam,
     right-hand sides.  ``lam`` broadcasts to (n, r), so each column may
     carry its own weights.
 
-    ``families`` labels each of the r columns with a stop family 0..F-1
-    (default: one family).  A family stops when every one of its columns
-    has a relative objective change below ``cfg.fista_tol`` in the same
-    iteration, over all s Grams; from then on its columns are frozen, so a
-    family stops at the iteration it would stop at alone (its products may
-    round differently, since BLAS picks kernels by column count).  The loop
-    ends when every family has stopped.  ``iterations`` and ``converged`` are (F,) arrays,
-    one entry per family.  The best iterate seen is kept per column, so the
-    returned objective (s, r) never exceeds the starting one; ``gamma`` is
-    (s, n, r).
+    ``families`` labels the problems with stop families 0..F-1 (default:
+    one family); it broadcasts to (s, r), so (r,) labels columns across all
+    Grams and (s, 1) labels each Gram.  A family stops when every one of its
+    problems has a relative objective change below ``cfg.fista_tol`` in the
+    same iteration; from then on its problems are frozen, so a family stops
+    at the iteration it would stop at alone (its products may round
+    differently, since BLAS picks kernels by column count).  The loop ends
+    when every family has stopped.  ``iterations`` and ``converged`` are
+    (F,) arrays, one entry per family.  The best iterate seen is kept per
+    problem, so the returned objective (s, r) never exceeds the starting
+    one; ``gamma`` is (s, n, r).
 
     Each iteration takes one Gram product, G x: the next gradient's G z is
     G x_new + beta (G x_new - G x), and the objective is
@@ -194,7 +195,7 @@ def fista_stacked(grams, atbs, bnorm2s, lipschitzes, lam,
     bnorm2s = np.asarray(bnorm2s, dtype=float).reshape(s, r)
     steps = (1.0 / np.maximum(np.asarray(lipschitzes, dtype=float), 1e-30))[:, None, None]
     thresh = lam * (steps / 2.0)
-    labels = np.zeros(r, dtype=np.intp) if families is None else np.asarray(families)
+    labels = np.broadcast_to(0 if families is None else families, (s, r)).ravel()
     n_fam = int(labels.max(initial=0)) + 1
     atbs2 = 2.0 * atbs
 
@@ -229,13 +230,13 @@ def fista_stacked(grams, atbs, bnorm2s, lipschitzes, lam,
         np.copyto(best_x, x, where=better[:, None, :])
         rel = np.abs(obj_new - obj) / np.maximum(np.abs(obj), 1e-30)
         obj = obj_new
-        done = np.bincount(labels, ~np.all(rel < cfg.fista_tol, axis=0), n_fam) == 0
+        done = np.bincount(labels, ~(rel < cfg.fista_tol).ravel(), n_fam) == 0
         if done.any():
             iterations[done & ~stopped] = it
             stopped |= done
             if stopped.all():
                 break
-            frozen = stopped[labels]
+            frozen = stopped[labels].reshape(s, 1, r)
     return LassoSolution(gamma=best_x, converged=stopped, iterations=iterations,
                          objective=best_obj)
 

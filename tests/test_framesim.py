@@ -206,8 +206,7 @@ def _entry_points():
         "tag_data_update_discrete":
             lambda y, c, x: tag_data_update_discrete(y, c, layout.x_pilot, g, g),
         "relaxed_data_updates":
-            lambda y, c, x: relaxed_data_updates(y, layout, np.ones(4), np.ones(4), g, g,
-                                                 1.0, 1.0),
+            lambda y, c, x: relaxed_data_updates(y, layout, np.ones(4), g, g, 1.0, 1.0),
     }
 
 
@@ -235,3 +234,41 @@ def test_every_entry_point_rejects_wrong_rank_inputs(name, bad):
     args[key] = value
     with pytest.raises(DimensionMismatchError):
         call(**args)
+
+
+def _tap_entry_points():
+    """Every entry point that takes channel taps, as calls of (g_str, g_sr)
+    against a (10, 33) frame, i.e. q = 2."""
+    gold, tags = gen_gold(5), gen_tag_codebook(10)
+    src, tag = SourceCodebook(n=31, words=gold.words[:4]), TagCodebook(l=10, words=tags.words[:4])
+    layout = PilotLayout(c_pilot=gold.words[0][:27], x_pilot=alternating_pilot(6),
+                         n_data=4, l_data=4)
+    y, c, x = np.ones((10, 33)), np.ones(31), np.ones(10)
+    return {
+        "decode_perfect_csi": lambda gs, gr: decode_perfect_csi(y, src, tag, gs, gr),
+        "source_data_update_discrete":
+            lambda gs, gr: source_data_update_discrete(y, x, layout.c_pilot, gs, gr),
+        "tag_data_update_discrete":
+            lambda gs, gr: tag_data_update_discrete(y, c, layout.x_pilot, gs, gr),
+        "relaxed_data_updates":
+            lambda gs, gr: relaxed_data_updates(y, layout, np.ones(4), gs, gr, 1.0, 1.0),
+    }
+
+
+_G = np.array([1.0, 0.5, 0.25])
+_BAD_TAPS = {"g_str (4,)": (np.ones(4), _G), "g_sr (4,)": (_G, np.ones(4)),
+             "both (4,)": (np.ones(4), np.ones(4)), "both (1, 3)": (_G[None], _G[None])}
+
+
+@pytest.mark.parametrize("name, bad", [
+    (name, bad) for name in _tap_entry_points() for bad in _BAD_TAPS
+    # the source update reads q off g_str: two (4,) vectors are a valid q = 3 call
+    if (name, bad) != ("source_data_update_discrete", "both (4,)")
+])
+def test_every_tap_taker_rejects_wrong_tap_shapes(name, bad):
+    # taps that are not two (q+1,) vectors are a dimension mismatch, not a
+    # broadcasting error from inside numpy
+    call = _tap_entry_points()[name]
+    assert call(_G, _G) is not None          # the well-formed call decodes
+    with pytest.raises(DimensionMismatchError, match="taps"):
+        call(*_BAD_TAPS[bad])

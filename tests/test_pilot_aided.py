@@ -299,14 +299,34 @@ class TestDiscreteDataUpdates:
         assert np.all(got == 1)
 
 
+@pytest.mark.parametrize("reg", [REG, REG0, REG_L1], ids=["l2", "l2_zero", "l1"])
+def test_channel_fit_value_is_the_objective_at_its_estimates(gold, reg):
+    # the value a fit returns scores its candidate: the l2 ridge identity
+    # ||Y||^2 - Re(rhs^H g) and FISTA's objective both equal the residual
+    # energy plus penalty at the returned estimates, for one pair and a stack
+    rng = np.random.default_rng(33)
+    c_words = _with_pilot(gold.words[3][:27], _binary_candidates(4))
+    for _ in range(4):
+        layout = _layout(gold, rng, n_pilot=27, n_data=4, l_pilot=6, l_data=4)
+        x_words = _with_pilot(layout.x_pilot, _binary_candidates(4))
+        y, *_ = _frame(layout, rng, sigma_str2=10 ** rng.uniform(-2, 0), noise=1.0)
+        frame = pilot_aided._Frame(y, 2, reg)
+        ci, ti = rng.integers(16, size=(2, 24))
+        xi, xw = conv_matrix_from_code(c_words[ci], 2), x_words[ti]
+        for pair in (xi[0], xw[0]), (xi, xw):
+            g_str, g_sr, value = pilot_aided._channel_fit(frame, *pair, reg)
+            want = _objective_at(y, pair[1], *_pulse_shapes(pair[0], g_str, g_sr),
+                                 g_str, g_sr, reg)
+            assert np.shape(value) == np.shape(want)
+            np.testing.assert_allclose(value, want, rtol=1e-12, atol=0)
+
+
 class TestRelaxedDataUpdates:
     def test_noiseless_exact_at_zero_penalty(self, gold):
         rng = np.random.default_rng(15)
         layout = _layout(gold, rng)
         y, c_data, x_data, g_str, g_sr = _frame(layout, rng)
-        c_new, x_new = relaxed_data_updates(y, layout,
-                                            c_data.astype(complex),
-                                            x_data.astype(complex),
+        c_new, x_new = relaxed_data_updates(y, layout, x_data.astype(complex),
                                             g_str, g_sr, 0.0, 0.0)
         assert np.linalg.norm(c_new - c_data) < 1e-8
         assert np.linalg.norm(x_new - x_data) < 1e-8
@@ -315,8 +335,7 @@ class TestRelaxedDataUpdates:
         rng = np.random.default_rng(16)
         layout = _layout(gold, rng)
         y, c_data, x_data, g_str, g_sr = _frame(layout, rng)
-        _, x_new = relaxed_data_updates(y, layout, c_data.astype(complex),
-                                        x_data.astype(complex),
+        _, x_new = relaxed_data_updates(y, layout, x_data.astype(complex),
                                         g_str, g_sr, 1.0, 1e12)
         assert np.linalg.norm(x_new) < 1e-6
 
@@ -326,8 +345,7 @@ class TestRelaxedDataUpdates:
         layout = _layout(gold, rng, n_pilot=31, n_data=0, l_pilot=9, l_data=1)
         y, c_data, x_data, g_str, g_sr = _frame(layout, rng, noise=0.5)
         lam_x = 0.7
-        _, x_new = relaxed_data_updates(y, layout, np.zeros(0, complex),
-                                        x_data.astype(complex),
+        _, x_new = relaxed_data_updates(y, layout, x_data.astype(complex),
                                         g_str, g_sr, 0.0, lam_x)
         c = layout.c_pilot
         xi = conv_matrix_from_code(c, 2)
@@ -527,8 +545,7 @@ def test_every_decoder_rejects_non_finite_frames(gold, bad):
                    lambda: iterative_channel_update(y, c, x, REG),
                    lambda: source_data_update_discrete(y, x, layout.c_pilot, g_str, g_sr),
                    lambda: tag_data_update_discrete(y, c, layout.x_pilot, g_str, g_sr),
-                   lambda: relaxed_data_updates(y, layout, c_data, x_data, g_str, g_sr,
-                                                1.0, 1.0)):
+                   lambda: relaxed_data_updates(y, layout, x_data, g_str, g_sr, 1.0, 1.0)):
         with pytest.raises(ValueError, match="non-finite"):
             decode()
 

@@ -54,6 +54,20 @@ def _small_instance():
     return SourceCodebook(n=7, words=np.array(words)), gen_tag_codebook(4)
 
 
+def _residual_fits(block, u_cols, u_ones, gam_str, gam_sr, big_l, reg):
+    """Both families' fits L ||u/L - Xi_c g||^2 + lam phi(g) at given estimates,
+    from the residuals; the Xi_c are the adjoints of the block's first rows."""
+    xis = block[:, :block.shape[1] // 3].conj().swapaxes(1, 2)
+
+    def fits(u, gam, lam):
+        resid = u[None, :, :] / big_l - xis @ gam
+        penalty = np.abs(gam) ** 2 if reg.kind == "l2" else np.abs(gam)
+        return big_l * np.sum(np.abs(resid) ** 2, axis=1) + lam * np.sum(penalty, axis=1)
+
+    return (fits(u_cols, gam_str, reg.lambda_str),
+            fits(u_ones[:, None], gam_sr[:, :, None], reg.lambda_sr)[:, 0])
+
+
 def _draw_channels(rng, q=2, sigma2=1.0):
     return (sample_channel(q, q + 1, sigma2, -10.0, False, rng),
             sample_channel(q, q + 1, sigma2, -10.0, False, rng))
@@ -222,8 +236,7 @@ class TestDecodeJoint:
             u_ones = y.sum(axis=0)
             _, gam_str, _, gam_sr = pilot_free._candidate_fits(ops, u_cols, u_ones,
                                                                10, reg)
-            r_str, r_sr = pilot_free._residual_fits(ops[0], u_cols, u_ones,
-                                                    gam_str, gam_sr, 10, reg)
+            r_str, r_sr = _residual_fits(ops[0], u_cols, u_ones, gam_str, gam_sr, 10, reg)
             tag_term = -np.sum(np.abs(u_cols) ** 2, axis=0) / 10
             flat = int(np.argmin(tag_term[None, :] + r_str + r_sr[:, None]))
             res = decode_joint(y, src, tag, reg)
@@ -447,11 +460,32 @@ def test_chunked_tag_projections_match_one_product(monkeypatch, l):
             assert np.array_equal(got.g_sr_hat, want.g_sr_hat)
 
 
+@pytest.mark.parametrize("lams", [(0.3, 0.3), (0.3, 3.0), (12.0, 12.0)])
+def test_l1_fits_are_the_residual_objectives_at_the_estimates(books, lams):
+    # the l1 scores are the objectives FISTA returns; rebuilt from the
+    # residuals at the returned estimates they agree to rounding
+    src, tag = books
+    reg = RegularizationConfig(kind="l1", lambda_str=lams[0], lambda_sr=lams[1])
+    rng = np.random.default_rng(91)
+    ops = pilot_free._source_ops(src, 2, 10, reg)
+    u_all = tag.words.T.astype(np.complex128)
+    for _ in range(5):
+        g_str, g_sr = _draw_channels(rng, sigma2=0.3)
+        y = synthesize_frame(src.words[rng.integers(16)], tag.words[rng.integers(16)],
+                             g_str, g_sr, 1.0, rng)
+        u_cols, u_ones = y.T @ u_all, y.sum(axis=0)
+        f_str, gam_str, f_sr, gam_sr = pilot_free._candidate_fits(ops, u_cols, u_ones, 10, reg)
+        r_str, r_sr = _residual_fits(ops[0], u_cols, u_ones, gam_str, gam_sr, 10, reg)
+        energy = np.sum(np.abs(u_cols) ** 2, axis=0) / 10
+        np.testing.assert_allclose(f_str + energy, r_str, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(f_sr, r_sr, rtol=1e-12, atol=0)
+
+
 def _two_call_l1_fits(ops, u_cols, u_ones, big_l, reg):
     """``_candidate_fits``' l1 branch before both families shared one FISTA
     call: the tag columns and the direct column in two runs of the
     two-product loop, each with its own joint stop rule."""
-    xis, block, grams, lips = ops
+    block, grams, lips = ops
     q1 = block.shape[1] // 3
     r = u_cols.shape[1]
     prod = block @ np.column_stack([u_cols, u_ones])
@@ -463,7 +497,7 @@ def _two_call_l1_fits(ops, u_cols, u_ones, big_l, reg):
     bn1 = np.full((mc, 1), float(np.sum(np.abs(u_ones) ** 2)) / big_l)
     gam_sr = _two_product_fista(grams, atb[:, :, r:], bn1, lips, reg.lambda_sr, reg,
                                 prod[:, 2 * q1:, r:])[0][:, :, 0]
-    f_str, f_sr = pilot_free._residual_fits(xis, u_cols, u_ones, gam_str, gam_sr, big_l, reg)
+    f_str, f_sr = _residual_fits(block, u_cols, u_ones, gam_str, gam_sr, big_l, reg)
     return f_str - energy, gam_str, f_sr, gam_sr
 
 

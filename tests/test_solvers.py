@@ -319,6 +319,30 @@ class TestFistaStacked:
             stops.append(both.iterations.tolist())
         assert all(a != b for a, b in stops)   # one family always runs on
 
+    @pytest.mark.parametrize("s", [1, 5, 24])
+    def test_per_gram_families_equal_separate_calls_bit_for_bit(self, s):
+        # (s, 1) labels give every Gram its own stop family; a Gram's products
+        # are its own slice of each stacked product and a stopped Gram is
+        # frozen, so each one returns exactly what a one-Gram call returns
+        rng = np.random.default_rng(70 + s)
+        cfg = RegularizationConfig()
+        grams, atbs, bnorm2s, lips = _lasso_stack(rng, s, 6, 1)
+        lam = rng.uniform(0.5, 4.0, (6, 1))
+        x0 = np.linalg.solve(grams + np.eye(6), atbs)
+        stacked = fista_stacked(grams, atbs, bnorm2s, lips, lam, cfg, x0,
+                                families=np.arange(s)[:, None])
+        assert stacked.iterations.shape == (s,)
+        for i in range(s):
+            one = slice(i, i + 1)
+            alone = fista_stacked(grams[one], atbs[one], bnorm2s[one], lips[one], lam, cfg,
+                                  x0[one])
+            assert stacked.iterations[i] == alone.iterations[0]
+            assert stacked.converged[i] == alone.converged[0]
+            assert stacked.gamma[one].tobytes() == alone.gamma.tobytes()
+            assert stacked.objective[one].tobytes() == alone.objective.tobytes()
+        if s > 1:
+            assert len(set(stacked.iterations.tolist())) > 1   # the Grams stop apart
+
 
 class TestPinvApply:
     def test_identity(self):
