@@ -120,13 +120,14 @@ def conv_matrix_from_channel(g, n_pilot: int, n_data: int) -> tuple[np.ndarray, 
 
     The horizontal concatenation is the (n+q) x n Toeplitz matrix of the
     taps, so that Gamma_P c_P + Gamma_D c_D equals the response vector of
-    c = [c_P; c_D] through g for every codeword split.
+    c = [c_P; c_D] through g for every codeword split.  Leading axes of
+    ``g`` are a stack of channels, one split matrix each.
     """
     taps = np.asarray(g, dtype=np.complex128)
     n = n_pilot + n_data
     if n_pilot < 0 or n_data < 0 or n < 1:
         raise DimensionMismatchError("pilot/data lengths must be nonnegative, n >= 1")
-    if taps.ndim != 1 or taps.size < 1:
+    if taps.ndim < 1 or taps.shape[-1] < 1:
         raise DimensionMismatchError("channel taps must be a nonempty vector")
     full = conv_matrix_from_code(taps, n - 1)
-    return full[:, :n_pilot], full[:, n_pilot:]
+    return full[..., :n_pilot], full[..., n_pilot:]

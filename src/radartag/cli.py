@@ -7,7 +7,6 @@ errors, 3 when an enumeration budget is exceeded.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .codebooks import (

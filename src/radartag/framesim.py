@@ -109,11 +109,11 @@ def snr_pair(snr_sr_db: float, rho_db: float) -> SnrConfig:
     return SnrConfig(snr_str_db=snr_sr_db + rho_db, snr_sr_db=snr_sr_db)
 
 
-def _checked_frame(y, l: int | None, n: int) -> tuple[np.ndarray, int]:
+def _checked_frame(y, l: int, n: int) -> tuple[np.ndarray, int]:
     """The one input check of every decoder: (complex frame, q = k - n).
 
-    The frame must be a finite 2-D array with ``l`` rows (any number when
-    ``l`` is None) and at least ``n`` columns.
+    The frame must be a finite 2-D array with ``l`` rows and at least ``n``
+    columns.
     """
     y = np.asarray(y, dtype=np.complex128)
     if y.ndim != 2:
@@ -121,7 +121,7 @@ def _checked_frame(y, l: int | None, n: int) -> tuple[np.ndarray, int]:
     if not np.all(np.isfinite(y)):
         raise ValueError("frame contains non-finite samples")
     big_l, k = y.shape
-    if l is not None and big_l != l:
+    if big_l != l:
         raise DimensionMismatchError(f"frame has {big_l} PRIs, expected {l}")
     if k < n:
         raise DimensionMismatchError(f"frame has {k} fast-time samples, needs {n}")

@@ -13,16 +13,13 @@ exact discrete updates (enumeration) or relaxed continuous updates
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
-# conv_matrix_from_channel has no caller here; it stays importable from this
-# module because perfbench/spans.py traces the name at this site
-from .channel import conv_matrix_from_channel, conv_matrix_from_code  # noqa: F401
+from .channel import conv_matrix_from_channel, conv_matrix_from_code
 from .codebooks import check_pilot_conditions
 from .errors import (
     BudgetExceededError,
@@ -47,8 +44,6 @@ __all__ = [
     "exhaustive_search",
 ]
 
-log = logging.getLogger(__name__)
-
 MAX_SWEEPS = 50           # block-coordinate descent sweeps per decode_iterative
 REL_TOL = 1e-8            # relative objective change that ends the descent
 ENUM_BUDGET = 2 ** 16     # most source data words the discrete update enumerates
@@ -72,8 +67,13 @@ class PilotLayout:
     def __post_init__(self):
         self.c_pilot = np.asarray(self.c_pilot, dtype=np.float64)
         self.x_pilot = np.asarray(self.x_pilot, dtype=np.float64)
-        if self.n_data < 0 or self.l_data < 0:
-            raise ValueError("data lengths must be nonnegative")
+        if self.c_pilot.ndim != 1 or self.x_pilot.ndim != 1:
+            raise DimensionMismatchError("pilots must be 1-D")
+        if not (np.isfinite(self.c_pilot).all() and np.isfinite(self.x_pilot).all()):
+            raise ValueError("pilots must be finite")
+        if not all(isinstance(v, (int, np.integer)) and v >= 0
+                   for v in (self.n_data, self.l_data)):
+            raise ValueError("data lengths must be integers >= 0")
 
     @property
     def n(self) -> int:
@@ -124,6 +124,16 @@ def _with_pilot(pilot, data) -> np.ndarray:
     data = np.asarray(data)
     pilot = np.broadcast_to(pilot, data.shape[:-1] + np.shape(pilot))
     return np.concatenate([pilot, data], axis=-1).astype(np.complex128)
+
+
+def _full_word(pilot, data, length: int) -> np.ndarray:
+    """The complex full word of a 1-D data block that fills ``length`` after the pilot."""
+    data = np.asarray(data)
+    if data.ndim != 1 or pilot.size + data.size != length:
+        raise DimensionMismatchError(
+            f"data block of shape {data.shape} does not fill the {length}-symbol "
+            f"word after its {pilot.size}-symbol pilot")
+    return _with_pilot(pilot, data)
 
 
 class _Frame:
@@ -189,9 +199,12 @@ def _pilot_pinvs(x_pilot_bytes: bytes, c_pilot_bytes: bytes, q: int):
     return pinvs
 
 
-def _channel_matrices(g_str, g_sr, n: int) -> np.ndarray:
-    """(2, n+q, n) Toeplitz matrices of both channels; column j is g delayed by j."""
-    return conv_matrix_from_code(np.stack([g_str, g_sr]), n - 1)
+def _source_split(g_str, g_sr, layout: PilotLayout):
+    """Both channels' responses to the source pilot, (2, n+q), and their
+    data columns, (2, n+q, n_data): the source word split by the layout."""
+    pilot_cols, data_cols = conv_matrix_from_channel(
+        np.stack([g_str, g_sr]), layout.c_pilot.size, layout.n_data)
+    return pilot_cols @ layout.c_pilot, data_cols
 
 
 def decode_noniterative(y, layout: PilotLayout) -> PilotAidedResult:
@@ -213,7 +226,7 @@ def decode_noniterative(y, layout: PilotLayout) -> PilotAidedResult:
 
 def _noniterative(y, layout: PilotLayout, q: int) -> PilotAidedResult:
     """:func:`decode_noniterative` on a frame already checked against the layout."""
-    n_p, n_d, l_p = layout.c_pilot.size, layout.n_data, layout.x_pilot.size
+    n_p, l_p = layout.c_pilot.size, layout.x_pilot.size
     pilot_ops = _pilot_pinvs(layout.x_pilot.tobytes(), layout.c_pilot.tobytes(), q)
     if pilot_ops is None:
         raise PilotConditionViolatedError(
@@ -227,16 +240,10 @@ def _noniterative(y, layout: PilotLayout, q: int) -> PilotAidedResult:
     gammas = xi_pilot_pinv @ np.stack([alpha_str[:n_p], alpha_sr[:n_p]], axis=1)
     g_str, g_sr = gammas[:, 0], gammas[:, 1]
 
-    if n_d > 0:
-        # both channels' pilot and data columns, both data pseudoinverses at once
-        full = _channel_matrices(g_str, g_sr, n_p + n_d)
-        tails = shapes - full[:, :, :n_p] @ layout.c_pilot.astype(np.complex128)
-        c_conts = np.linalg.pinv(full[:, :, n_p:]) @ tails[..., None]
-        c_data = _slice_pm1(0.5 * (c_conts[0, :, 0] + c_conts[1, :, 0]))
-    else:
-        log.debug("noniterative decode with no source data symbols (n_data=0)")
-        c_data = np.zeros(0, dtype=np.int64)
-
+    # both channels' data columns, both data pseudoinverses at once
+    pilot_resp, data_cols = _source_split(g_str, g_sr, layout)
+    c_conts = np.linalg.pinv(data_cols) @ (shapes - pilot_resp)[..., None]
+    c_data = _slice_pm1(0.5 * (c_conts[0, :, 0] + c_conts[1, :, 0]))
     x_data = _slice_pm1(_tag_relaxed(y[l_p:], alpha_str, alpha_sr, 0.0))
     return PilotAidedResult(c_data_hat=c_data, x_data_hat=x_data,
                             g_str_hat=g_str, g_sr_hat=g_sr,
@@ -299,20 +306,17 @@ def iterative_channel_update(y, c, x, reg: RegularizationConfig):
     return _channel_fit(_Frame(y, q, reg), conv_matrix_from_code(c, q), x, reg)[:2]
 
 
-def _source_form(y, x, c_pilot, g_str, g_sr, n_d: int):
+def _source_form(y, x, layout: PilotLayout, g_str, g_sr):
     """(gram, rhs) of the residual as a quadratic form in the source data.
 
     With the pilot response removed, row p sees the data through
     x_p Gamma_str_D + Gamma_sr_D; for real c the residual energy is
-    Re(c^T gram c) - 2 Re(c^T rhs) plus a constant.  ``c_pilot`` is complex.
+    Re(c^T gram c) - 2 Re(c^T rhs) plus a constant.
     """
-    n_p = c_pilot.size
-    full = _channel_matrices(g_str, g_sr, n_p + n_d)
-    g1_p, g1_d = full[0, :, :n_p], full[0, :, n_p:]
-    g2_p, g2_d = full[1, :, :n_p], full[1, :, n_p:]
+    pilot_resp, (g1_d, g2_d) = _source_split(g_str, g_sr, layout)
     big_l = y.shape[0]
-    resid = (y - np.outer(x, g1_p @ c_pilot)
-             - np.outer(np.ones(big_l), g2_p @ c_pilot))
+    resid = (y - np.outer(x, pilot_resp[0])
+             - np.outer(np.ones(big_l), pilot_resp[1]))
     sxx = float((np.abs(x) ** 2).sum())
     sx1 = np.conj(x).sum()
     g1_h, g2_h = g1_d.conj().T, g2_d.conj().T
@@ -332,7 +336,8 @@ def _source_best(gram, rhs, cands) -> np.ndarray:
 def _source_relaxed(gram, rhs, lam_eye, lambda_c: float) -> np.ndarray:
     """Penalized continuous source data: (gram + lambda_c I)^{-1} rhs."""
     gram = gram + lam_eye
-    if lambda_c == 0.0 and numeric_rank(gram) < gram.shape[0]:
+    # an empty block (n_data = 0) has nothing to solve and no rank to take
+    if lambda_c == 0.0 and gram.size and numeric_rank(gram) < gram.shape[0]:
         raise SingularSystemError("summed data Gram matrix is singular at lambda_c=0")
     return np.linalg.solve(gram, rhs)
 
@@ -345,39 +350,32 @@ def _check_enum_budget(n_d: int) -> None:
         )
 
 
-def source_data_update_discrete(y, x, c_pilot, g_str, g_sr) -> np.ndarray:
+def source_data_update_discrete(y, layout: PilotLayout, x_data, g_str, g_sr) -> np.ndarray:
     """Exact minimizer of the residual over all +/-1 source data words.
 
-    ``x`` is the full tag word; the frame's columns beyond the channel's
-    q and the pilot are the data.  Raises ``ValueError`` on a non-finite
-    frame.
+    ``x_data`` is the tag data block at which the source block is updated.
+    Raises ``ValueError`` on a non-finite frame.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 1:
-        raise DimensionMismatchError("tag codeword must be 1-D")
-    y, n_d = _checked_frame(y, x.size, np.size(g_str) - 1 + np.size(c_pilot))
-    g_str, g_sr = _checked_taps(g_str, g_sr, np.size(g_str) - 1)
-    if n_d == 0:
-        return np.zeros(0, dtype=np.int64)
-    _check_enum_budget(n_d)
-    gram, rhs = _source_form(y, x, np.asarray(c_pilot, dtype=np.complex128),
-                             g_str, g_sr, n_d)
-    return _source_best(gram, rhs, _binary_candidates(n_d)).copy()
+    y, q = _checked_frame(y, layout.l, layout.n)
+    g_str, g_sr = _checked_taps(g_str, g_sr, q)
+    x = _full_word(layout.x_pilot, x_data, layout.l)
+    _check_enum_budget(layout.n_data)
+    gram, rhs = _source_form(y, x, layout, g_str, g_sr)
+    return _source_best(gram, rhs, _binary_candidates(layout.n_data)).copy()
 
 
-def tag_data_update_discrete(y, c, x_pilot, g_str, g_sr) -> np.ndarray:
+def tag_data_update_discrete(y, layout: PilotLayout, c_data, g_str, g_sr) -> np.ndarray:
     """Per-row sign decisions on the direct-component-free data rows.
 
     Rows decouple, so the joint minimizer over the +/-1 product alphabet is
-    the per-row matched-filter sign; exact ties resolve to +1.  ``c`` is
-    the full source word.  Raises ``ValueError`` on a non-finite frame.
+    the per-row matched-filter sign; exact ties resolve to +1.  ``c_data``
+    is the source data block at which the tag block is updated.  Raises
+    ``ValueError`` on a non-finite frame.
     """
-    if np.ndim(c) != 1:
-        raise DimensionMismatchError("source codeword must be 1-D")
-    y, q = _checked_frame(y, None, np.size(c))
+    y, q = _checked_frame(y, layout.l, layout.n)
     g_str, g_sr = _checked_taps(g_str, g_sr, q)
-    xi = conv_matrix_from_code(c, q)
-    return _tag_signs(y[np.size(x_pilot):], *_pulse_shapes(xi, g_str, g_sr))
+    xi = conv_matrix_from_code(_full_word(layout.c_pilot, c_data, layout.n), q)
+    return _tag_signs(y[layout.x_pilot.size:], *_pulse_shapes(xi, g_str, g_sr))
 
 
 def relaxed_data_updates(y, layout: PilotLayout, x_data, g_str, g_sr,
@@ -391,16 +389,12 @@ def relaxed_data_updates(y, layout: PilotLayout, x_data, g_str, g_sr,
     """
     y, q = _checked_frame(y, layout.l, layout.n)
     g_str, g_sr = _checked_taps(g_str, g_sr, q)
-    n_d, l_p = layout.n_data, layout.x_pilot.size
-    if n_d > 0:
-        gram, rhs = _source_form(y, _with_pilot(layout.x_pilot, x_data),
-                                 layout.c_pilot.astype(np.complex128), g_str, g_sr, n_d)
-        c_data_new = _source_relaxed(gram, rhs, lambda_c * np.eye(n_d), lambda_c)
-    else:
-        c_data_new = np.zeros(0, dtype=np.complex128)
-
+    gram, rhs = _source_form(y, _full_word(layout.x_pilot, x_data, layout.l),
+                             layout, g_str, g_sr)
+    c_data_new = _source_relaxed(gram, rhs, lambda_c * np.eye(layout.n_data), lambda_c)
     xi = conv_matrix_from_code(_with_pilot(layout.c_pilot, c_data_new), q)
-    x_data_new = _tag_relaxed(y[l_p:], *_pulse_shapes(xi, g_str, g_sr), lambda_x)
+    x_data_new = _tag_relaxed(y[layout.x_pilot.size:], *_pulse_shapes(xi, g_str, g_sr),
+                              lambda_x)
     return c_data_new, x_data_new
 
 
@@ -460,13 +454,11 @@ def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
     if init_data is None:
         start = _noniterative(y, layout, q)
         init_data = (start.c_data_hat, start.x_data_hat)
-    c = _with_pilot(layout.c_pilot, init_data[0])
-    x = _with_pilot(layout.x_pilot, init_data[1])
-    if c.shape != (layout.n,) or x.shape != (layout.l,):
-        raise DimensionMismatchError("init_data lengths must match the layout's data")
+    c = _full_word(layout.c_pilot, init_data[0], layout.n)
+    x = _full_word(layout.x_pilot, init_data[1], layout.l)
     n_p, l_p, n_d = layout.c_pilot.size, layout.x_pilot.size, layout.n_data
     c_data, x_data = c[n_p:], x[l_p:]       # views: the blocks the updates write
-    c_pilot, data_rows = c[:n_p], y[l_p:]
+    data_rows = y[l_p:]
     frame = _Frame(y, q, reg)
     penalized = {"c_data": c_data, "x_data": x_data} if relaxed else {}
 
@@ -498,10 +490,9 @@ def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
                 g_new = g_str, g_sr
             g_str, g_sr = g_new
 
-        if n_d > 0:
-            gram, rhs = _source_form(y, x, c_pilot, g_str, g_sr, n_d)
-            c_data[:] = (_source_relaxed(gram, rhs, lam_eye, lambda_c) if relaxed
-                         else _source_best(gram, rhs, cands))
+        gram, rhs = _source_form(y, x, layout, g_str, g_sr)
+        c_data[:] = (_source_relaxed(gram, rhs, lam_eye, lambda_c) if relaxed
+                     else _source_best(gram, rhs, cands))
         xi = conv_matrix_from_code(c, q)
         a_str, a_sr = _pulse_shapes(xi, g_str, g_sr)
         x_data[:] = (_tag_relaxed(data_rows, a_str, a_sr, lambda_x) if relaxed

@@ -159,6 +159,19 @@ class TestConvMatrixFromChannel:
             got = gp @ c[:n_pilot] + gd @ c[n_pilot:]
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("n_pilot,n_data", [(27, 4), (31, 0), (1, 30)])
+    def test_channel_stack_equals_single_calls(self, n_pilot, n_data):
+        # a (2, q+1) stack splits into the two single-channel splits, bit for bit
+        rng = np.random.default_rng(11)
+        g = np.stack([_randc(rng, 3), _randc(rng, 3)])
+        gp, gd = conv_matrix_from_channel(g, n_pilot, n_data)
+        assert gp.shape == (2, n_pilot + n_data + 2, n_pilot)
+        assert gd.shape == (2, n_pilot + n_data + 2, n_data)
+        for f in range(2):
+            gp_f, gd_f = conv_matrix_from_channel(g[f], n_pilot, n_data)
+            assert gp_f.ndim == gd_f.ndim == 2
+            assert np.array_equal(gp[f], gp_f) and np.array_equal(gd[f], gd_f)
+
     def test_energy_bound(self):
         rng = np.random.default_rng(10)
         c = _randc(rng, 12)

@@ -202,9 +202,9 @@ def _entry_points():
         "exhaustive_search": lambda y, c, x: exhaustive_search(y, layout, reg),
         "iterative_channel_update": lambda y, c, x: iterative_channel_update(y, c, x, reg),
         "source_data_update_discrete":
-            lambda y, c, x: source_data_update_discrete(y, x, layout.c_pilot, g, g),
+            lambda y, c, x: source_data_update_discrete(y, layout, x[6:], g, g),
         "tag_data_update_discrete":
-            lambda y, c, x: tag_data_update_discrete(y, c, layout.x_pilot, g, g),
+            lambda y, c, x: tag_data_update_discrete(y, layout, c[27:], g, g),
         "relaxed_data_updates":
             lambda y, c, x: relaxed_data_updates(y, layout, np.ones(4), g, g, 1.0, 1.0),
     }
@@ -236,6 +236,29 @@ def test_every_entry_point_rejects_wrong_rank_inputs(name, bad):
         call(**args)
 
 
+_PILOT = gen_gold(5).words[0][:27]
+_BAD_LAYOUTS = {
+    "c_pilot (1, 27)": (DimensionMismatchError, dict(c_pilot=_PILOT[None])),
+    "c_pilot ()": (DimensionMismatchError, dict(c_pilot=1.0)),
+    "x_pilot (2, 3)": (DimensionMismatchError, dict(x_pilot=np.ones((2, 3)))),
+    "c_pilot nan": (ValueError, dict(c_pilot=np.append(_PILOT[:-1], np.nan))),
+    "x_pilot inf": (ValueError, dict(x_pilot=[1.0, -1.0, np.inf, -1.0, 1.0, -1.0])),
+    "n_data -1": (ValueError, dict(n_data=-1)),
+    "n_data 4.0": (ValueError, dict(n_data=4.0)),
+    "l_data '4'": (ValueError, dict(l_data="4")),
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_LAYOUTS))
+def test_pilot_layout_rejects_malformed_pilots_and_lengths(bad):
+    # a malformed layout fails where it is built, not inside numpy in a decoder
+    good = dict(c_pilot=_PILOT, x_pilot=alternating_pilot(6), n_data=np.int64(4), l_data=4)
+    assert PilotLayout(**good).n == 31
+    error, change = _BAD_LAYOUTS[bad]
+    with pytest.raises(error):
+        PilotLayout(**{**good, **change})
+
+
 def _tap_entry_points():
     """Every entry point that takes channel taps, as calls of (g_str, g_sr)
     against a (10, 33) frame, i.e. q = 2."""
@@ -247,9 +270,9 @@ def _tap_entry_points():
     return {
         "decode_perfect_csi": lambda gs, gr: decode_perfect_csi(y, src, tag, gs, gr),
         "source_data_update_discrete":
-            lambda gs, gr: source_data_update_discrete(y, x, layout.c_pilot, gs, gr),
+            lambda gs, gr: source_data_update_discrete(y, layout, x[6:], gs, gr),
         "tag_data_update_discrete":
-            lambda gs, gr: tag_data_update_discrete(y, c, layout.x_pilot, gs, gr),
+            lambda gs, gr: tag_data_update_discrete(y, layout, c[27:], gs, gr),
         "relaxed_data_updates":
             lambda gs, gr: relaxed_data_updates(y, layout, np.ones(4), gs, gr, 1.0, 1.0),
     }
@@ -262,8 +285,6 @@ _BAD_TAPS = {"g_str (4,)": (np.ones(4), _G), "g_sr (4,)": (_G, np.ones(4)),
 
 @pytest.mark.parametrize("name, bad", [
     (name, bad) for name in _tap_entry_points() for bad in _BAD_TAPS
-    # the source update reads q off g_str: two (4,) vectors are a valid q = 3 call
-    if (name, bad) != ("source_data_update_discrete", "both (4,)")
 ])
 def test_every_tap_taker_rejects_wrong_tap_shapes(name, bad):
     # taps that are not two (q+1,) vectors are a dimension mismatch, not a

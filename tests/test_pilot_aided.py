@@ -231,8 +231,7 @@ class TestDiscreteDataUpdates:
         rng = np.random.default_rng(9)
         layout = _layout(gold, rng)
         y, c_data, x_data, g_str, g_sr = _frame(layout, rng)
-        x = np.concatenate([layout.x_pilot, x_data])
-        got = source_data_update_discrete(y, x, layout.c_pilot,
+        got = source_data_update_discrete(y, layout, x_data,
                                           g_str, g_sr)
         assert np.array_equal(got, c_data)
 
@@ -243,7 +242,7 @@ class TestDiscreteDataUpdates:
         layout = _layout(gold, rng, n_pilot=31 - n_data, n_data=n_data)
         y, c_data, x_data, g_str, g_sr = _frame(layout, rng, noise=2.0)
         x = np.concatenate([layout.x_pilot, x_data])
-        got = source_data_update_discrete(y, x, layout.c_pilot,
+        got = source_data_update_discrete(y, layout, x_data,
                                           g_str, g_sr)
         cands = _binary_candidates(n_data)
         scores = []
@@ -261,14 +260,13 @@ class TestDiscreteDataUpdates:
         g = sample_channel(2, 3, 1.0, -10.0, False, rng)
         x = np.concatenate([layout.x_pilot, np.ones(8)])
         with pytest.raises(BudgetExceededError):
-            source_data_update_discrete(y, x, layout.c_pilot, g, g)
+            source_data_update_discrete(y, layout, x[2:], g, g)
 
     def test_tag_update_noiseless_truth(self, gold):
         rng = np.random.default_rng(12)
         layout = _layout(gold, rng)
         y, c_data, x_data, g_str, g_sr = _frame(layout, rng)
-        c = np.concatenate([layout.c_pilot, c_data])
-        got = tag_data_update_discrete(y, c, layout.x_pilot,
+        got = tag_data_update_discrete(y, layout, c_data,
                                        g_str, g_sr)
         assert np.array_equal(got, x_data)
 
@@ -277,7 +275,7 @@ class TestDiscreteDataUpdates:
         layout = _layout(gold, rng)
         y, c_data, x_data, g_str, g_sr = _frame(layout, rng, noise=2.0)
         c = np.concatenate([layout.c_pilot, c_data])
-        got = tag_data_update_discrete(y, c, layout.x_pilot,
+        got = tag_data_update_discrete(y, layout, c_data,
                                        g_str, g_sr)
         xi = conv_matrix_from_code(c, 2)
         a_str, a_sr = xi @ g_str, xi @ g_sr
@@ -292,9 +290,8 @@ class TestDiscreteDataUpdates:
         rng = np.random.default_rng(14)
         layout = _layout(gold, rng)
         y, c_data, *_ = _frame(layout, rng)
-        c = np.concatenate([layout.c_pilot, c_data])
         g_sr = sample_channel(2, 3, 1.0, -10.0, False, rng)
-        got = tag_data_update_discrete(y, c, layout.x_pilot,
+        got = tag_data_update_discrete(y, layout, c_data,
                                        np.zeros(3), g_sr)
         assert np.all(got == 1)
 
@@ -543,8 +540,8 @@ def test_every_decoder_rejects_non_finite_frames(gold, bad):
                    lambda: decode_iterative(y, layout, REG, mode="relaxed"),
                    lambda: exhaustive_search(y, layout, REG),
                    lambda: iterative_channel_update(y, c, x, REG),
-                   lambda: source_data_update_discrete(y, x, layout.c_pilot, g_str, g_sr),
-                   lambda: tag_data_update_discrete(y, c, layout.x_pilot, g_str, g_sr),
+                   lambda: source_data_update_discrete(y, layout, x_data, g_str, g_sr),
+                   lambda: tag_data_update_discrete(y, layout, c_data, g_str, g_sr),
                    lambda: relaxed_data_updates(y, layout, x_data, g_str, g_sr, 1.0, 1.0)):
         with pytest.raises(ValueError, match="non-finite"):
             decode()
@@ -827,6 +824,61 @@ def test_decoders_match_the_per_call_reference_bit_for_bit(gold, case):
                                                                        mode, init_data))
             if zero_str and not frame.any():
                 assert noniter.degenerate and res.degenerate
+
+
+def _assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(_bits(got) if np.iscomplexobj(got) else got,
+                          _bits(want) if np.iscomplexobj(want) else want)
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_block_updates_match_the_per_call_reference_bit_for_bit(gold, case):
+    # the public block updates, which take the layout, against the versions
+    # that took full words and read the data lengths off the taps
+    reg, frames, (n_pilot, n_data, l_pilot, l_data), zero_str = _ORACLE_CASES[case]
+    rng = np.random.default_rng(list(_ORACLE_CASES).index(case) + 600)
+    for _ in range(min(frames, 10)):
+        layout = _layout(gold, rng, n_pilot=n_pilot, n_data=n_data,
+                         l_pilot=l_pilot, l_data=l_data)
+        y, _, _, g_str, g_sr = _frame(layout, rng, sigma_str2=0.0 if zero_str else 0.3,
+                                      noise=1.0)
+        c_data, x_data = _random_start(layout, rng)
+        _assert_same_array(
+            source_data_update_discrete(y, layout, x_data, g_str, g_sr),
+            _reference_source_discrete(y, _with_pilot(layout.x_pilot, x_data),
+                                       layout.c_pilot, g_str, g_sr))
+        _assert_same_array(
+            tag_data_update_discrete(y, layout, c_data, g_str, g_sr),
+            _reference_tag_discrete(y, _with_pilot(layout.c_pilot, c_data),
+                                    layout.x_pilot, g_str, g_sr))
+        lambdas = (float(reg.lambda_c), float(reg.lambda_x))
+        for got, want in zip(
+                relaxed_data_updates(y, layout, x_data, g_str, g_sr, *lambdas),
+                _reference_relaxed(y, layout, x_data, g_str, g_sr, *lambdas)):
+            _assert_same_array(got, want)
+
+
+def test_data_blocks_must_fill_the_layout(gold):
+    # a data block that does not fill its word after the pilot is a dimension
+    # mismatch, never a shorter word or a block the update ignores
+    rng = np.random.default_rng(610)
+    g = sample_channel(2, 3, 1.0, -10.0, False, rng)
+    layout = _layout(gold, rng, n_pilot=27, n_data=4, l_pilot=6, l_data=4)
+    no_source = _layout(gold, rng, n_pilot=31, n_data=0, l_pilot=6, l_data=4)
+    for lay, c_data, x_data in ((layout, np.ones(4), np.ones(3)),
+                                (no_source, np.ones(0), np.ones(7)),
+                                (layout, np.ones(3), np.ones(4))):
+        y = _frame(lay, rng, noise=1.0)[0]
+        calls = [lambda: decode_iterative(y, lay, REG, init_data=(c_data, x_data))]
+        if x_data.size != lay.l_data:
+            calls += [lambda: source_data_update_discrete(y, lay, x_data, g, g),
+                      lambda: relaxed_data_updates(y, lay, x_data, g, g, 1.0, 1.0)]
+        else:
+            calls += [lambda: tag_data_update_discrete(y, lay, c_data, g, g)]
+        for call in calls:
+            with pytest.raises(DimensionMismatchError):
+                call()
 
 
 @pytest.mark.parametrize("reg", [REG, REG_L1], ids=["l2", "l1"])
