@@ -55,35 +55,37 @@ def _tag_book(length: int):
     return gen_tag_codebook(length)
 
 
-def _cmd_codebook(args) -> int:
-    if args.codebook_cmd == "gen-gold":
-        book = gen_gold()
-        _write(_words_csv(book.words), args.out)
-        return 0
-    if args.codebook_cmd == "gen-tag":
-        book = _tag_book(args.len)
-        _write(_words_csv(book.words), args.out)
-        return 0
-    if args.codebook_cmd == "check":
-        if args.q < 0:
-            raise ConfigInvalidError(f"--q must be >= 0, got {args.q}")
-        source = gen_gold()
-        tag = _tag_book(args.len)
-        src_ok = check_source_separability(source, args.q)
-        tag_ok = check_tag_separability(tag)
-        print(f"source: {len(source)} words of length {source.n}, "
-              f"pairwise rank 2(q+1) at q={args.q}: {'ok' if src_ok else 'FAIL'}")
-        print(f"tag: {len(tag)} words of length {tag.l}, "
-              f"zero-sum and pairwise rank 2: {'ok' if tag_ok else 'FAIL'}")
-        return 0 if (src_ok and tag_ok) else 1
-    if args.codebook_cmd == "psl-table":
-        book = gen_gold()
-        rows = pilot_table(book, _parse_rates(args.rates, book.n))
-        lines = ["rate,psl_db,islr_db"]
-        lines += [f"{r.rate},{r.psl_db:.10g},{r.islr_db:.10g}" for r in rows]
-        _write("\n".join(lines) + "\n", args.out)
-        return 0
-    raise ConfigInvalidError("missing codebook subcommand")
+def _cmd_gen_gold(args) -> int:
+    _write(_words_csv(gen_gold().words), args.out)
+    return 0
+
+
+def _cmd_gen_tag(args) -> int:
+    _write(_words_csv(_tag_book(args.len).words), args.out)
+    return 0
+
+
+def _cmd_rank_check(args) -> int:
+    if args.q < 0:
+        raise ConfigInvalidError(f"--q must be >= 0, got {args.q}")
+    source = gen_gold()
+    tag = _tag_book(args.len)
+    src_ok = check_source_separability(source, args.q)
+    tag_ok = check_tag_separability(tag)
+    print(f"source: {len(source)} words of length {source.n}, "
+          f"pairwise rank 2(q+1) at q={args.q}: {'ok' if src_ok else 'FAIL'}")
+    print(f"tag: {len(tag)} words of length {tag.l}, "
+          f"zero-sum and pairwise rank 2: {'ok' if tag_ok else 'FAIL'}")
+    return 0 if (src_ok and tag_ok) else 1
+
+
+def _cmd_psl_table(args) -> int:
+    book = gen_gold()
+    rows = pilot_table(book, _parse_rates(args.rates, book.n))
+    lines = ["rate,psl_db,islr_db"]
+    lines += [f"{r.rate},{r.psl_db:.10g},{r.islr_db:.10g}" for r in rows]
+    _write("\n".join(lines) + "\n", args.out)
+    return 0
 
 
 def _cmd_run(args) -> int:
@@ -124,34 +126,36 @@ def build_parser() -> argparse.ArgumentParser:
     cb_sub = codebook.add_subparsers(dest="codebook_cmd", required=True)
     gg = cb_sub.add_parser("gen-gold", help="emit the Gold source codebook as CSV")
     gg.add_argument("--out", default=None)
+    gg.set_defaults(handler=_cmd_gen_gold)
     gt = cb_sub.add_parser("gen-tag", help="emit the zero-sum tag codebook as CSV")
     gt.add_argument("--len", type=int, default=10)
     gt.add_argument("--out", default=None)
+    gt.set_defaults(handler=_cmd_gen_tag)
     ck = cb_sub.add_parser("check", help="run the identifiability rank checks")
     ck.add_argument("--q", type=int, required=True)
     ck.add_argument("--len", type=int, default=10)
+    ck.set_defaults(handler=_cmd_rank_check)
     pt = cb_sub.add_parser("psl-table",
                            help="averaged worst-case PSL/ISLR vs source data rate")
     pt.add_argument("--rates", required=True, help="e.g. 0..9 or 0,4,9")
     pt.add_argument("--out", default=None)
+    pt.set_defaults(handler=_cmd_psl_table)
 
-    sim = sub.add_parser("simulate", help="run the SNR grid of a config")
-    sim.add_argument("--config", required=True)
-    sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--format", choices=("csv", "json"), default="csv")
-    sim.add_argument("--out", default=None)
-    sim.add_argument("--workers", type=int, default=1)
-
-    sw = sub.add_parser("sweep", help="sweep one axis of a config")
-    sw.add_argument("--config", required=True)
+    run_opts = argparse.ArgumentParser(add_help=False)
+    run_opts.add_argument("--config", required=True)
+    run_opts.add_argument("--seed", type=int, default=None)
+    run_opts.add_argument("--format", choices=("csv", "json"), default="csv")
+    run_opts.add_argument("--out", default=None)
+    run_opts.add_argument("--workers", type=int, default=1)
+    sub.add_parser("simulate", parents=[run_opts],
+                   help="run the SNR grid of a config").set_defaults(handler=_cmd_run)
+    sw = sub.add_parser("sweep", parents=[run_opts], help="sweep one axis of a config")
     sw.add_argument("--axis", required=True, choices=SWEEP_AXES)
-    sw.add_argument("--out", default=None)
-    sw.add_argument("--seed", type=int, default=None)
-    sw.add_argument("--format", choices=("csv", "json"), default="csv")
-    sw.add_argument("--workers", type=int, default=1)
+    sw.set_defaults(handler=_cmd_run)
 
     chk = sub.add_parser("check", help="report the frame-model assumption checks")
     chk.add_argument("--config", required=True)
+    chk.set_defaults(handler=_cmd_check)
     return parser
 
 
@@ -159,13 +163,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.cmd == "codebook":
-            return _cmd_codebook(args)
-        if args.cmd in ("simulate", "sweep"):
-            return _cmd_run(args)
-        if args.cmd == "check":
-            return _cmd_check(args)
-        raise ConfigInvalidError(f"unknown command {args.cmd!r}")
+        return args.handler(args)
     except BudgetExceededError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 3

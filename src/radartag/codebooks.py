@@ -9,6 +9,7 @@ plus aperiodic-autocorrelation quality metrics (PSL/ISLR) for the radar side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -270,6 +271,15 @@ def waveform_quality(c) -> WaveformQuality:
                            islr_db=float(10.0 * np.log10(islr[0])))
 
 
+@lru_cache(maxsize=32)
+def _binary_candidates(width: int) -> np.ndarray:
+    """All +/-1 words of the given width, index 0 being all +1 (read-only)."""
+    cands = np.array(list(product((1, -1), repeat=width)),
+                     dtype=np.int64).reshape(2 ** width, width)
+    cands.setflags(write=False)
+    return cands
+
+
 def pilot_table(codebook: SourceCodebook, data_rates) -> list[PilotTableRow]:
     """Averaged worst-case waveform quality versus source data rate.
 
@@ -288,10 +298,7 @@ def pilot_table(codebook: SourceCodebook, data_rates) -> list[PilotTableRow]:
                 f"2^{rate} data suffixes exceed the enumeration budget {PSL_BUDGET}"
             )
         n_pilot = n - rate
-        if rate == 0:
-            suffixes = np.zeros((1, 0), dtype=np.int64)
-        else:
-            suffixes = np.array(list(product((1, -1), repeat=rate)), dtype=np.int64)
+        suffixes = _binary_candidates(rate)
         worst_psl = np.empty(len(codebook))
         worst_islr = np.empty(len(codebook))
         for i, word in enumerate(codebook.words):

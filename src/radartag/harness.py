@@ -154,12 +154,6 @@ def index_from_bits(bits) -> int:
     return value
 
 
-def _index_bit_errors(true_index: int, est_index: int, width: int) -> int:
-    if not 0 <= true_index < 2 ** width or not 0 <= est_index < 2 ** width:
-        raise IndexOutOfRangeError("message index out of range for bit width")
-    return ((true_index ^ est_index)).bit_count()
-
-
 # ---------------------------------------------------------------------------
 # experiment context: everything derived from the config once per process
 
@@ -254,7 +248,6 @@ class _Context:
     """Per-process immutable experiment state."""
 
     def __init__(self, cfg: ExperimentConfig):
-        validate_config(cfg)
         self.cfg = cfg
         self.gold = gen_gold(5)
         setup_rng = np.random.default_rng(
@@ -276,9 +269,13 @@ class _Context:
             log.info("codebook subsets: source %s, tag %s",
                      src_idx.tolist(), tag_idx.tolist())
         else:
-            self.x_pilot = alternating_pilot(cfg.l_pilot)
+            # a frame's pilot is one Gold word cut to n_pilot: one layout per word
+            x_pilot = alternating_pilot(cfg.l_pilot)
             self.n_data = cfg.params.n - cfg.n_pilot
             self.l_data = cfg.params.l - cfg.l_pilot
+            self.layouts = [PilotLayout(c_pilot=word[:cfg.n_pilot], x_pilot=x_pilot,
+                                        n_data=self.n_data, l_data=self.l_data)
+                            for word in self.gold.words]
         # relaxed data penalties default to the noise variance (fixed at 1)
         reg = cfg.reg
         self.reg = replace(reg, lambda_c=1.0 if reg.lambda_c is None else reg.lambda_c,
@@ -304,20 +301,19 @@ def _trial_batch(args):
     cfg_json, grid_idx, snr, start, stop = args
     ctx = _context_for(cfg_json)
     noise = noise_variance(snr, ctx.cfg.params.n)
-    return [r for a in range(start, stop, _DRAW_STACK)
-            for r in _trial_stack(ctx, noise, grid_idx,
-                                  range(a, min(a + _DRAW_STACK, stop)))]
+    return np.concatenate([_trial_stack(ctx, noise, grid_idx,
+                                        range(a, min(a + _DRAW_STACK, stop)))
+                           for a in range(start, stop, _DRAW_STACK)])
 
 
-# trial results: (src_bit_err, src_bits, tag_bit_err, tag_bits,
-#                 e2_str, n2_str, e2_sr, n2_sr, iters)
-def _trial_stack(ctx: _Context, noise, grid_idx: int, trials: range) -> list[tuple]:
-    """Results of a stack of trials, in trial order.
+def _trial_stack(ctx: _Context, noise, grid_idx: int, trials: range) -> np.ndarray:
+    """The (F, 9) float64 records of a stack of trials, in trial order.
 
-    Each trial keeps its own substream: the Generator calls (messages, both
-    channels, noise) run per trial in the order a lone trial makes them, and
-    everything computed from the draws runs on the stack.  Decoding is one
-    table call per frame.
+    Record columns: src_bit_err, src_bits, tag_bit_err, tag_bits, e2_str,
+    n2_str, e2_sr, n2_sr, iters.  Each trial keeps its own substream: the
+    Generator calls (messages, both channels, noise) run per trial in the
+    order a lone trial makes them, and everything computed from the draws
+    runs on the stack.  Decoding is one table call per frame.
     """
     cfg, chan = ctx.cfg, ctx.cfg.channel
     sigma_omega2, sigma_str2, sigma_sr2 = noise
@@ -325,73 +321,52 @@ def _trial_stack(ctx: _Context, noise, grid_idx: int, trials: range) -> list[tup
     rngs = [ctx.trial_rng(grid_idx, t) for t in trials]
     f_count = len(rngs)
     if aided:
-        pilot_words = np.empty(f_count, dtype=np.int64)
-        c_bits = np.empty((f_count, ctx.n_data), dtype=np.int64)
-        x_bits = np.empty((f_count, ctx.l_data), dtype=np.int64)
-        for f, rng in enumerate(rngs):
-            pilot_words[f] = rng.integers(len(ctx.gold))
-            c_bits[f] = rng.integers(0, 2, ctx.n_data)
-            x_bits[f] = rng.integers(0, 2, ctx.l_data)
-        c_pilot = ctx.gold.words[pilot_words, :cfg.n_pilot]
-        c_data, x_data = 1 - 2 * c_bits, 1 - 2 * x_bits
-        c = np.concatenate([c_pilot, c_data], axis=1)
-        x = np.concatenate([np.broadcast_to(ctx.x_pilot, (f_count, cfg.l_pilot)), x_data],
-                           axis=1)
+        side = [ctx.layouts[rng.integers(len(ctx.gold))] for rng in rngs]
+        c_data = 1 - 2 * np.array([rng.integers(0, 2, ctx.n_data) for rng in rngs])
+        x_data = 1 - 2 * np.array([rng.integers(0, 2, ctx.l_data) for rng in rngs])
+        c = np.concatenate([[layout.c_pilot for layout in side], c_data], axis=1)
+        x = np.concatenate([[layout.x_pilot for layout in side], x_data], axis=1)
     else:
         messages = np.array([(rng.integers(len(ctx.source)), rng.integers(len(ctx.tag)))
-                             for rng in rngs], dtype=np.int64)
-        c = ctx.source.words[messages[:, 0]]
-        x = ctx.tag.words[messages[:, 1]]
-    g_str = sample_channel(cfg.params.q, chan.n_taps, sigma_str2, chan.kappa_db,
-                           chan.sparse, rngs)
-    g_sr = sample_channel(cfg.params.q, chan.n_taps, sigma_sr2, chan.kappa_db,
-                          chan.sparse, rngs)
-    y = synthesize_frame(c, x, g_str, g_sr, sigma_omega2, rngs)
-    if aided:
-        results = [decode(ctx, y[f], PilotLayout(c_pilot=c_pilot[f], x_pilot=ctx.x_pilot,
-                                                 n_data=ctx.n_data, l_data=ctx.l_data))
-                   for f in range(f_count)]
-    else:
-        results = [decode(ctx, y[f], (g_str[f], g_sr[f])) for f in range(f_count)]
-    e2_str = np.sum(np.abs(np.array([r.g_str_hat for r in results]) - g_str) ** 2, axis=1)
-    n2_str = np.sum(np.abs(g_str) ** 2, axis=1)
-    e2_sr = np.sum(np.abs(np.array([r.g_sr_hat for r in results]) - g_sr) ** 2, axis=1)
-    n2_sr = np.sum(np.abs(g_sr) ** 2, axis=1)
+                             for rng in rngs])
+        c, x = ctx.source.words[messages[:, 0]], ctx.tag.words[messages[:, 1]]
+    # g[f] holds frame f's true (g_str, g_sr), the side input of pilot-free schemes
+    g = np.stack([sample_channel(cfg.params.q, chan.n_taps, sigma2, chan.kappa_db,
+                                 chan.sparse, rngs)
+                  for sigma2 in (sigma_str2, sigma_sr2)], axis=1)
+    y = synthesize_frame(c, x, g[:, 0], g[:, 1], sigma_omega2, rngs)
+    if not aided:
+        side = g
+    results = [decode(ctx, y[f], side[f]) for f in range(f_count)]
+    g_hat = np.array([(r.g_str_hat, r.g_sr_hat) for r in results])
+    e2, n2 = (np.sum(np.abs(v) ** 2, axis=2) for v in (g_hat - g, g))
     if aided:
         src_err = np.count_nonzero(np.array([r.c_data_hat for r in results]) != c_data, axis=1)
         tag_err = np.count_nonzero(np.array([r.x_data_hat for r in results]) != x_data, axis=1)
-        bits = (ctx.n_data, ctx.l_data)
-        iters = [r.iters for r in results]
+        bits, iters = (ctx.n_data, ctx.l_data), [r.iters for r in results]
     else:
-        src_err = [_index_bit_errors(int(m), r.c_index, ctx.src_bits)
-                   for m, r in zip(messages[:, 0], results)]
-        tag_err = [_index_bit_errors(int(m), r.x_index, ctx.tag_bits)
-                   for m, r in zip(messages[:, 1], results)]
-        bits = (ctx.src_bits, ctx.tag_bits)
-        iters = [0] * f_count
-    return [(int(src_err[f]), bits[0], int(tag_err[f]), bits[1],
-             float(e2_str[f]), float(n2_str[f]), float(e2_sr[f]), float(n2_sr[f]), iters[f])
-            for f in range(f_count)]
+        # bit errors are popcounts of index XORs; the codebooks hold at most
+        # 128 words, so every index fits in one byte
+        wrong = messages ^ np.array([(r.c_index, r.x_index) for r in results])
+        src_err, tag_err = np.unpackbits(wrong.astype(np.uint8)[..., None],
+                                         axis=-1).sum(axis=-1).T
+        bits, iters = (ctx.src_bits, ctx.tag_bits), np.zeros(f_count)
+    return np.array([src_err, np.full(f_count, bits[0]), tag_err, np.full(f_count, bits[1]),
+                     e2[:, 0], n2[:, 0], e2[:, 1], n2[:, 1], iters], dtype=np.float64).T
 
 
-def _reduce(scheme: str, snr: SnrConfig, trial_results, trials: int,
-            seed: int) -> MetricsRow:
-    src_err = src_bits = tag_err = tag_bits = 0
-    e2_str = n2_str = e2_sr = n2_sr = 0.0
-    iters = 0
-    for r in trial_results:   # fixed trial order keeps float sums reproducible
-        src_err += r[0]; src_bits += r[1]
-        tag_err += r[2]; tag_bits += r[3]
-        e2_str += r[4]; n2_str += r[5]
-        e2_sr += r[6]; n2_sr += r[7]
-        iters += r[8]
+def _reduce(scheme: str, snr: SnrConfig, records, trials: int, seed: int) -> MetricsRow:
+    # accumulate sums in trial order, so the float sums are reproducible
+    # (np.sum would sum pairwise); counts stay exact in float64
+    (src_err, src_bits, tag_err, tag_bits,
+     e2_str, n2_str, e2_sr, n2_sr, iters) = np.add.accumulate(records)[-1].tolist()
     return MetricsRow(
         scheme=scheme,
         snr_str_db=snr.snr_str_db, snr_sr_db=snr.snr_sr_db,
         ber_source=src_err / src_bits if src_bits else 0.0,
         ber_tag=tag_err / tag_bits if tag_bits else 0.0,
-        nrmse_str=float(np.sqrt(e2_str / n2_str)) if n2_str > 0 else 0.0,
-        nrmse_sr=float(np.sqrt(e2_sr / n2_sr)) if n2_sr > 0 else 0.0,
+        nrmse_str=math.sqrt(e2_str / n2_str) if n2_str > 0 else 0.0,
+        nrmse_sr=math.sqrt(e2_sr / n2_sr) if n2_sr > 0 else 0.0,
         mean_iters=iters / trials,
         trials=trials,
         seed=seed,
@@ -436,7 +411,7 @@ def _run(cfgs: list[ExperimentConfig], workers) -> list[MetricsRow]:
     with pool:
         batches = iter((pool.map if workers > 1 else map)(_trial_batch, tasks))
         return [_reduce(cfg.scheme, snr,
-                        [r for _ in range(n_batches) for r in next(batches)],
+                        np.concatenate([next(batches) for _ in range(n_batches)]),
                         cfg.trials, cfg.seed)
                 for cfg, snr, n_batches in points]
 

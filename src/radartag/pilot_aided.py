@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
 from .channel import conv_matrix_from_channel, conv_matrix_from_code
-from .codebooks import check_pilot_conditions
+from .codebooks import _binary_candidates, check_pilot_conditions
 from .errors import (
     BudgetExceededError,
     ConfigInvalidError,
@@ -65,8 +64,10 @@ class PilotLayout:
     l_data: int
 
     def __post_init__(self):
-        self.c_pilot = np.asarray(self.c_pilot, dtype=np.float64)
-        self.x_pilot = np.asarray(self.x_pilot, dtype=np.float64)
+        pilots = [np.asarray(p) for p in (self.c_pilot, self.x_pilot)]
+        if any(np.any(np.imag(p) != 0) for p in pilots):
+            raise ValueError("pilots must be real")
+        self.c_pilot, self.x_pilot = (np.asarray(np.real(p), dtype=np.float64) for p in pilots)
         if self.c_pilot.ndim != 1 or self.x_pilot.ndim != 1:
             raise DimensionMismatchError("pilots must be 1-D")
         if not (np.isfinite(self.c_pilot).all() and np.isfinite(self.x_pilot).all()):
@@ -108,15 +109,6 @@ def alternating_pilot(length: int) -> np.ndarray:
 def _slice_pm1(values) -> np.ndarray:
     """Map continuous symbols to the +/-1 alphabet; real-part zero goes to +1."""
     return np.where(np.real(np.asarray(values)) >= 0, 1, -1).astype(np.int64)
-
-
-@lru_cache(maxsize=32)
-def _binary_candidates(width: int) -> np.ndarray:
-    """All +/-1 words of the given width, index 0 being all +1 (read-only)."""
-    cands = np.array(list(product((1, -1), repeat=width)),
-                     dtype=np.int64).reshape(2 ** width, width)
-    cands.setflags(write=False)
-    return cands
 
 
 def _with_pilot(pilot, data) -> np.ndarray:

@@ -20,7 +20,6 @@ per codebook.  With phi = l1 the fits are LASSO problems solved by FISTA.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,8 +41,6 @@ __all__ = [
     "decode_disjoint",
     "decode_perfect_csi",
 ]
-
-log = logging.getLogger(__name__)
 
 # most multiply-adds in one Y^T X^T product.  On a 2-core x86 VM, OpenBLAS
 # handed complex products of 67k-81k multiply-adds and more to its worker
@@ -220,8 +217,6 @@ def decode_joint(y, source: SourceCodebook, tag: TagCodebook,
 
     flat = int(np.argmin(metric))
     ci, xi_idx = divmod(flat, len(tag))
-    if metric.min() == metric.max():
-        log.debug("degenerate joint decode: all %d candidate metrics equal", metric.size)
     return PilotFreeResult(
         c_index=ci, x_index=xi_idx,
         g_str_hat=gam_str[ci, :, xi_idx].copy(), g_sr_hat=gam_sr[ci].copy(),

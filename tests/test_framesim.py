@@ -243,6 +243,8 @@ _BAD_LAYOUTS = {
     "x_pilot (2, 3)": (DimensionMismatchError, dict(x_pilot=np.ones((2, 3)))),
     "c_pilot nan": (ValueError, dict(c_pilot=np.append(_PILOT[:-1], np.nan))),
     "x_pilot inf": (ValueError, dict(x_pilot=[1.0, -1.0, np.inf, -1.0, 1.0, -1.0])),
+    "c_pilot complex array": (ValueError, dict(c_pilot=np.append(_PILOT[:-1], 1 + 1j))),
+    "x_pilot complex list": (ValueError, dict(x_pilot=[1 + 1j, -1, 1, -1, 1, -1])),
     "n_data -1": (ValueError, dict(n_data=-1)),
     "n_data 4.0": (ValueError, dict(n_data=4.0)),
     "l_data '4'": (ValueError, dict(l_data="4")),

@@ -20,10 +20,10 @@ from radartag import (
 )
 from radartag import harness, sample_channel, solvers, synthesize_frame
 from radartag.framesim import noise_variance
-from radartag.pilot_aided import PilotLayout
+from radartag.pilot_aided import PilotLayout, alternating_pilot
+from radartag.pilot_free import PilotFreeResult
 from radartag.harness import (
     MetricsRow,
-    _index_bit_errors,
     _reduce,
     config_from_dict,
     config_to_dict,
@@ -59,16 +59,16 @@ class TestBitsFromIndex:
         with pytest.raises(IndexOutOfRangeError):
             bits_from_index(16, 4)
 
-    def test_always_zero_decoder_gives_half_ber(self):
+    def test_always_zero_decoder_gives_half_ber(self, monkeypatch):
         # uniform indices against a stuck-at-zero decoder: mean bit error 0.5
-        rng = np.random.default_rng(0)
         width = 4
         trials = 4000
-        errors = sum(_index_bit_errors(int(rng.integers(16)), 0, width)
-                     for _ in range(trials))
-        ber = errors / (width * trials)
+        monkeypatch.setattr(harness, "decode_joint", lambda y, *args: PilotFreeResult(
+            c_index=0, x_index=0, g_str_hat=np.zeros(3), g_sr_hat=np.zeros(3), metric=0.0))
+        row = run_trials(_quick_cfg(trials=trials, seed=0))[0]
         sigma = np.sqrt(0.25 / (width * trials))
-        assert abs(ber - 0.5) <= 3 * sigma
+        assert abs(row.ber_source - 0.5) <= 3 * sigma
+        assert abs(row.ber_tag - 0.5) <= 3 * sigma
 
 
 class TestMetricsReduction:
@@ -495,8 +495,9 @@ def _reference_trial(ctx, noise, grid_idx, trial_idx):
         c_data = 1 - 2 * rng.integers(0, 2, ctx.n_data)
         x_data = 1 - 2 * rng.integers(0, 2, ctx.l_data)
         c = np.concatenate([c_pilot, c_data])
-        x = np.concatenate([ctx.x_pilot, x_data])
-        layout = PilotLayout(c_pilot=c_pilot, x_pilot=ctx.x_pilot,
+        x_pilot = alternating_pilot(cfg.l_pilot)
+        x = np.concatenate([x_pilot, x_data])
+        layout = PilotLayout(c_pilot=c_pilot, x_pilot=x_pilot,
                              n_data=ctx.n_data, l_data=ctx.l_data)
     else:
         ci = int(rng.integers(len(ctx.source)))
@@ -517,8 +518,8 @@ def _reference_trial(ctx, noise, grid_idx, trial_idx):
         return (int(np.count_nonzero(res.c_data_hat != c_data)), ctx.n_data,
                 int(np.count_nonzero(res.x_data_hat != x_data)), ctx.l_data,
                 e2_str, n2_str, e2_sr, n2_sr, res.iters)
-    return (_index_bit_errors(ci, res.c_index, ctx.src_bits), ctx.src_bits,
-            _index_bit_errors(xi, res.x_index, ctx.tag_bits), ctx.tag_bits,
+    return ((ci ^ res.c_index).bit_count(), ctx.src_bits,
+            (xi ^ res.x_index).bit_count(), ctx.tag_bits,
             e2_str, n2_str, e2_sr, n2_sr, 0)
 
 
@@ -547,7 +548,26 @@ def test_stacked_trials_equal_per_trial_oracle(scheme, setting, start, stop):
     ctx = harness._context_for(cfg_json)
     noise = noise_variance(snr, cfg.params.n)
     want = [_reference_trial(ctx, noise, 1, t) for t in range(start, stop)]
-    assert got == want
+    assert got.dtype == np.float64
+    assert np.array_equal(got, np.array(want, dtype=np.float64))
+
+
+def test_pilot_layouts_are_built_once_per_context(monkeypatch):
+    # the 33 Gold words give the only pilots a harness frame can carry, so a
+    # context builds one layout per word and no trial builds another
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(PilotLayout(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "PilotLayout", counting)
+    harness._context_for.cache_clear()
+    cfg = _quick_cfg(scheme="pilot_aided_noniter", n_source_words=None, n_tag_words=None,
+                     n_pilot=27, l_pilot=2, trials=40)
+    run_trials(cfg)
+    run_trials(cfg)
+    assert len(built) == 33
 
 
 def test_run_trials_decodes_per_trial_and_calls_the_draw_names(monkeypatch):
