@@ -27,9 +27,12 @@ __all__ = ["main"]
 def _write(text: str, out: str | None):
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ConfigInvalidError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def _words_csv(words) -> str:
@@ -37,7 +40,7 @@ def _words_csv(words) -> str:
 
 
 def _parse_rates(spec: str, n: int) -> list[int]:
-    """Rates given as ``lo..hi`` or ``a,b,c``, each in [0, n)."""
+    """Rates given as ``lo..hi`` or ``a,b,c``, each in [0, n), at least one."""
     lo, dots, hi = spec.partition("..")
     try:
         rates = [int(lo), int(hi)] if dots else [int(tok) for tok in spec.split(",") if tok]
@@ -45,7 +48,10 @@ def _parse_rates(spec: str, n: int) -> list[int]:
         raise ConfigInvalidError(f"--rates {spec!r} is not a rate list") from exc
     if not all(0 <= rate < n for rate in rates):
         raise ConfigInvalidError(f"--rates must lie in [0, {n}), got {spec!r}")
-    return list(range(rates[0], rates[1] + 1)) if dots else rates
+    rates = list(range(rates[0], rates[1] + 1)) if dots else rates
+    if not rates:
+        raise ConfigInvalidError(f"--rates {spec!r} names no rate")
+    return rates
 
 
 def _tag_book(length: int):

@@ -12,10 +12,10 @@ up to candidate-independent terms.  Joint decoding scores every pair with
 the channel fits at their per-candidate minimizers; disjoint decoding picks
 the tag codeword first by slow-time correlation energy, then the source
 codeword.  With phi = squared norm the channel fits are closed-form ridge
-solutions, and a fit's value at its minimizer is the quadratic form
-||u||^2/L - Re(u^H Xi_c Op_c u) with Op_c = (L Xi_c^H Xi_c + lambda I)^{-1} Xi_c^H,
-so every candidate is scored by one matmul against a cached operator block
-per codebook.  With phi = l1 the fits are LASSO problems solved by FISTA.
+solutions: with L Xi_c^H Xi_c + lambda I = C_c C_c^H factored once per
+codebook, a fit at its minimizer is ||u||^2/L - ||W_c u||^2 for the cached
+whitened operator W_c = C_c^{-1} Xi_c^H, and only a returned pair's estimate
+C_c^{-H} W_c u is formed.  With phi = l1 the fits are LASSO problems solved by FISTA.
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ __all__ = [
     "decode_perfect_csi",
 ]
 
-# most multiply-adds in one Y^T X^T product.  On a 2-core x86 VM, OpenBLAS
-# handed complex products of 67k-81k multiply-adds and more to its worker
-# threads, which stall for milliseconds when the other cores are busy, so
-# larger tag codebooks (128 words at l >= 16) are projected in column chunks
+# most multiply-adds in one Y^T X^T or l2 W U product.  On a 2-core x86 VM,
+# OpenBLAS handed complex products of 67k-81k multiply-adds and more to its
+# worker threads, which stall for milliseconds when the other cores are busy,
+# so larger tag codebooks (128 words at l >= 16) are projected in chunks
 _PROJECTION_MACS = 60_000
 
 
@@ -70,34 +70,38 @@ def _cached_xi_stack(words_bytes: bytes, m: int, n: int, q: int) -> np.ndarray:
 
 
 def _operators(xis, big_l: int, lam_str: float, lam_sr: float, l1: bool):
-    """Stacked operators of a codeword stack: (block, grams, lips).
+    """Stacked operators of a codeword stack, for the l2 or the l1 fits.
 
-    ``block[c]`` is [Xi_c^H; Op_str; Op_sr], shape (3(q+1), n+q), with the
-    ridge solve operators Op = (L Xi_c^H Xi_c + lam I)^{-1} Xi_c^H.  One
-    matmul of the block against slow-time projections gives every
-    codeword's Xi^H u and both ridge channel estimates.  ``grams`` is the
-    (Mc, q+1, q+1) stack L Xi^H Xi and ``lips`` their largest eigenvalues,
-    which only the l1 fits read (None for l2).
+    l2: (w_str, w_sr, back_str, back_sr).  Each ridge Gram factors as
+    L Xi_c^H Xi_c + lam I = C_c C_c^H (Cholesky); ``w`` stacks the whitened
+    operators W_c = C_c^{-1} Xi_c^H as (Mc(q+1), n+q) and ``back`` the
+    (Mc, q+1, q+1) maps C_c^{-H} from W_c u to the ridge estimate.
+    l1: (block, grams, lips).  ``block[c]`` is [Xi_c^H; Op_str; Op_sr],
+    shape (3(q+1), n+q), with the ridge solve operators
+    Op = (L Xi_c^H Xi_c + lam I)^{-1} Xi_c^H, so one matmul gives Xi^H u
+    and both ridge warm starts; ``grams`` is the (Mc, q+1, q+1) stack
+    L Xi^H Xi and ``lips`` their largest eigenvalues.
     """
     xi_h = xis.conj().transpose(0, 2, 1)
     grams = big_l * (xi_h @ xis)
     eye = np.eye(xis.shape[2])
     try:
-        ops_str = np.linalg.solve(grams + lam_str * eye, xi_h)
-        ops_sr = np.linalg.solve(grams + lam_sr * eye, xi_h)
+        factors = [np.linalg.solve(a, xi_h) if l1 else np.linalg.inv(np.linalg.cholesky(a))
+                   for a in (grams + lam_str * eye, grams + lam_sr * eye)]
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             "unregularized channel estimate needs full-column-rank "
             "convolution matrices"
         ) from exc
-    block = np.concatenate([xi_h, ops_str, ops_sr], axis=1)
-    block.setflags(write=False)
-    grams.setflags(write=False)
-    if not l1:
-        return block, grams, None
-    lips = np.array([_power_iteration_largest(gram) for gram in grams])
-    lips.setflags(write=False)
-    return block, grams, lips
+    if l1:
+        ops = (np.concatenate([xi_h, *factors], axis=1), grams,
+               np.array([_power_iteration_largest(gram) for gram in grams]))
+    else:
+        ops = (*[(inv @ xi_h).reshape(-1, xis.shape[1]) for inv in factors],
+               *[inv.conj().transpose(0, 2, 1) for inv in factors])
+    for op in ops:
+        op.setflags(write=False)
+    return ops
 
 
 @lru_cache(maxsize=64)
@@ -121,40 +125,47 @@ def _source_ops(source: SourceCodebook, q: int, big_l: int, reg: RegularizationC
 def _candidate_fits(ops, u_cols, u_ones, big_l, reg):
     """Channel fits of every source codeword against every projection column.
 
-    Returns (f_str (Mc, r), gam_str (Mc, q+1, r), f_sr (Mc,), gam_sr
-    (Mc, q+1)).  ``f_str`` is the backscatter fit minus the projection
-    energy ||u||^2/L, i.e. the tag-dependent part of the joint objective;
-    ``f_sr`` is the direct fit.  One matmul of the operator block against
-    [u_cols, u_ones] gives Xi^H u and the ridge estimates of every
-    codeword.  With l2 those estimates are the minimizers and a fit is
-    ||u||^2/L - Re(u^H Xi Op u); with l1 they warm-start one stacked FISTA
-    run over all r + 1 columns, in which the direct fit is its own stop
-    family with its own weight, and the fits are FISTA's objectives.
+    Returns (f_str (Mc, r), f_sr (Mc,), estimates).  ``f_str`` is the
+    backscatter fit minus the projection energy ||u||^2/L, i.e. the
+    tag-dependent part of the joint objective; ``f_sr`` is the direct fit;
+    ``estimates(c, j)`` gives the minimizers (g_str, g_sr) of codeword c
+    with column j (c and j may also be slices).  With l2 a fit is
+    ||u||^2/L - ||W_c u||^2, and only the pairs a caller asks for are
+    mapped back to estimates C_c^{-H} W_c u.  With l1 one matmul of the
+    operator block against [u_cols, u_ones] gives Xi^H u and the ridge
+    estimates, which warm-start one stacked FISTA run over all r + 1
+    columns, in which the direct fit is its own stop family with its own
+    weight, and the fits are FISTA's objectives.
     """
+    r = u_cols.shape[1]
+    if reg.kind == "l2":
+        w_str, w_sr, back_str, back_sr = ops
+        mc, q1 = back_str.shape[:2]
+        # whole codewords per product, each at most _PROJECTION_MACS
+        rows = q1 * max(1, _PROJECTION_MACS // (w_str.shape[1] * q1 * r))
+        parts = [w_str[i:i + rows] @ u_cols for i in range(0, mc * q1, rows)]
+        z_str = (parts[0] if len(parts) == 1 else np.concatenate(parts)).reshape(mc, q1, r)
+        z_sr = (w_sr @ u_ones).reshape(mc, q1)
+        f_str = -np.square(np.abs(z_str)).sum(axis=1)
+        f_sr = np.vdot(u_ones, u_ones).real / big_l - np.square(np.abs(z_sr)).sum(axis=1)
+        return f_str, f_sr, lambda c, j: (back_str[c] @ z_str[c, :, j],
+                                          (back_sr[c] @ z_sr[c, :, None])[..., 0])
+
     block, grams, lips = ops
     q1 = block.shape[1] // 3
-    r = u_cols.shape[1]
     u_all = np.column_stack([u_cols, u_ones])
     # stacked, each BLAS call is one codeword in size; one 2-D product of the
     # whole block is big enough for OpenBLAS to use worker threads, which
     # stall for milliseconds when the other cores are busy
     prod = block @ u_all
-    atb = prod[:, :q1]
-    gam_str = prod[:, q1:2 * q1, :r]
-    gam_sr = prod[:, 2 * q1:, r]
-    if reg.kind == "l2":
-        f_str = -np.einsum("cij,cij->cj", atb[:, :, :r].conj(), gam_str).real
-        f_sr = (float(np.sum(np.abs(u_ones) ** 2)) / big_l
-                - np.einsum("ci,ci->c", atb[:, :, r].conj(), gam_sr).real)
-        return f_str, gam_str, f_sr, gam_sr
-
     energy = np.sum(np.abs(u_all) ** 2, axis=0) / big_l
     lam = np.repeat([reg.lambda_str, reg.lambda_sr], [r, 1])
-    warm = np.concatenate([gam_str, gam_sr[:, :, None]], axis=2)
-    sol = fista_stacked(grams, atb, np.broadcast_to(energy, (block.shape[0], r + 1)), lips,
-                        lam, reg, warm, families=np.repeat([0, 1], [r, 1]))
+    warm = np.concatenate([prod[:, q1:2 * q1, :r], prod[:, 2 * q1:, r:]], axis=2)
+    sol = fista_stacked(grams, prod[:, :q1], np.broadcast_to(energy, (block.shape[0], r + 1)),
+                        lips, lam, reg, warm, families=np.repeat([0, 1], [r, 1]))
     fits, gam = sol.objective, sol.gamma
-    return fits[:, :r] - energy[:r], gam[:, :, :r], fits[:, r], gam[:, :, r]
+    return fits[:, :r] - energy[:r], fits[:, r], lambda c, j: (gam[c, :, j].copy(),
+                                                              gam[c, :, r].copy())
 
 
 def _tag_projections(y, tag: TagCodebook) -> np.ndarray:
@@ -193,9 +204,8 @@ def channel_estimates_given(c, x, y, reg: RegularizationConfig):
     big_l = y.shape[0]
     ops = _operators(conv_matrix_from_code(c, q)[None], big_l, reg.lambda_str, reg.lambda_sr,
                      reg.kind == "l1")
-    _, gam_str, _, gam_sr = _candidate_fits(ops, (y.T @ x.conj())[:, None], y.sum(axis=0),
-                                            big_l, reg)
-    return gam_str[0, :, 0], gam_sr[0]
+    _, _, estimates = _candidate_fits(ops, (y.T @ x.conj())[:, None], y.sum(axis=0), big_l, reg)
+    return estimates(0, 0)
 
 
 def decode_joint(y, source: SourceCodebook, tag: TagCodebook,
@@ -212,16 +222,12 @@ def decode_joint(y, source: SourceCodebook, tag: TagCodebook,
     u_cols = _tag_projections(y, tag)
     u_ones = y.sum(axis=0)
 
-    f_str, gam_str, f_sr, gam_sr = _candidate_fits(ops, u_cols, u_ones, big_l, reg)
+    f_str, f_sr, estimates = _candidate_fits(ops, u_cols, u_ones, big_l, reg)
     metric = f_str + f_sr[:, None]
 
     flat = int(np.argmin(metric))
     ci, xi_idx = divmod(flat, len(tag))
-    return PilotFreeResult(
-        c_index=ci, x_index=xi_idx,
-        g_str_hat=gam_str[ci, :, xi_idx].copy(), g_sr_hat=gam_sr[ci].copy(),
-        metric=float(metric[ci, xi_idx]),
-    )
+    return PilotFreeResult(ci, xi_idx, *estimates(ci, xi_idx), float(metric[ci, xi_idx]))
 
 
 def decode_disjoint(y, source: SourceCodebook, tag: TagCodebook,
@@ -244,17 +250,12 @@ def decode_disjoint(y, source: SourceCodebook, tag: TagCodebook,
     u_x = u_cols[:, xi_idx:xi_idx + 1]
     u_ones = y.sum(axis=0)
 
-    f_str, gam_str, f_sr, gam_sr = _candidate_fits(ops, u_x, u_ones, big_l, reg)
+    f_str, f_sr, estimates = _candidate_fits(ops, u_x, u_ones, big_l, reg)
     scores = f_sr + (f_str[:, 0] if use_str_for_source else 0.0)
     ci = int(np.argmin(scores))
 
     # report the full joint objective at the returned pair either way
-    metric = float(f_str[ci, 0] + f_sr[ci])
-    return PilotFreeResult(
-        c_index=ci, x_index=xi_idx,
-        g_str_hat=gam_str[ci, :, 0].copy(), g_sr_hat=gam_sr[ci].copy(),
-        metric=metric,
-    )
+    return PilotFreeResult(ci, xi_idx, *estimates(ci, 0), float(f_str[ci, 0] + f_sr[ci]))
 
 
 def decode_perfect_csi(y, source: SourceCodebook, tag: TagCodebook,

@@ -85,6 +85,8 @@ _BAD_CODEBOOK_ARGS = {
     "rates_40": ["psl-table", "--rates", "40"],
     "rates_negative": ["psl-table", "--rates=-1,2"],
     "rates_huge_range": ["psl-table", "--rates", "0..10000000000"],
+    "rates_reversed_range": ["psl-table", "--rates", "5..2"],
+    "rates_empty_list": ["psl-table", "--rates", ","],
 }
 
 
@@ -97,6 +99,20 @@ def test_out_of_range_codebook_arguments_exit_2(name, monkeypatch, capsys):
     monkeypatch.setattr(cli, "gen_tag_codebook", capped)
     assert main(["codebook"] + _BAD_CODEBOOK_ARGS[name]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["codebook", "gen-gold"], ["codebook", "gen-tag"],
+                                  ["codebook", "psl-table", "--rates", "0"],
+                                  ["simulate"], ["sweep", "--axis", "snr_sr"]],
+                         ids=["gen_gold", "gen_tag", "psl_table", "simulate", "sweep"])
+def test_unwritable_out_is_config_error(argv, tmp_path, capsys):
+    # every writer reports an --out it cannot open as a config error, not a traceback
+    if argv[0] != "codebook":
+        argv = argv + ["--config", _config_file(tmp_path, trials=2)]
+    out = tmp_path / "missing" / "rows.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"config error: cannot write {out}" in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 @pytest.mark.parametrize("degree", [-1, 0, 3, 4, 5, 7])

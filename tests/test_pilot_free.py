@@ -54,10 +54,9 @@ def _small_instance():
     return SourceCodebook(n=7, words=np.array(words)), gen_tag_codebook(4)
 
 
-def _residual_fits(block, u_cols, u_ones, gam_str, gam_sr, big_l, reg):
+def _residual_fits(xis, u_cols, u_ones, gam_str, gam_sr, big_l, reg):
     """Both families' fits L ||u/L - Xi_c g||^2 + lam phi(g) at given estimates,
-    from the residuals; the Xi_c are the adjoints of the block's first rows."""
-    xis = block[:, :block.shape[1] // 3].conj().swapaxes(1, 2)
+    from the residuals of the (Mc, n+q, q+1) convolution matrices ``xis``."""
 
     def fits(u, gam, lam):
         resid = u[None, :, :] / big_l - xis @ gam
@@ -227,6 +226,7 @@ class TestDecodeJoint:
         rng = np.random.default_rng(15)
         reg = RegularizationConfig(kind="l2", lambda_str=0.1, lambda_sr=0.1)
         ops = pilot_free._source_ops(src, 2, 10, reg)
+        xis = pilot_free._cached_xi_stack(*pilot_free._words_key(src), 2)
         for _ in range(100):
             g_str, g_sr = _draw_channels(rng, sigma2=0.3)
             y = synthesize_frame(src.words[rng.integers(16)],
@@ -234,9 +234,9 @@ class TestDecodeJoint:
                                  g_str, g_sr, 1.0, rng)
             u_cols = y.T @ tag.words.T.astype(np.complex128)
             u_ones = y.sum(axis=0)
-            _, gam_str, _, gam_sr = pilot_free._candidate_fits(ops, u_cols, u_ones,
-                                                               10, reg)
-            r_str, r_sr = _residual_fits(ops[0], u_cols, u_ones, gam_str, gam_sr, 10, reg)
+            _, _, estimates = pilot_free._candidate_fits(ops, u_cols, u_ones, 10, reg)
+            gam_str, gam_sr = estimates(slice(None), slice(None))
+            r_str, r_sr = _residual_fits(xis, u_cols, u_ones, gam_str, gam_sr, 10, reg)
             tag_term = -np.sum(np.abs(u_cols) ** 2, axis=0) / 10
             flat = int(np.argmin(tag_term[None, :] + r_str + r_sr[:, None]))
             res = decode_joint(y, src, tag, reg)
@@ -433,6 +433,127 @@ class TestStackedQuadraticForm:
         assert np.linalg.norm(res.g_sr_hat - gr) <= 1e-9 * max(np.linalg.norm(gr), 1.0)
 
 
+def _block_l2_fits(xis, u_cols, u_ones, big_l, reg):
+    """The l2 fits as scored before the whitened operators, kept as their
+    oracle: one matmul of the block [Xi^H; Op_str; Op_sr], with
+    Op = (L Xi^H Xi + lam I)^{-1} Xi^H, against [u_cols, u_ones] gives Xi^H u
+    and the ridge estimates of every pair, and a fit is
+    ||u||^2/L - Re(u^H Xi Op u).  Returns (f_str, gam_str, f_sr, gam_sr)."""
+    xi_h = xis.conj().transpose(0, 2, 1)
+    grams = big_l * (xi_h @ xis)
+    eye = np.eye(xis.shape[2])
+    block = np.concatenate([xi_h, np.linalg.solve(grams + reg.lambda_str * eye, xi_h),
+                            np.linalg.solve(grams + reg.lambda_sr * eye, xi_h)], axis=1)
+    q1, r = xis.shape[2], u_cols.shape[1]
+    prod = block @ np.column_stack([u_cols, u_ones])
+    atb, gam_str, gam_sr = prod[:, :q1], prod[:, q1:2 * q1, :r], prod[:, 2 * q1:, r]
+    f_str = -np.einsum("cij,cij->cj", atb[:, :, :r].conj(), gam_str).real
+    f_sr = (float(np.sum(np.abs(u_ones) ** 2)) / big_l
+            - np.einsum("ci,ci->c", atb[:, :, r].conj(), gam_sr).real)
+    return f_str, gam_str, f_sr, gam_sr
+
+
+def _block_l2_decodes(y, source, tag, reg):
+    """(c, x, g_str, g_sr, metric) of decode_joint and of decode_disjoint
+    with and without the backscatter fit, from the block-operator fits."""
+    big_l, q = y.shape[0], y.shape[1] - source.n
+    u_cols = pilot_free._tag_projections(y, tag)
+    f_str, gam_str, f_sr, gam_sr = _block_l2_fits(conv_matrix_from_code(source.words, q),
+                                                  u_cols, y.sum(axis=0), big_l, reg)
+    metric = f_str + f_sr[:, None]
+    ci, xi = divmod(int(np.argmin(metric)), len(tag))
+    out = [(ci, xi, gam_str[ci, :, xi], gam_sr[ci], metric[ci, xi])]
+    xi = int(np.argmax(np.sum(np.abs(u_cols) ** 2, axis=0)))
+    for use_str in (True, False):
+        ci = int(np.argmin(f_sr + (f_str[:, xi] if use_str else 0.0)))
+        out.append((ci, xi, gam_str[ci, :, xi], gam_sr[ci], metric[ci, xi]))
+    return out
+
+
+class TestWhitenedRidgeFits:
+    """The whitened l2 fits against the block-operator fits they replaced."""
+
+    @staticmethod
+    def _assert_close(got, want):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    # (q, (lambda_str, lambda_sr), source words, tag length, tag words, frames);
+    # the last row's backscatter product takes several codeword chunks
+    @pytest.mark.parametrize("q,lams,n_src,l,n_tag,frames", [
+        (2, (0.0, 0.0), 16, 10, 16, 150), (2, (0.1, 0.1), 16, 10, 16, 150),
+        (2, (0.1, 3.0), 16, 10, 16, 150), (14, (0.0, 0.0), 16, 10, 16, 80),
+        (14, (0.1, 0.1), 16, 10, 16, 80), (14, (3.0, 0.1), 16, 10, 16, 80),
+        (2, (0.1, 0.1), 32, 16, 128, 40)])
+    def test_decodes_match_block_operator_fits(self, q, lams, n_src, l, n_tag, frames):
+        rng = np.random.default_rng(q + n_tag + int(10 * sum(lams)))
+        pool = gen_tag_codebook(l).words
+        tag = TagCodebook(l=l, words=pool[np.sort(rng.choice(len(pool), n_tag, replace=False))])
+        source = SourceCodebook(n=31, words=gen_gold(5).words[
+            np.sort(rng.choice(33, n_src, replace=False))])
+        reg = RegularizationConfig(kind="l2", lambda_str=lams[0], lambda_sr=lams[1])
+        if n_tag == 128:
+            assert n_src * (q + 1) * (31 + q) * n_tag > pilot_free._PROJECTION_MACS
+        sigma_w2, sigma_str2, sigma_sr2 = noise_variance(SnrConfig(5.0, 10.0), 31)
+        for _ in range(frames):
+            ci, xi = int(rng.integers(n_src)), int(rng.integers(n_tag))
+            y = synthesize_frame(source.words[ci], tag.words[xi],
+                                 sample_channel(q, 3, sigma_str2, -10.0, q > 2, rng),
+                                 sample_channel(q, 3, sigma_sr2, -10.0, q > 2, rng),
+                                 sigma_w2 * 10 ** rng.uniform(-1, 1), rng)
+            got = [decode_joint(y, source, tag, reg), decode_disjoint(y, source, tag, reg),
+                   decode_disjoint(y, source, tag, reg, use_str_for_source=False)]
+            for res, (c_ref, x_ref, gs, gr, metric) in zip(got, _block_l2_decodes(
+                    y, source, tag, reg)):
+                assert (res.c_index, res.x_index) == (c_ref, x_ref)
+                self._assert_close(res.g_str_hat, gs)
+                self._assert_close(res.g_sr_hat, gr)
+                # a fit is a difference of slow-time energies, each at most
+                # the frame energy, so metrics are also compared on that scale
+                assert res.metric == pytest.approx(metric, rel=1e-12,
+                                                   abs=1e-12 * np.vdot(y, y).real)
+            # the fixed-pair estimates, at the sent pair and at the decoded one
+            for c, x in ((source.words[ci], tag.words[xi]),
+                         (source.words[got[0].c_index], tag.words[got[0].x_index])):
+                u_x = (y.T @ x.astype(np.complex128))[:, None]
+                _, gs, _, gr = _block_l2_fits(conv_matrix_from_code(c, q)[None], u_x,
+                                              y.sum(axis=0), l, reg)
+                est_str, est_sr = channel_estimates_given(c, x, y, reg)
+                self._assert_close(est_str, gs[0, :, 0])
+                self._assert_close(est_sr, gr[0])
+
+    @pytest.mark.parametrize("q", [2, 14])
+    def test_candidate_fits_match_block_operator_fits(self, books, q):
+        # every pair's fit and estimate, not just the decoded ones
+        src, tag = books
+        rng = np.random.default_rng(40 + q)
+        xis = pilot_free._cached_xi_stack(*pilot_free._words_key(src), q)
+        for lams in ((0.0, 0.0), (0.1, 0.1), (0.1, 3.0)):
+            reg = RegularizationConfig(kind="l2", lambda_str=lams[0], lambda_sr=lams[1])
+            ops = pilot_free._source_ops(src, q, 10, reg)
+            for _ in range(5):
+                y = synthesize_frame(src.words[rng.integers(16)], tag.words[rng.integers(16)],
+                                     sample_channel(q, 3, 0.3, -10.0, q > 2, rng),
+                                     sample_channel(q, 3, 1.0, -10.0, q > 2, rng), 1.0, rng)
+                u_cols, u_ones = pilot_free._tag_projections(y, tag), y.sum(axis=0)
+                f_str, f_sr, estimates = pilot_free._candidate_fits(ops, u_cols, u_ones, 10, reg)
+                r_str, r_gs, r_sr, r_gr = _block_l2_fits(xis, u_cols, u_ones, 10, reg)
+                scale = 1e-12 * np.vdot(y, y).real
+                np.testing.assert_allclose(f_str, r_str, rtol=1e-12, atol=scale)
+                np.testing.assert_allclose(f_sr, r_sr, rtol=1e-12, atol=scale)
+                gam_str, gam_sr = estimates(slice(None), slice(None))
+                for c in range(len(src)):
+                    self._assert_close(gam_sr[c], r_gr[c])
+                    for j in range(len(tag)):
+                        self._assert_close(gam_str[c, :, j], r_gs[c, :, j])
+
+    def test_zero_codeword_at_lambda_zero_is_singular(self):
+        xis = conv_matrix_from_code(np.zeros((2, 31)), 2)
+        with pytest.raises(SingularSystemError):
+            pilot_free._operators(xis, 10, 0.0, 0.0, l1=False)
+        with pytest.raises(SingularSystemError):
+            pilot_free._operators(xis, 10, 0.1, 0.0, l1=False)
+
+
 @pytest.mark.parametrize("l", [16, 18])
 def test_chunked_tag_projections_match_one_product(monkeypatch, l):
     # 128 tags, the harness's largest codebook, take two column chunks at k = 33
@@ -468,14 +589,16 @@ def test_l1_fits_are_the_residual_objectives_at_the_estimates(books, lams):
     reg = RegularizationConfig(kind="l1", lambda_str=lams[0], lambda_sr=lams[1])
     rng = np.random.default_rng(91)
     ops = pilot_free._source_ops(src, 2, 10, reg)
+    xis = pilot_free._cached_xi_stack(*pilot_free._words_key(src), 2)
     u_all = tag.words.T.astype(np.complex128)
     for _ in range(5):
         g_str, g_sr = _draw_channels(rng, sigma2=0.3)
         y = synthesize_frame(src.words[rng.integers(16)], tag.words[rng.integers(16)],
                              g_str, g_sr, 1.0, rng)
         u_cols, u_ones = y.T @ u_all, y.sum(axis=0)
-        f_str, gam_str, f_sr, gam_sr = pilot_free._candidate_fits(ops, u_cols, u_ones, 10, reg)
-        r_str, r_sr = _residual_fits(ops[0], u_cols, u_ones, gam_str, gam_sr, 10, reg)
+        f_str, f_sr, estimates = pilot_free._candidate_fits(ops, u_cols, u_ones, 10, reg)
+        gam_str, gam_sr = estimates(slice(None), slice(None, u_cols.shape[1]))
+        r_str, r_sr = _residual_fits(xis, u_cols, u_ones, gam_str, gam_sr, 10, reg)
         energy = np.sum(np.abs(u_cols) ** 2, axis=0) / 10
         np.testing.assert_allclose(f_str + energy, r_str, rtol=1e-12, atol=0)
         np.testing.assert_allclose(f_sr, r_sr, rtol=1e-12, atol=0)
@@ -497,8 +620,9 @@ def _two_call_l1_fits(ops, u_cols, u_ones, big_l, reg):
     bn1 = np.full((mc, 1), float(np.sum(np.abs(u_ones) ** 2)) / big_l)
     gam_sr = _two_product_fista(grams, atb[:, :, r:], bn1, lips, reg.lambda_sr, reg,
                                 prod[:, 2 * q1:, r:])[0][:, :, 0]
-    f_str, f_sr = _residual_fits(block, u_cols, u_ones, gam_str, gam_sr, big_l, reg)
-    return f_str - energy, gam_str, f_sr, gam_sr
+    xis = block[:, :q1].conj().swapaxes(1, 2)
+    f_str, f_sr = _residual_fits(xis, u_cols, u_ones, gam_str, gam_sr, big_l, reg)
+    return f_str - energy, f_sr, lambda c, j: (gam_str[c, :, j], gam_sr[c])
 
 
 # (q, sparse channels, (lambda_str, lambda_sr), (snr_str, snr_sr) dB, frames):
