@@ -99,6 +99,9 @@ def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
+    # open --out before the run, as a shell redirect would: an unwritable path
+    # fails at once, not after the whole simulation
+    _write("", args.out)
     if args.cmd == "sweep":
         rows = sweep(cfg, args.axis, workers=args.workers)
     else:

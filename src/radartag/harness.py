@@ -497,14 +497,19 @@ def frame_to_csv(y: np.ndarray) -> str:
 
 
 def frame_from_csv(text: str) -> np.ndarray:
-    """Inverse of :func:`frame_to_csv`."""
+    """Inverse of :func:`frame_to_csv`; a malformed dump is a ConfigInvalidError."""
     rows = []
     for line in text.strip().split("\n"):
-        parts = [float(tok) for tok in line.split(",")]
+        try:
+            parts = [float(tok) for tok in line.split(",")]
+        except ValueError as exc:
+            raise ConfigInvalidError(f"frame dump cell is not a number: {exc}") from exc
         if len(parts) % 2 != 0:
             raise ConfigInvalidError("frame dump lines need re,im pairs")
         values = np.array(parts).reshape(-1, 2)
         rows.append(values[:, 0] + 1j * values[:, 1])
+    if len({row.size for row in rows}) != 1:
+        raise ConfigInvalidError("frame dump rows differ in length")
     return np.vstack(rows)
 
 

@@ -206,11 +206,13 @@ def decode_noniterative(y, layout: PilotLayout) -> PilotAidedResult:
     [x_pilot, 1] to recover both pulse shapes; (2) their leading entries
     are inverted against the source-pilot convolution matrix to recover
     both channel vectors; (3) the source data symbols come from averaging
-    the two channel-deconvolved pulse-shape tails; (4) the tag data symbols
-    come from matched-filtering the direct-component-free data rows.
-    Channel estimates use only the pilot rows.  A vanishing backscatter
-    pulse shape leaves the tag data undefined; +1 symbols are returned with
-    the degenerate flag set.
+    the two least-squares deconvolutions of the pulse-shape tails, the
+    normal equations of both channels' data columns solved in one stacked
+    call (a zero channel contributes zero, as its pseudoinverse would);
+    (4) the tag data symbols come from matched-filtering the
+    direct-component-free data rows.  Channel estimates use only the pilot
+    rows.  A vanishing backscatter pulse shape leaves the tag data
+    undefined; +1 symbols are returned with the degenerate flag set.
     """
     y, q = _checked_frame(y, layout.l, layout.n)
     return _noniterative(y, layout, q)
@@ -232,9 +234,15 @@ def _noniterative(y, layout: PilotLayout, q: int) -> PilotAidedResult:
     gammas = xi_pilot_pinv @ np.stack([alpha_str[:n_p], alpha_sr[:n_p]], axis=1)
     g_str, g_sr = gammas[:, 0], gammas[:, 1]
 
-    # both channels' data columns, both data pseudoinverses at once
+    # both channels' source data by one stacked normal-equation solve: a
+    # nonzero channel's data columns have full column rank, and a zero
+    # channel's zero Gram (its right side is zero too) becomes an identity,
+    # which keeps the pseudoinverse's zero answer
     pilot_resp, data_cols = _source_split(g_str, g_sr, layout)
-    c_conts = np.linalg.pinv(data_cols) @ (shapes - pilot_resp)[..., None]
+    data_h = np.conj(data_cols).swapaxes(-1, -2)
+    gram = data_h @ data_cols
+    gram[~gram.any(axis=(-2, -1))] = np.eye(layout.n_data)
+    c_conts = np.linalg.solve(gram, data_h @ (shapes - pilot_resp)[..., None])
     c_data = _slice_pm1(0.5 * (c_conts[0, :, 0] + c_conts[1, :, 0]))
     x_data = _slice_pm1(_tag_relaxed(y[l_p:], alpha_str, alpha_sr, 0.0))
     return PilotAidedResult(c_data_hat=c_data, x_data_hat=x_data,
@@ -307,8 +315,7 @@ def _source_form(y, x, layout: PilotLayout, g_str, g_sr):
     """
     pilot_resp, (g1_d, g2_d) = _source_split(g_str, g_sr, layout)
     big_l = y.shape[0]
-    resid = (y - np.outer(x, pilot_resp[0])
-             - np.outer(np.ones(big_l), pilot_resp[1]))
+    resid = y - x[:, None] * pilot_resp[0] - pilot_resp[1]
     sxx = float((np.abs(x) ** 2).sum())
     sx1 = np.conj(x).sum()
     g1_h, g2_h = g1_d.conj().T, g2_d.conj().T
@@ -420,9 +427,17 @@ def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
     is non-increasing because every block update is an exact minimizer over
     its block (the inexact l1 channel update is guarded: a step that fails to
     improve the objective is discarded).  The channels fitted at the initial
-    data serve sweep 1, so a decode makes one channel update per sweep.  The
-    loop stops after ``MAX_SWEEPS`` sweeps, or once the relative objective
-    change falls below ``REL_TOL``.
+    data serve sweep 1, so a decode makes one channel update per computed
+    sweep.  The loop stops after ``MAX_SWEEPS`` sweeps, or once the relative
+    objective change falls below ``REL_TOL``.
+    In discrete mode it also stops at the exact fixed point: a sweep whose
+    source and tag updates return the words they were given had its
+    channels fitted to those words, so the next sweep would reproduce its
+    channels, words and objective.  That repeat is appended to the trace and
+    counted in ``iters`` without being computed (below the sweep cap); at
+    sweep 1 the repeated state is the initial one, and ``trace[0]`` is
+    appended unscored.  Trace, ``iters`` and ``converged`` equal those of a
+    decode that computes every sweep.
     In relaxed mode the data blocks stay continuous until a single slice at
     exit and the trace includes the quadratic data penalties.
 
@@ -483,17 +498,28 @@ def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
             g_str, g_sr = g_new
 
         gram, rhs = _source_form(y, x, layout, g_str, g_sr)
-        c_data[:] = (_source_relaxed(gram, rhs, lam_eye, lambda_c) if relaxed
-                     else _source_best(gram, rhs, cands))
+        c_new = (_source_relaxed(gram, rhs, lam_eye, lambda_c) if relaxed
+                 else _source_best(gram, rhs, cands))
+        fixed = not relaxed and np.array_equal(c_new, c_data)
+        c_data[:] = c_new
         xi = conv_matrix_from_code(c, q)
         a_str, a_sr = _pulse_shapes(xi, g_str, g_sr)
-        x_data[:] = (_tag_relaxed(data_rows, a_str, a_sr, lambda_x) if relaxed
-                     else _tag_signs(data_rows, a_str, a_sr))
+        x_new = (_tag_relaxed(data_rows, a_str, a_sr, lambda_x) if relaxed
+                 else _tag_signs(data_rows, a_str, a_sr))
+        fixed = fixed and np.array_equal(x_new, x_data)
+        x_data[:] = x_new
 
-        trace.append(score(a_str, a_sr, g_str, g_sr))
+        # a discrete sweep that returns the words it was given is an exact
+        # fixed point (see the docstring); at sweep 1 it is trace[0]'s state
+        trace.append(trace[0] if fixed and iters == 1
+                     else score(a_str, a_sr, g_str, g_sr))
         delta = abs(trace[-1] - trace[-2])
         if delta < REL_TOL * abs(trace[-2]) or delta <= zero_floor:
             converged = True
+            break
+        if fixed and iters < MAX_SWEEPS:
+            trace.append(trace[-1])
+            iters, converged = iters + 1, True
             break
 
     return PilotAidedResult(

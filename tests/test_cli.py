@@ -105,8 +105,14 @@ def test_out_of_range_codebook_arguments_exit_2(name, monkeypatch, capsys):
                                   ["codebook", "psl-table", "--rates", "0"],
                                   ["simulate"], ["sweep", "--axis", "snr_sr"]],
                          ids=["gen_gold", "gen_tag", "psl_table", "simulate", "sweep"])
-def test_unwritable_out_is_config_error(argv, tmp_path, capsys):
-    # every writer reports an --out it cannot open as a config error, not a traceback
+def test_unwritable_out_is_config_error(argv, tmp_path, monkeypatch, capsys):
+    # every writer reports an --out it cannot open as a config error, not a
+    # traceback; simulate and sweep do so before they run anything
+    def never(*args, **kwargs):
+        raise AssertionError("ran the simulation before opening --out")
+
+    monkeypatch.setattr(cli, "run_trials", never)
+    monkeypatch.setattr(cli, "sweep", never)
     if argv[0] != "codebook":
         argv = argv + ["--config", _config_file(tmp_path, trials=2)]
     out = tmp_path / "missing" / "rows.csv"

@@ -651,3 +651,10 @@ class TestFrameDump:
         assert len(text.strip().split("\n")) == 4
         back = frame_from_csv(text)
         assert np.array_equal(back, y)  # repr roundtrips floats exactly
+
+    @pytest.mark.parametrize("text", ["", "1,a", "1,2\n1,2,3,4", "1,2,3"],
+                             ids=["empty", "non_numeric", "ragged", "odd_cells"])
+    def test_malformed_dump_is_config_error(self, text):
+        from radartag import frame_from_csv
+        with pytest.raises(ConfigInvalidError):
+            frame_from_csv(text)

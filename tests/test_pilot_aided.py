@@ -66,6 +66,21 @@ def _frame(layout, rng, sigma_str2=1.0, sigma_sr2=1.0, noise=0.0, q=2, n_taps=3)
     return y, c_data, x_data, g_str, g_sr
 
 
+def _count_calls(monkeypatch, *names):
+    """One list per ``pilot_aided`` kernel name, recording every call of it."""
+    calls = []
+    for name in names:
+        kernel, made = getattr(pilot_aided, name), []
+
+        def counted(*args, _kernel=kernel, _made=made):
+            _made.append(args)
+            return _kernel(*args)
+
+        monkeypatch.setattr(pilot_aided, name, counted)
+        calls.append(made)
+    return calls
+
+
 def _random_start(layout, rng):
     """Random +/-1 (c_data, x_data) to start decode_iterative from."""
     return (1 - 2 * rng.integers(0, 2, layout.n_data),
@@ -415,23 +430,18 @@ class TestDecodeIterative:
     @pytest.mark.parametrize("mode", ["discrete", "relaxed"])
     @pytest.mark.parametrize("reg", [REG, REG_L1], ids=["l2", "l1"])
     def test_one_channel_update_per_sweep(self, gold, monkeypatch, reg, mode):
-        # the fit at the initial data serves sweep 1; it is not repeated
+        # the fit at the initial data serves sweep 1; it is not repeated.  This
+        # discrete decode ends on its fixed point, whose repeat sweep is
+        # appended to the trace, not computed
         rng = np.random.default_rng(28)
         layout = _layout(gold, rng)
         y, *_ = _frame(layout, rng, sigma_str2=0.3, noise=1.0)
         start = np.random.default_rng(30)
-        calls = []
-        update = pilot_aided._channel_fit
-
-        def counted(*args):
-            calls.append(args)
-            return update(*args)
-
-        monkeypatch.setattr(pilot_aided, "_channel_fit", counted)
+        fits, sweeps = _count_calls(monkeypatch, "_channel_fit", "_source_form")
         res = decode_iterative(y, layout, reg, mode=mode,
                                init_data=_random_start(layout, start))
         assert res.iters >= 2
-        assert len(calls) == res.iters
+        assert len(fits) == len(sweeps) == res.iters - (mode == "discrete")
 
     @pytest.mark.parametrize("mode", ["discrete", "relaxed"])
     def test_default_start_is_the_noniterative_data(self, gold, mode):
@@ -904,3 +914,60 @@ def test_exhaustive_search_matches_the_reference_channel_fit(gold, reg):
         assert np.array_equal(res.x_data_hat, _binary_candidates(4)[best[2]])
         assert np.array_equal(_bits(res.g_str_hat), _bits(best[3]))
         assert np.array_equal(_bits(res.g_sr_hat), _bits(best[4]))
+
+
+@pytest.mark.parametrize("reg", [REG, REG_L1], ids=["l2", "l1"])
+def test_discrete_fixed_point_exits_match_the_reference(gold, monkeypatch, reg):
+    # A discrete sweep that returns the words it was given ends the decode:
+    # at sweep 1 by appending trace[0] unscored, later by appending the
+    # objective the next sweep would repeat, without computing that sweep.
+    # Both exits must equal the reference, which computes every sweep.
+    rng = np.random.default_rng(620)
+    (sweeps,) = _count_calls(monkeypatch, "_source_form")
+    ends = set()
+    for _ in range(20):
+        layout = _layout(gold, rng, n_pilot=27, n_data=4, l_pilot=2, l_data=8)
+        y, *_ = _frame(layout, rng, sigma_str2=10 ** rng.uniform(-2, 0),
+                       sigma_sr2=10 ** rng.uniform(-1, 0.5), noise=1.0)
+        for init_data in (None, _random_start(layout, rng)):
+            sweeps.clear()
+            res = decode_iterative(y, layout, reg, mode="discrete", init_data=init_data)
+            _assert_same_bits(res, _reference_decode_iterative(y, layout, reg, "discrete",
+                                                               init_data))
+            assert res.converged and res.objective_trace[-1] == res.objective_trace[-2]
+            assert len(sweeps) == max(res.iters - 1, 1)
+            ends.add(min(res.iters, 3))
+    assert ends == {1, 3}
+
+
+def test_noniterative_solve_matches_the_pinv_reference(gold):
+    # The source data come from one stacked normal-equation solve, not a
+    # pseudoinverse, so only the continuous estimates may move, by rounding.
+    # Decisions, degenerate and channel bits must equal the pinv reference:
+    # on the zero frame, beside an exactly zero channel estimate, without
+    # source data, and at -5 dB, where the continuous estimates sit near zero.
+    rng = np.random.default_rng(630)
+    zero_frame = _layout(gold, rng, n_pilot=27, n_data=4, l_pilot=2, l_data=8)
+    res = decode_noniterative(np.zeros((10, 33), dtype=complex), zero_frame)
+    _assert_same_bits(res, _reference_decode_noniterative(np.zeros((10, 33)), zero_frame))
+    assert res.degenerate and np.all(res.c_data_hat == 1)
+    # noiseless frames whose pilot rows cancel one link exactly: the tag
+    # pilot (+1, -1, +1, -1) nulls a missing backscatter link, (+1, -1) a
+    # missing direct one
+    for l_pilot, sigmas, zero_link in ((4, (0.0, 1.0), "g_str_hat"),
+                                       (2, (1.0, 0.0), "g_sr_hat")):
+        layout = _layout(gold, rng, n_pilot=27, n_data=4, l_pilot=l_pilot,
+                         l_data=10 - l_pilot)
+        y = _frame(layout, rng, sigma_str2=sigmas[0], sigma_sr2=sigmas[1])[0]
+        res = decode_noniterative(y, layout)
+        assert not getattr(res, zero_link).any()
+        _assert_same_bits(res, _reference_decode_noniterative(y, layout))
+    for n_pilot, n_data, l_pilot, frames in ((31, 0, 2, 20), (27, 4, 2, 300),
+                                             (29, 2, 4, 150), (3, 4, 2, 150)):
+        for _ in range(frames):
+            layout = _layout(gold, rng, n_pilot=n_pilot, n_data=n_data, l_pilot=l_pilot,
+                             l_data=10 - l_pilot)
+            y = _frame(layout, rng, sigma_str2=10 ** -0.5 / 31, sigma_sr2=10 ** -0.5 / 31,
+                       noise=1.0)[0]
+            _assert_same_bits(decode_noniterative(y, layout),
+                              _reference_decode_noniterative(y, layout))
