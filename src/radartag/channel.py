@@ -52,30 +52,31 @@ def sample_channel(q: int, n_taps: int, sigma2: float, kappa_db: float,
         raise ValueError("sigma2 must be nonnegative")
     rngs, single = _generator_stack(rng)
     f_count = len(rngs)
-    support = (np.empty((f_count, n_taps), dtype=np.int64) if sparse
-               else np.broadcast_to(np.arange(n_taps), (f_count, n_taps)))
-    # rows: phases, diffuse real parts, diffuse imaginary parts
-    draws = np.empty((3, f_count, n_taps))
+    support = np.empty((f_count, n_taps), dtype=np.int64)
+    # per frame: phases, diffuse real parts, diffuse imaginary parts; the
+    # phases are uniform(0, 2 pi) draws, which numpy computes as 0 + 2 pi u
+    draws = np.empty((f_count, 3, n_taps))
     for f, gen in enumerate(rngs):
         if sparse:
             support[f] = gen.choice(q + 1, size=n_taps, replace=False)
-        draws[0, f] = gen.uniform(0.0, 2.0 * np.pi, size=n_taps)
-        gen.standard_normal(out=draws[1, f])
-        gen.standard_normal(out=draws[2, f])
-    if sparse:
-        support.sort(axis=-1)
+        gen.random(out=draws[f, 0])
+        gen.standard_normal(out=draws[f, 1:])
+    draws[:, 0] *= 2.0 * np.pi
     if math.isinf(kappa_db):
         spec_frac, diff_frac = (1.0, 0.0) if kappa_db > 0 else (0.0, 1.0)
     else:
         kappa = 10.0 ** (kappa_db / 10.0)
         spec_frac = kappa / (1.0 + kappa)
         diff_frac = 1.0 / (1.0 + kappa)
-    phases, diffuse_re, diffuse_im = draws
+    phases, diffuse_re, diffuse_im = draws.transpose(1, 0, 2)
     diffuse = (diffuse_re + 1j * diffuse_im) / np.sqrt(2.0)
     values = np.sqrt(sigma2) * (np.sqrt(spec_frac) * np.exp(1j * phases)
                                 + np.sqrt(diff_frac) * diffuse)
     taps = np.zeros((f_count, q + 1), dtype=np.complex128)
-    np.put_along_axis(taps, support, values, axis=-1)
+    if sparse:
+        np.put_along_axis(taps, np.sort(support, axis=-1), values, axis=-1)
+    else:
+        taps[:, :n_taps] = values
     return taps[0] if single else taps
 
 

@@ -165,12 +165,12 @@ def synthesize_frame(c, x, g_str, g_sr, sigma_omega2: float,
     a_str = (xi @ g_str[:, :, None])[:, :, 0]
     a_sr = (xi @ g_sr[:, :, None])[:, :, 0]
     f_count, l, k = len(rngs), x.shape[1], a_str.shape[1]
-    y = x[:, :, None] * a_str[:, None, :] + np.ones((l, 1)) * a_sr[:, None, :]
+    y = x[:, :, None] * a_str[:, None, :] + a_sr[:, None, :]
     if sigma_omega2 > 0:
-        noise = np.empty((2, f_count, l, k))     # real parts, imaginary parts
+        noise = np.empty((f_count, 2, l, k))     # real parts, imaginary parts
         for f, gen in enumerate(rngs):
-            gen.standard_normal(out=noise[0, f])
-            gen.standard_normal(out=noise[1, f])
+            gen.standard_normal(out=noise[f])
         scale = np.sqrt(sigma_omega2 / 2.0)
-        y += scale * (noise[0] + 1j * noise[1])
+        y.real += scale * noise[:, 0]
+        y.imag += scale * noise[:, 1]
     return y[0] if single else y

@@ -6,6 +6,16 @@ and noise from a counter-split substream of the experiment seed, so results
 are bit-identical for any worker count: trial i of grid point g always sees
 the generator spawned at (seed, 1, g, i), and accumulation runs in trial
 order.  In a sweep, the axis position plays the part of the grid point.
+
+That generator is the PCG64 that ``np.random.default_rng(SeedSequence(seed,
+spawn_key=(1, g, i)))`` would build, but no SeedSequence is built per trial.
+A batch of trials computes every trial's PCG64 state at once: numpy's
+SeedSequence hash over the words of (seed, 1, g) does not depend on i and is
+cached per (seed, g); only the trial word's mixing steps and the eight
+output words run per trial, vectorized over the batch, followed by PCG64's
+128-bit seeding step.  Each trial then sets the whole state of one of a few
+reused Generators before it draws.  The trial index must fit one 32-bit
+hash word, so a config asks for at most 2**32 trials.
 """
 
 from __future__ import annotations
@@ -92,6 +102,9 @@ CONFIG_VERSION = 1
 # longest frame (tag codeword length l, in PRIs) a config may ask for; the
 # tag codebook of this length, C(18, 9)/2 = 24310 words, builds in 0.25 s
 MAX_FRAME_L = 18
+# most trials per grid point: a trial index must fit one 32-bit word of the
+# substream hash (see _trial_states)
+MAX_TRIALS = 2 ** 32
 
 
 @dataclass
@@ -203,7 +216,7 @@ def _check_types(obj, prefix: str = ""):
 
 def validate_config(cfg: ExperimentConfig):
     _require(cfg.scheme in SCHEMES, f"unknown scheme {cfg.scheme!r}")
-    _require(cfg.trials >= 1, "trials must be >= 1")
+    _require(1 <= cfg.trials <= MAX_TRIALS, f"trials must lie in [1, {MAX_TRIALS}]")
     _require(cfg.seed >= 0, "seed must be >= 0")
     _require(len(cfg.snr_grid) >= 1, "snr_grid must be nonempty")
     _require(all(_db_ok(v) for p in cfg.snr_grid for v in (p.snr_str_db, p.snr_sr_db))
@@ -281,10 +294,6 @@ class _Context:
         self.reg = replace(reg, lambda_c=1.0 if reg.lambda_c is None else reg.lambda_c,
                            lambda_x=1.0 if reg.lambda_x is None else reg.lambda_x)
 
-    def trial_rng(self, grid_idx: int, trial_idx: int) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence(
-            entropy=self.cfg.seed, spawn_key=(1, grid_idx, trial_idx)))
-
 
 @lru_cache(maxsize=8)
 def _context_for(cfg_json: str) -> _Context:
@@ -295,30 +304,144 @@ def _context_for(cfg_json: str) -> _Context:
 # synthesize_frame call cover this many trials; at 16 the stack's arrays
 # stay a few kB per frame, and larger stacks gained no speed but memory
 _DRAW_STACK = 16
+# most trials per task, so that a task's records stay a few hundred kB
+_MAX_CHUNK = 4096
+
+
+# ---------------------------------------------------------------------------
+# trial substreams: numpy's SeedSequence hash (NEP 19, after O'Neill's
+# seed_seq) and PCG64's seeding step, run for a whole batch of trials
+
+_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875      # entropy mixing
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED      # generate_state
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash(value, const, next_const):
+    """One hashmix step: ``const`` is the hash constant before the step,
+    ``next_const`` = const * mult after it; works on ints and uint64 arrays."""
+    value = (value ^ const) * next_const & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _hash_consts(const: int, mult: int, count: int) -> np.ndarray:
+    """(count, 2, 1) uint64 (const, next const) pairs of ``count`` hash steps."""
+    pairs = []
+    for _ in range(count):
+        pairs.append((const, const * mult & _MASK32))
+        const = pairs[-1][1]
+    return np.array(pairs, dtype=np.uint64)[:, :, None]
+
+
+def _hash_words(n: int) -> list[int]:
+    """The 32-bit entropy words of a nonnegative int, least significant first."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+# generate_state(4, uint64) cycles twice over the pool for its 8 words
+_STATE_WORDS = np.tile(np.arange(_POOL_SIZE), 2)
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+
+@lru_cache(maxsize=64)
+def _pool_prefix(seed: int, grid_idx: int) -> tuple[np.ndarray, np.ndarray]:
+    """SeedSequence's pool after every entropy word of (seed, 1, grid_idx),
+    as a (4, 1) uint64 column, and the (4, 2, 1) hash constants with which
+    the trial word, the last entropy word, is mixed into it.
+
+    Python ints: the seed and the grid index may have any number of words.
+    """
+    words = _hash_words(seed)
+    words += [0] * (_POOL_SIZE - len(words)) + [1] + _hash_words(grid_idx)
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        next_const = const * _MULT_A & _MASK32
+        value, const = _hash(value, const, next_const), next_const
+        return value
+
+    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    column = np.array(pool, dtype=np.uint64)[:, None]
+    consts = _hash_consts(const, _MULT_A, _POOL_SIZE)
+    column.setflags(write=False)
+    consts.setflags(write=False)
+    return column, consts
+
+
+def _trial_states(seed: int, grid_idx: int, start: int, stop: int) -> list[dict]:
+    """The PCG64 states of trials start..stop-1 of grid point ``grid_idx``.
+
+    Entry t equals ``PCG64(SeedSequence(seed, spawn_key=(1, grid_idx, t))).state``
+    for every t below 2**32.
+    """
+    pool, consts = _pool_prefix(seed, grid_idx)
+    trials = np.arange(start, stop, dtype=np.uint64)
+    pool = _mix(pool, _hash(trials, consts[:, 0], consts[:, 1]))
+    words = _hash(pool[_STATE_WORDS], _STATE_CONSTS[:, 0], _STATE_CONSTS[:, 1])
+    # little-endian word pairs: state high, state low, seq high, seq low
+    states = []
+    for st_hi, st_lo, seq_hi, seq_lo in zip(*(words[0::2] | words[1::2] << 32).tolist()):
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = (((st_hi << 64 | st_lo) + inc) * _PCG_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+@lru_cache(maxsize=1)
+def _draw_generators() -> list[np.random.Generator]:
+    """The process's _DRAW_STACK reused Generators; built on first use, and
+    every trial sets its generator's whole state before it draws."""
+    return [np.random.Generator(np.random.PCG64(0)) for _ in range(_DRAW_STACK)]
 
 
 def _trial_batch(args):
     cfg_json, grid_idx, snr, start, stop = args
     ctx = _context_for(cfg_json)
     noise = noise_variance(snr, ctx.cfg.params.n)
-    return np.concatenate([_trial_stack(ctx, noise, grid_idx,
-                                        range(a, min(a + _DRAW_STACK, stop)))
-                           for a in range(start, stop, _DRAW_STACK)])
+    states = _trial_states(ctx.cfg.seed, grid_idx, start, stop)
+    gens = _draw_generators()
+    stacks = []
+    for a in range(0, len(states), _DRAW_STACK):
+        stack = states[a:a + _DRAW_STACK]
+        for gen, state in zip(gens, stack):
+            gen.bit_generator.state = state
+        stacks.append(_trial_stack(ctx, noise, gens[:len(stack)]))
+    return np.concatenate(stacks)
 
 
-def _trial_stack(ctx: _Context, noise, grid_idx: int, trials: range) -> np.ndarray:
+def _trial_stack(ctx: _Context, noise, rngs: list[np.random.Generator]) -> np.ndarray:
     """The (F, 9) float64 records of a stack of trials, in trial order.
 
     Record columns: src_bit_err, src_bits, tag_bit_err, tag_bits, e2_str,
-    n2_str, e2_sr, n2_sr, iters.  Each trial keeps its own substream: the
-    Generator calls (messages, both channels, noise) run per trial in the
-    order a lone trial makes them, and everything computed from the draws
-    runs on the stack.  Decoding is one table call per frame.
+    n2_str, e2_sr, n2_sr, iters.  Each trial keeps its own substream, the
+    generator ``rngs[f]`` of frame f: the Generator calls (messages, both
+    channels, noise) run per trial in the order a lone trial makes them,
+    and everything computed from the draws runs on the stack.  Decoding is
+    one table call per frame.
     """
     cfg, chan = ctx.cfg, ctx.cfg.channel
     sigma_omega2, sigma_str2, sigma_sr2 = noise
     aided, decode = _SCHEME_TABLE[cfg.scheme]
-    rngs = [ctx.trial_rng(grid_idx, t) for t in trials]
     f_count = len(rngs)
     if aided:
         side = [ctx.layouts[rng.integers(len(ctx.gold))] for rng in rngs]
@@ -355,11 +478,18 @@ def _trial_stack(ctx: _Context, noise, grid_idx: int, trials: range) -> np.ndarr
                      e2[:, 0], n2[:, 0], e2[:, 1], n2[:, 1], iters], dtype=np.float64).T
 
 
-def _reduce(scheme: str, snr: SnrConfig, records, trials: int, seed: int) -> MetricsRow:
+def _reduce(scheme: str, snr: SnrConfig, batches, trials: int, seed: int) -> MetricsRow:
     # accumulate sums in trial order, so the float sums are reproducible
-    # (np.sum would sum pairwise); counts stay exact in float64
+    # (np.sum would sum pairwise); counts stay exact in float64.  Each batch
+    # of records continues the running sum of the batches before it, which
+    # is the same left-to-right sum as one pass over all records.
+    total = None
+    for records in batches:
+        if total is not None:
+            records = np.concatenate([total[None], records])
+        total = np.add.accumulate(records)[-1]
     (src_err, src_bits, tag_err, tag_bits,
-     e2_str, n2_str, e2_sr, n2_sr, iters) = np.add.accumulate(records)[-1].tolist()
+     e2_str, n2_str, e2_sr, n2_sr, iters) = total.tolist()
     return MetricsRow(
         scheme=scheme,
         snr_str_db=snr.snr_str_db, snr_sr_db=snr.snr_sr_db,
@@ -387,16 +517,17 @@ def _run(cfgs: list[ExperimentConfig], workers) -> list[MetricsRow]:
 
     Config i's grid point g draws trial t from the substream (seed, 1, i + g,
     t); callers pass one config (run_trials) or one-point configs (sweep), so
-    no two points share a substream.  All trial chunks go through the builtin
-    map, or through one process pool when ``workers`` > 1, and each point is
-    reduced in trial order.
+    no two points share a substream.  All trial chunks, at most _MAX_CHUNK
+    trials each, go through the builtin map, or through one process pool
+    when ``workers`` > 1, and each point is reduced in trial order, chunk by
+    chunk as they arrive.
     """
     workers = _worker_count(workers)
     points, tasks = [], []
     for i, cfg in enumerate(cfgs):
         validate_config(cfg)
         cfg_json = json.dumps(config_to_dict(cfg), sort_keys=True)
-        chunk = max(1, -(-cfg.trials // (workers * 4)))
+        chunk = min(_MAX_CHUNK, -(-cfg.trials // (workers * 4)))
         for g, snr in enumerate(cfg.snr_grid):
             starts = range(0, cfg.trials, chunk)
             points.append((cfg, snr, len(starts)))
@@ -410,8 +541,7 @@ def _run(cfgs: list[ExperimentConfig], workers) -> list[MetricsRow]:
         pool = nullcontext()
     with pool:
         batches = iter((pool.map if workers > 1 else map)(_trial_batch, tasks))
-        return [_reduce(cfg.scheme, snr,
-                        np.concatenate([next(batches) for _ in range(n_batches)]),
+        return [_reduce(cfg.scheme, snr, (next(batches) for _ in range(n_batches)),
                         cfg.trials, cfg.seed)
                 for cfg, snr, n_batches in points]
 

@@ -1,6 +1,7 @@
 """Monte Carlo harness: bit mapping, trial loops, determinism, config handling."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -79,9 +80,19 @@ class TestMetricsReduction:
         for _ in range(200):
             n2 = float(rng.uniform(0.5, 2.0))
             trial_rows.append((0, 4, 0, 4, n2, n2, 2 * n2, 2 * n2, 0))
-        row = _reduce("pilot_free_joint", SnrConfig(0.0, 0.0), trial_rows, 200, 0)
+        row = _reduce("pilot_free_joint", SnrConfig(0.0, 0.0), [trial_rows], 200, 0)
         assert row.nrmse_str == pytest.approx(1.0, abs=1e-12)
         assert row.nrmse_sr == pytest.approx(1.0, abs=1e-12)
+
+    def test_batched_reduction_equals_one_pass(self):
+        # the running sum carried from batch to batch is the one-pass sum bit
+        # for bit; values of mixed magnitude make the summation order show
+        rng = np.random.default_rng(5)
+        records = rng.uniform(0.0, 1.0, (1000, 9)) * 10.0 ** rng.integers(-8, 8, (1000, 9))
+        snr = SnrConfig(1.0, 2.0)
+        want = _reduce("perfect_csi", snr, [records], 1000, 3)
+        for cuts in ((1,), (999,), (10, 500, 501, 900), tuple(range(1, 1000, 7))):
+            assert _reduce("perfect_csi", snr, iter(np.split(records, cuts)), 1000, 3) == want
 
     def test_rates_within_unit_interval(self):
         rows = run_trials(_quick_cfg(snr_grid=[SnrConfig(-20.0, -20.0)]))
@@ -254,6 +265,8 @@ _MALFORMED_CONFIGS = {
     "snr_sr_string_list": {**_VALID_CONFIG, "snr_grid": None, "snr_sr_db": ["10"]},
     "snr_sr_bool_list": {**_VALID_CONFIG, "snr_grid": None, "snr_sr_db": [True]},
     "snr_sr_string": {**_VALID_CONFIG, "snr_grid": None, "snr_sr_db": "7"},
+    # a trial index must fit one 32-bit word of the substream hash
+    "trials_above_hash_word": {**_VALID_CONFIG, "trials": 2 ** 32 + 1},
 }
 
 
@@ -486,7 +499,8 @@ def test_rows_match_recorded_parent_output():
 # one generator, one channel pair and one frame per trial
 def _reference_trial(ctx, noise, grid_idx, trial_idx):
     cfg = ctx.cfg
-    rng = ctx.trial_rng(grid_idx, trial_idx)
+    rng = np.random.default_rng(np.random.SeedSequence(
+        ctx.cfg.seed, spawn_key=(1, grid_idx, trial_idx)))
     sigma_omega2, sigma_str2, sigma_sr2 = noise
     aided, decode = harness._SCHEME_TABLE[cfg.scheme]
     if aided:
@@ -550,6 +564,81 @@ def test_stacked_trials_equal_per_trial_oracle(scheme, setting, start, stop):
     want = [_reference_trial(ctx, noise, 1, t) for t in range(start, stop)]
     assert got.dtype == np.float64
     assert np.array_equal(got, np.array(want, dtype=np.float64))
+
+
+def _seed_sequence_state(seed, grid_idx, trial_idx):
+    return np.random.PCG64(np.random.SeedSequence(
+        seed, spawn_key=(1, grid_idx, trial_idx))).state
+
+
+# seeds of one, two, three and five entropy words, grid indices of one and
+# two words, and the largest trial index a config can reach
+@pytest.mark.parametrize("seed", (0, 12345, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 7,
+                                  2 ** 64 + 3, 2 ** 130 + 5))
+@pytest.mark.parametrize("grid_idx", (0, 1, 70_000, 2 ** 33))
+def test_batch_seeding_equals_seed_sequence(seed, grid_idx):
+    ranges = ((0, 1), (5, 8), (16, 32), (3, 153), (2 ** 32 - 3, 2 ** 32))
+    for start, stop in ranges:
+        got = harness._trial_states(seed, grid_idx, start, stop)
+        assert got == [_seed_sequence_state(seed, grid_idx, t) for t in range(start, stop)]
+    # a reused generator given a batch state draws what default_rng draws,
+    # also when its last trial left a buffered 32-bit half behind
+    gen = harness._draw_generators()[0]
+    for t in (0, 2 ** 32 - 1):
+        gen.random(dtype=np.float32)
+        assert gen.bit_generator.state["has_uint32"] == 1
+        gen.bit_generator.state = harness._trial_states(seed, grid_idx, t, t + 1)[0]
+        want = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, grid_idx, t)))
+        for draw in (lambda g: g.random(dtype=np.float32), lambda g: g.integers(16),
+                     lambda g: g.integers(2 ** 40), lambda g: g.standard_normal(5),
+                     lambda g: g.random(3)):
+            assert np.array_equal(draw(gen), draw(want))
+
+
+def test_trial_count_limit_is_the_hash_word():
+    harness.validate_config(_quick_cfg(trials=2 ** 32))
+    with pytest.raises(ConfigInvalidError):
+        harness.validate_config(_quick_cfg(trials=2 ** 32 + 1))
+
+
+def test_tasks_stay_below_the_chunk_cap(monkeypatch):
+    # a long run hands out bounded trial ranges, so no task's records and no
+    # reduction step grows with the trial count
+    spans = []
+
+    def zero_records(args):
+        _, _, _, start, stop = args
+        spans.append((start, stop))
+        return np.zeros((stop - start, 9))
+
+    monkeypatch.setattr(harness, "_trial_batch", zero_records)
+    rows = run_trials(_quick_cfg(trials=100_000, snr_grid=[SnrConfig(0.0, 0.0)] * 2))
+    assert [row.trials for row in rows] == [100_000, 100_000]
+    assert max(stop - start for start, stop in spans) <= harness._MAX_CHUNK
+    assert sum(stop - start for start, stop in spans) == 200_000
+
+
+def test_trial_loop_raises_no_warnings():
+    # every scheme at a low and a high SNR point, plus l1 on the sparse q = 14
+    # config, with warnings turned into errors (uint32 overflow warnings of
+    # scalar hashing, divide-by-zero and invalid-value warnings in decoders)
+    grid = [SnrConfig(-5.0, 0.0), SnrConfig(20.0, 25.0)]
+    cfgs = []
+    for scheme in sorted(harness.SCHEMES):
+        layout = {}
+        if scheme in harness.PILOT_AIDED_SCHEMES:
+            layout = dict(n_source_words=None, n_tag_words=None, n_pilot=27,
+                          l_pilot=6 if scheme == "pilot_aided_exhaustive" else 2)
+        cfgs.append(_quick_cfg(scheme=scheme, trials=3, snr_grid=grid, **layout))
+    cfgs.append(_quick_cfg(trials=2, snr_grid=grid, params=SystemParams(q=14),
+                           channel=ChannelConfig(n_taps=3, sparse=True),
+                           reg=RegularizationConfig(kind="l1", lambda_str=12.0,
+                                                    lambda_sr=12.0)))
+    harness._pool_prefix.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cfg in cfgs:
+            run_trials(cfg)
 
 
 def test_pilot_layouts_are_built_once_per_context(monkeypatch):
