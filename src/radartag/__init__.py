@@ -82,7 +82,6 @@ from .pilot_aided import (
 )
 from .pilot_free import (
     PilotFreeResult,
-    channel_estimates_given,
     decode_disjoint,
     decode_joint,
     decode_perfect_csi,

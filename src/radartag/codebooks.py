@@ -1,9 +1,11 @@
 """Source and tag codebook construction, identifiability checks, waveform scores.
 
 The source codebook holds +/-1 radar codewords (Gold sequences by default);
-the tag codebook holds +/-1 slow-time codewords constrained to sum to zero.
-Both come with the rank checks that guarantee noiseless identifiability,
-plus aperiodic-autocorrelation quality metrics (PSL/ISLR) for the radar side.
+the tag codebook holds +/-1 slow-time codewords that sum to zero.  Both are
+immutable: the constructors copy the words into read-only int64 arrays and
+validate them once, so every later reader may trust them.  Both come with
+the rank checks that guarantee noiseless identifiability, plus
+aperiodic-autocorrelation quality metrics (PSL/ISLR) for the radar side.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from .channel import conv_matrix_from_code
 from .errors import (
+    EmptyCodebookError,
     InfeasibleDimensionsError,
     NotPreferredPairError,
     OddLengthError,
@@ -45,25 +48,30 @@ DEFAULT_GOLD_PAIR = ((5, 2, 0), (5, 4, 3, 2, 0))
 PSL_BUDGET = 2 ** 16
 
 
-def _validate_words(words: np.ndarray, length: int):
-    if words.ndim != 2 or words.shape[0] < 1 or words.shape[1] != length:
-        raise ValueError(f"words must be a nonempty (count, {length}) array")
+def _freeze_words(book, length: int) -> None:
+    """Copy ``book.words`` into a validated read-only int64 array, in place."""
+    words = np.array(book.words, dtype=np.int64)
+    if words.ndim != 2 or words.shape[1] != length:
+        raise ValueError(f"words must be a (count, {length}) array")
+    if words.shape[0] == 0:
+        raise EmptyCodebookError("a codebook needs at least one codeword")
     if not np.all(np.abs(words) == 1):
         raise ValueError("codewords must be unimodular (+1/-1)")
     if np.unique(words, axis=0).shape[0] != words.shape[0]:
         raise ValueError("codewords must be distinct")
+    words.setflags(write=False)
+    object.__setattr__(book, "words", words)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SourceCodebook:
-    """Finite set of length-n +/-1 radar codewords."""
+    """Finite set of length-n +/-1 radar codewords; immutable, compared by identity."""
 
     n: int
     words: np.ndarray
 
     def __post_init__(self):
-        self.words = np.asarray(self.words, dtype=np.int64)
-        _validate_words(self.words, self.n)
+        _freeze_words(self, self.n)
 
     def __len__(self) -> int:
         return self.words.shape[0]
@@ -73,19 +81,18 @@ class SourceCodebook:
         return float(np.log2(len(self)))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TagCodebook:
-    """Finite set of length-l +/-1 slow-time codewords, optionally zero-sum."""
+    """Finite set of length-l zero-sum +/-1 slow-time codewords; immutable,
+    compared by identity."""
 
     l: int
     words: np.ndarray
-    zero_sum: bool = True
 
     def __post_init__(self):
-        self.words = np.asarray(self.words, dtype=np.int64)
-        _validate_words(self.words, self.l)
-        if self.zero_sum and np.any(self.words.sum(axis=1) != 0):
-            raise ValueError("zero_sum codebook contains a word with nonzero sum")
+        _freeze_words(self, self.l)
+        if np.any(self.words.sum(axis=1) != 0):
+            raise ValueError("tag codewords must sum to zero")
 
     def __len__(self) -> int:
         return self.words.shape[0]
@@ -196,11 +203,11 @@ def gen_tag_codebook(l: int) -> TagCodebook:
         w = np.ones(l, dtype=np.int64)
         w[list(neg_positions)] = -1
         words.append(w)
-    return TagCodebook(l=l, words=np.vstack(words), zero_sum=True)
+    return TagCodebook(l=l, words=np.vstack(words))
 
 
 def check_tag_separability(codebook: TagCodebook) -> bool:
-    """True iff every distinct pair spans two dimensions (and zero-sum holds).
+    """True iff every distinct pair spans two dimensions.
 
     Two +/-1 words span one dimension exactly when one is the other up to
     sign, so the pairwise rank test is a uniqueness test on the words signed
@@ -209,8 +216,6 @@ def check_tag_separability(codebook: TagCodebook) -> bool:
     words = codebook.words
     if len(codebook) < 2:
         raise ValueError("need at least two tag codewords")
-    if codebook.zero_sum and np.any(words.sum(axis=1) != 0):
-        return False
     signed = words * words[:, :1]
     return np.unique(signed, axis=0).shape[0] == len(codebook)
 

@@ -34,7 +34,7 @@ class TooManyTapsError(RadarTagError, ValueError):
 
 
 class EmptyCodebookError(RadarTagError, ValueError):
-    """Decoding requires at least one candidate codeword."""
+    """A codebook needs at least one codeword; raised at construction."""
 
 
 class PilotConditionViolatedError(RadarTagError):

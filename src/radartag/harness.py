@@ -9,13 +9,14 @@ order.  In a sweep, the axis position plays the part of the grid point.
 
 That generator is the PCG64 that ``np.random.default_rng(SeedSequence(seed,
 spawn_key=(1, g, i)))`` would build, but no SeedSequence is built per trial.
-A batch of trials computes every trial's PCG64 state at once: numpy's
-SeedSequence hash over the words of (seed, 1, g) does not depend on i and is
-cached per (seed, g); only the trial word's mixing steps and the eight
-output words run per trial, vectorized over the batch, followed by PCG64's
-128-bit seeding step.  Each trial then sets the whole state of one of a few
-reused Generators before it draws.  The trial index must fit one 32-bit
-hash word, so a config asks for at most 2**32 trials.
+A batch of trials computes every trial's PCG64 state at once: the pool of
+``SeedSequence(seed, spawn_key=(1, g))``, which numpy computes, does not
+depend on i and is cached per (seed, g); only the trial word's mixing steps
+and the eight output words, copied from numpy's hash, run per trial,
+vectorized over the batch, followed by PCG64's 128-bit seeding step.  Each
+trial then sets the whole state of one of a few reused Generators before it
+draws.  The trial index must fit one 32-bit hash word, so a config asks for
+at most 2**32 trials.
 """
 
 from __future__ import annotations
@@ -295,9 +296,20 @@ class _Context:
                            lambda_x=1.0 if reg.lambda_x is None else reg.lambda_x)
 
 
+def _context_key(cfg: ExperimentConfig) -> str:
+    """The JSON of the config fields a context reads.  The trial count and
+    the SNR points stay out, so every run and sweep point of one experiment
+    shares its codebooks and layouts, and with them the decoders' caches,
+    which are keyed by those objects."""
+    data = config_to_dict(cfg)
+    for key in ("snr_grid", "rho_db", "trials", "axis_values"):
+        del data[key]
+    return json.dumps(data, sort_keys=True)
+
+
 @lru_cache(maxsize=8)
-def _context_for(cfg_json: str) -> _Context:
-    return _Context(config_from_dict(json.loads(cfg_json)))
+def _context_for(key: str) -> _Context:
+    return _Context(config_from_dict(json.loads(key)))
 
 
 # trials per stacked draw: one sample_channel call per link and one
@@ -341,12 +353,9 @@ def _hash_consts(const: int, mult: int, count: int) -> np.ndarray:
     return np.array(pairs, dtype=np.uint64)[:, :, None]
 
 
-def _hash_words(n: int) -> list[int]:
-    """The 32-bit entropy words of a nonnegative int, least significant first."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
+def _word_count(n: int) -> int:
+    """How many 32-bit entropy words SeedSequence makes of a nonnegative int."""
+    return max(1, -(-n.bit_length() // 32))
 
 
 # generate_state(4, uint64) cycles twice over the pool for its 8 words
@@ -360,27 +369,15 @@ def _pool_prefix(seed: int, grid_idx: int) -> tuple[np.ndarray, np.ndarray]:
     as a (4, 1) uint64 column, and the (4, 2, 1) hash constants with which
     the trial word, the last entropy word, is mixed into it.
 
-    Python ints: the seed and the grid index may have any number of words.
+    The pool is numpy's own, ``SeedSequence(seed, spawn_key=(1, grid_idx)).pool``.
+    Mixing w entropy words takes 4w hash steps (the seed's words are padded
+    to 4, then come 1 and the grid index's words), and each step multiplies
+    the hash constant by ``_MULT_A``.
     """
-    words = _hash_words(seed)
-    words += [0] * (_POOL_SIZE - len(words)) + [1] + _hash_words(grid_idx)
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        next_const = const * _MULT_A & _MASK32
-        value, const = _hash(value, const, next_const), next_const
-        return value
-
-    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    column = np.array(pool, dtype=np.uint64)[:, None]
+    pool = np.random.SeedSequence(seed, spawn_key=(1, grid_idx)).pool
+    column = pool.astype(np.uint64)[:, None]
+    words = max(_POOL_SIZE, _word_count(seed)) + 1 + _word_count(grid_idx)
+    const = _INIT_A * pow(_MULT_A, 4 * words, 1 << 32) & _MASK32
     consts = _hash_consts(const, _MULT_A, _POOL_SIZE)
     column.setflags(write=False)
     consts.setflags(write=False)
@@ -415,8 +412,8 @@ def _draw_generators() -> list[np.random.Generator]:
 
 
 def _trial_batch(args):
-    cfg_json, grid_idx, snr, start, stop = args
-    ctx = _context_for(cfg_json)
+    key, grid_idx, snr, start, stop = args
+    ctx = _context_for(key)
     noise = noise_variance(snr, ctx.cfg.params.n)
     states = _trial_states(ctx.cfg.seed, grid_idx, start, stop)
     gens = _draw_generators()
@@ -526,12 +523,12 @@ def _run(cfgs: list[ExperimentConfig], workers) -> list[MetricsRow]:
     points, tasks = [], []
     for i, cfg in enumerate(cfgs):
         validate_config(cfg)
-        cfg_json = json.dumps(config_to_dict(cfg), sort_keys=True)
+        key = _context_key(cfg)
         chunk = min(_MAX_CHUNK, -(-cfg.trials // (workers * 4)))
         for g, snr in enumerate(cfg.snr_grid):
             starts = range(0, cfg.trials, chunk)
             points.append((cfg, snr, len(starts)))
-            tasks += [(cfg_json, i + g, snr, a, min(a + chunk, cfg.trials))
+            tasks += [(key, i + g, snr, a, min(a + chunk, cfg.trials))
                       for a in starts]
     if workers > 1:
         # imported here: the pool modules cost start-up time no serial run needs

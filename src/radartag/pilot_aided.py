@@ -54,9 +54,10 @@ SEARCH_BUDGET = 2 ** 20   # most data pairs exhaustive_search enumerates
 _SEARCH_CHUNK = 24
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PilotLayout:
-    """Pilot symbols and data lengths for one frame."""
+    """Pilot symbols and data lengths for one frame; immutable, compared by
+    identity.  The pilots are copied into read-only float64 arrays."""
 
     c_pilot: np.ndarray
     x_pilot: np.ndarray
@@ -67,14 +68,17 @@ class PilotLayout:
         pilots = [np.asarray(p) for p in (self.c_pilot, self.x_pilot)]
         if any(np.any(np.imag(p) != 0) for p in pilots):
             raise ValueError("pilots must be real")
-        self.c_pilot, self.x_pilot = (np.asarray(np.real(p), dtype=np.float64) for p in pilots)
-        if self.c_pilot.ndim != 1 or self.x_pilot.ndim != 1:
+        c_pilot, x_pilot = (np.array(np.real(p), dtype=np.float64) for p in pilots)
+        if c_pilot.ndim != 1 or x_pilot.ndim != 1:
             raise DimensionMismatchError("pilots must be 1-D")
-        if not (np.isfinite(self.c_pilot).all() and np.isfinite(self.x_pilot).all()):
+        if not (np.isfinite(c_pilot).all() and np.isfinite(x_pilot).all()):
             raise ValueError("pilots must be finite")
         if not all(isinstance(v, (int, np.integer)) and v >= 0
                    for v in (self.n_data, self.l_data)):
             raise ValueError("data lengths must be integers >= 0")
+        for name, pilot in (("c_pilot", c_pilot), ("x_pilot", x_pilot)):
+            pilot.setflags(write=False)
+            object.__setattr__(self, name, pilot)
 
     @property
     def n(self) -> int:
@@ -170,16 +174,16 @@ def _tag_relaxed(data_rows, a_str, a_sr, lambda_x: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _pilot_pinvs(x_pilot_bytes: bytes, c_pilot_bytes: bytes, q: int):
-    """(pinv([x_pilot, 1]), pinv(Xi_pilot)) of a pilot pair, or None when
-    ``check_pilot_conditions`` fails; keyed by the float64 pilot bytes.
+def _pilot_pinvs(layout: PilotLayout, q: int):
+    """(pinv([x_pilot, 1]), pinv(Xi_pilot)) of a layout's pilots, or None when
+    ``check_pilot_conditions`` fails; keyed by the layout object, whose
+    pilots are frozen with it.
 
-    Only the pilots enter here, so each pair is inverted once per process
+    Only the pilots enter here, so each layout is inverted once per process
     rather than once per frame; the arrays are read-only because every
     caller shares them.
     """
-    x_pilot = np.frombuffer(x_pilot_bytes, dtype=np.float64)
-    c_pilot = np.frombuffer(c_pilot_bytes, dtype=np.float64)
+    x_pilot, c_pilot = layout.x_pilot, layout.c_pilot
     if not check_pilot_conditions(x_pilot, c_pilot, q):
         return None
     pilot_basis = np.stack([x_pilot.astype(np.complex128),
@@ -221,7 +225,7 @@ def decode_noniterative(y, layout: PilotLayout) -> PilotAidedResult:
 def _noniterative(y, layout: PilotLayout, q: int) -> PilotAidedResult:
     """:func:`decode_noniterative` on a frame already checked against the layout."""
     n_p, l_p = layout.c_pilot.size, layout.x_pilot.size
-    pilot_ops = _pilot_pinvs(layout.x_pilot.tobytes(), layout.c_pilot.tobytes(), q)
+    pilot_ops = _pilot_pinvs(layout, q)
     if pilot_ops is None:
         raise PilotConditionViolatedError(
             "pilot rank conditions fail; pick a tag pilot not proportional to "
@@ -244,7 +248,7 @@ def _noniterative(y, layout: PilotLayout, q: int) -> PilotAidedResult:
     gram[~gram.any(axis=(-2, -1))] = np.eye(layout.n_data)
     c_conts = np.linalg.solve(gram, data_h @ (shapes - pilot_resp)[..., None])
     c_data = _slice_pm1(0.5 * (c_conts[0, :, 0] + c_conts[1, :, 0]))
-    x_data = _slice_pm1(_tag_relaxed(y[l_p:], alpha_str, alpha_sr, 0.0))
+    x_data = _tag_signs(y[l_p:], alpha_str, alpha_sr)
     return PilotAidedResult(c_data_hat=c_data, x_data_hat=x_data,
                             g_str_hat=g_str, g_sr_hat=g_sr,
                             objective_trace=[], iters=0, converged=True,

@@ -27,7 +27,7 @@ import numpy as np
 
 from .channel import conv_matrix_from_code
 from .codebooks import SourceCodebook, TagCodebook
-from .errors import DimensionMismatchError, EmptyCodebookError, SingularSystemError
+from .errors import SingularSystemError
 from .framesim import _checked_frame, _checked_taps
 from .solvers import RegularizationConfig, _power_iteration_largest, fista_stacked
 # fista_precomputed has no caller here; it stays importable from this module
@@ -36,7 +36,6 @@ from .solvers import fista_precomputed  # noqa: F401
 
 __all__ = [
     "PilotFreeResult",
-    "channel_estimates_given",
     "decode_joint",
     "decode_disjoint",
     "decode_perfect_csi",
@@ -60,11 +59,12 @@ class PilotFreeResult:
     metric: float
 
 
+# the caches below are keyed by the codebook object itself: a codebook is
+# frozen and its words are read-only, so its identity fixes its words
 @lru_cache(maxsize=64)
-def _cached_xi_stack(words_bytes: bytes, m: int, n: int, q: int) -> np.ndarray:
+def _cached_xi_stack(source: SourceCodebook, q: int) -> np.ndarray:
     """Convolution matrices of every source codeword, stacked (Mc, n+q, q+1)."""
-    words = np.frombuffer(words_bytes, dtype=np.int64).reshape(m, n)
-    xis = conv_matrix_from_code(words, q)
+    xis = conv_matrix_from_code(source.words, q)
     xis.setflags(write=False)
     return xis
 
@@ -105,21 +105,16 @@ def _operators(xis, big_l: int, lam_str: float, lam_sr: float, l1: bool):
 
 
 @lru_cache(maxsize=64)
-def _cached_source_ops(words_bytes: bytes, m: int, n: int, q: int, big_l: int,
+def _cached_source_ops(source: SourceCodebook, q: int, big_l: int,
                        lam_str: float, lam_sr: float, l1: bool):
     """:func:`_operators` of a source codebook, built once per (codebook, q,
     L, lambdas, penalty)."""
-    return _operators(_cached_xi_stack(words_bytes, m, n, q), big_l, lam_str, lam_sr, l1)
-
-
-def _words_key(source: SourceCodebook) -> tuple[bytes, int, int]:
-    words = np.ascontiguousarray(source.words, dtype=np.int64)
-    return words.tobytes(), words.shape[0], words.shape[1]
+    return _operators(_cached_xi_stack(source, q), big_l, lam_str, lam_sr, l1)
 
 
 def _source_ops(source: SourceCodebook, q: int, big_l: int, reg: RegularizationConfig):
-    return _cached_source_ops(*_words_key(source), q, big_l,
-                              float(reg.lambda_str), float(reg.lambda_sr), reg.kind == "l1")
+    return _cached_source_ops(source, q, big_l, float(reg.lambda_str), float(reg.lambda_sr),
+                              reg.kind == "l1")
 
 
 def _candidate_fits(ops, u_cols, u_ones, big_l, reg):
@@ -182,32 +177,6 @@ def _tag_projections(y, tag: TagCodebook) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
-def _frame_dims(y, source: SourceCodebook, tag: TagCodebook) -> tuple[np.ndarray, int]:
-    if len(source) < 1 or len(tag) < 1:
-        raise EmptyCodebookError("both codebooks must be nonempty")
-    return _checked_frame(y, tag.l, source.n)
-
-
-def channel_estimates_given(c, x, y, reg: RegularizationConfig):
-    """Channel estimates for a fixed candidate pair.
-
-    The backscatter estimate fits Xi_c g to the slow-time projection
-    (1/L) Y^T x*, the direct estimate to the slow-time average (1/L) Y^T 1,
-    each with its own regularization weight: the fits of
-    :func:`decode_joint`, run on the one codeword c.  Raises ``ValueError``
-    on a non-finite frame.
-    """
-    c, x = np.asarray(c, dtype=np.complex128), np.asarray(x, dtype=np.complex128)
-    if c.ndim != 1 or x.ndim != 1:
-        raise DimensionMismatchError("codewords must be 1-D")
-    y, q = _checked_frame(y, x.size, c.size)
-    big_l = y.shape[0]
-    ops = _operators(conv_matrix_from_code(c, q)[None], big_l, reg.lambda_str, reg.lambda_sr,
-                     reg.kind == "l1")
-    _, _, estimates = _candidate_fits(ops, (y.T @ x.conj())[:, None], y.sum(axis=0), big_l, reg)
-    return estimates(0, 0)
-
-
 def decode_joint(y, source: SourceCodebook, tag: TagCodebook,
                  reg: RegularizationConfig) -> PilotFreeResult:
     """Exhaustive joint decoding over all |C| x |X| candidate pairs.
@@ -215,7 +184,7 @@ def decode_joint(y, source: SourceCodebook, tag: TagCodebook,
     Ties break toward the smallest (source, tag) index pair.  Raises
     ``ValueError`` on a non-finite frame.
     """
-    y, q = _frame_dims(y, source, tag)
+    y, q = _checked_frame(y, tag.l, source.n)
     big_l = y.shape[0]
     ops = _source_ops(source, q, big_l, reg)
 
@@ -240,7 +209,7 @@ def decode_disjoint(y, source: SourceCodebook, tag: TagCodebook,
     off, the backscatter fit at the decoded tag codeword.  Raises
     ``ValueError`` on a non-finite frame.
     """
-    y, q = _frame_dims(y, source, tag)
+    y, q = _checked_frame(y, tag.l, source.n)
     big_l = y.shape[0]
     ops = _source_ops(source, q, big_l, reg)
 
@@ -268,10 +237,10 @@ def decode_perfect_csi(y, source: SourceCodebook, tag: TagCodebook,
     + L ||a_c||^2 - 2 Re x^T (y - 1 b_c^T) a_c^*, as tag words are +/-1.
     Raises ``ValueError`` on a non-finite frame.
     """
-    y, q = _frame_dims(y, source, tag)
+    y, q = _checked_frame(y, tag.l, source.n)
     g_str, g_sr = _checked_taps(g_str, g_sr, q)
     big_l, k = y.shape
-    xis = _cached_xi_stack(*_words_key(source), q)
+    xis = _cached_xi_stack(source, q)
     mc = xis.shape[0]
     a = (xis.reshape(mc * k, q + 1) @ g_str).reshape(mc, k)
     b = (xis.reshape(mc * k, q + 1) @ g_sr).reshape(mc, k)

@@ -1,6 +1,7 @@
 """Codebook constructions, rank checks, and waveform quality metrics."""
 
 import hashlib
+from dataclasses import FrozenInstanceError
 from itertools import combinations
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from scipy.signal import max_len_seq
 
 from radartag import (
+    EmptyCodebookError,
     InfeasibleDimensionsError,
     NotPreferredPairError,
     OddLengthError,
@@ -124,7 +126,7 @@ class TestSeparabilityChecks:
 
     def test_antipodal_pair_fails(self):
         w = np.array([1, 1, -1, -1])
-        book = TagCodebook(l=4, words=np.stack([w, -w]), zero_sum=True)
+        book = TagCodebook(l=4, words=np.stack([w, -w]))
         assert not check_tag_separability(book)
 
     def test_three_word_example(self):
@@ -156,8 +158,6 @@ class TestSeparabilityChecks:
 
 
 def _pairwise_tag_oracle(book):
-    if book.zero_sum and np.any(book.words.sum(axis=1) != 0):
-        return False
     return all(numeric_rank(np.stack([u, v], axis=1)) == 2
                for u, v in combinations(book.words, 2))
 
@@ -177,6 +177,36 @@ def _random_pm1_book(rng, length, m, antipodes):
     return np.vstack([words, -words[:antipodes]])
 
 
+class TestCodebookInvariants:
+    """Codebooks are validated once, at construction, and cannot change after."""
+
+    def test_non_zero_sum_tag_book_rejected(self):
+        # a random 16-word book of length 10: pilot-free decoding needs the
+        # zero-sum words, so the type refuses the book instead of decoding it
+        words = _random_pm1_book(np.random.default_rng(22), 10, 16, 0)
+        assert np.any(words.sum(axis=1) != 0)
+        with pytest.raises(ValueError, match="sum to zero"):
+            TagCodebook(l=10, words=words)
+
+    @pytest.mark.parametrize("make", [lambda w: SourceCodebook(n=4, words=w),
+                                      lambda w: TagCodebook(l=4, words=w)])
+    def test_empty_words_rejected(self, make):
+        with pytest.raises(EmptyCodebookError):
+            make(np.zeros((0, 4), dtype=np.int64))
+
+    @pytest.mark.parametrize("make", [lambda w: SourceCodebook(n=4, words=w),
+                                      lambda w: TagCodebook(l=4, words=w)])
+    def test_frozen_with_read_only_copied_words(self, make):
+        given = np.array([[1, 1, -1, -1], [1, -1, 1, -1]])
+        book = make(given)
+        with pytest.raises(FrozenInstanceError):
+            book.words = given
+        with pytest.raises(ValueError):
+            book.words[0, 0] = -1
+        given[0, 0] = -1      # the caller's array stays writable and separate
+        assert book.words[0, 0] == 1 and book.words.dtype == np.int64
+
+
 class TestSeparabilityClosedForms:
     def test_tag_check_matches_pairwise_rank_oracle(self):
         rng = np.random.default_rng(61)
@@ -188,11 +218,15 @@ class TestSeparabilityClosedForms:
                 pool = np.vstack([pool, -pool])
                 idx = rng.choice(len(pool), int(rng.integers(2, min(len(pool), 9))),
                                  replace=False)
-                book = TagCodebook(l=length, words=pool[idx], zero_sum=True)
+                book = TagCodebook(l=length, words=pool[idx])
             else:
-                m = int(rng.integers(2, 9))
-                book = TagCodebook(l=length, zero_sum=False, words=_random_pm1_book(
-                    rng, length, m, int(rng.integers(0, m // 2 + 1))))
+                # distinct words up to sign, random signs, some antipodal copies
+                pool = gen_tag_codebook(length).words
+                m = int(rng.integers(2, min(len(pool), 8) + 1))
+                antipodes = int(rng.integers(0, m // 2 + 1))
+                words = pool[rng.choice(len(pool), m - antipodes, replace=False)]
+                words = words * rng.choice([-1, 1], size=(len(words), 1))
+                book = TagCodebook(l=length, words=np.vstack([words, -words[:antipodes]]))
             want = _pairwise_tag_oracle(book)
             assert check_tag_separability(book) == want
             outcomes[want] += 1

@@ -14,7 +14,6 @@ from radartag import (
     SystemParams,
     TagCodebook,
     alternating_pilot,
-    channel_estimates_given,
     check_assumptions,
     decode_disjoint,
     decode_iterative,
@@ -196,7 +195,6 @@ def _entry_points():
         "decode_joint": lambda y, c, x: decode_joint(y, src, tag, reg),
         "decode_disjoint": lambda y, c, x: decode_disjoint(y, src, tag, reg),
         "decode_perfect_csi": lambda y, c, x: decode_perfect_csi(y, src, tag, g, g),
-        "channel_estimates_given": lambda y, c, x: channel_estimates_given(c, x, y, reg),
         "decode_noniterative": lambda y, c, x: decode_noniterative(y, layout),
         "decode_iterative": lambda y, c, x: decode_iterative(y, layout, reg),
         "exhaustive_search": lambda y, c, x: exhaustive_search(y, layout, reg),
@@ -214,9 +212,8 @@ _WRONG_RANK = {"frame (33,)": ("y", np.ones(33)),
                "frame (10, 33, 1)": ("y", np.ones((10, 33, 1))),
                "c (2, 31)": ("c", np.ones((2, 31))),
                "x (2, 5)": ("x", np.ones((2, 5)))}
-_TAKES_C = ("channel_estimates_given", "iterative_channel_update", "tag_data_update_discrete")
-_TAKES_X = ("channel_estimates_given", "iterative_channel_update",
-            "source_data_update_discrete")
+_TAKES_C = ("iterative_channel_update", "tag_data_update_discrete")
+_TAKES_X = ("iterative_channel_update", "source_data_update_discrete")
 
 
 @pytest.mark.parametrize("name, bad", [

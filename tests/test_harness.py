@@ -659,6 +659,19 @@ def test_pilot_layouts_are_built_once_per_context(monkeypatch):
     assert len(built) == 33
 
 
+def test_runs_of_one_experiment_share_one_context():
+    # the decoders cache by codebook and layout object, so the trial count
+    # and the SNR points must not give a run or sweep point its own context
+    for layout in ({}, dict(scheme="pilot_aided_noniter", n_source_words=None,
+                            n_tag_words=None, n_pilot=27, l_pilot=2)):
+        harness._context_for.cache_clear()
+        run_trials(_quick_cfg(trials=1, **layout))
+        run_trials(_quick_cfg(trials=5, snr_grid=[SnrConfig(-3.0, 2.0), SnrConfig(5.0, 10.0)],
+                              **layout))
+        sweep(_quick_cfg(trials=2, **layout), "rho", [-10.0, 0.0])
+        assert harness._context_for.cache_info().misses == 1
+
+
 def test_run_trials_decodes_per_trial_and_calls_the_draw_names(monkeypatch):
     # the benchmark tracer wraps these module names and counts one decoder
     # call per trial; the draw must still go through the two draw names

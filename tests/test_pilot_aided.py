@@ -1,5 +1,7 @@
 """Pilot-aided decoders: constructive recovery chain and block-coordinate descent."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,6 +185,21 @@ class TestDecodeNoniterative:
             decode_noniterative(np.zeros((10, 9), dtype=complex), layout)
 
 
+def test_pilot_layout_is_frozen_with_read_only_copied_pilots(gold):
+    c_pilot, x_pilot = gold.words[0][:27].copy(), alternating_pilot(6)
+    layout = PilotLayout(c_pilot=c_pilot, x_pilot=x_pilot, n_data=4, l_data=4)
+    for name, value in (("c_pilot", c_pilot), ("x_pilot", x_pilot), ("n_data", 3)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(layout, name, value)
+    for pilot in (layout.c_pilot, layout.x_pilot):
+        assert pilot.dtype == np.float64
+        with pytest.raises(ValueError):
+            pilot[0] = 0.0
+    # the caller's arrays stay writable and separate from the layout's
+    c_pilot[0], x_pilot[0] = 0, 0
+    assert layout.c_pilot[0] == gold.words[0][0] and layout.x_pilot[0] == 1.0
+
+
 class TestIterativeChannelUpdate:
     def test_noiseless_exact(self, gold):
         rng = np.random.default_rng(5)
@@ -196,7 +213,8 @@ class TestIterativeChannelUpdate:
 
     def test_decouples_for_zero_sum_tag_word(self, gold):
         # joint update with lambda=0 equals the two slow-time-projected fits
-        from radartag import channel_estimates_given, gen_tag_codebook
+        # that decode_joint makes, at the pair it decodes
+        from radartag import decode_joint, gen_tag_codebook
         rng = np.random.default_rng(6)
         tag = gen_tag_codebook(10)
         c = gold.words[7]
@@ -205,10 +223,11 @@ class TestIterativeChannelUpdate:
         g_sr = sample_channel(2, 3, 1.0, -10.0, False, rng)
         y = synthesize_frame(c, x, g_str, g_sr, 1.0, rng)
         reg = RegularizationConfig(kind="l2", lambda_str=0.0, lambda_sr=0.0)
-        gs_joint, gr_joint = iterative_channel_update(y, c, x, reg)
-        gs_dec, gr_dec = channel_estimates_given(c, x, y, reg)
-        assert np.linalg.norm(gs_joint - gs_dec) < 1e-9
-        assert np.linalg.norm(gr_joint - gr_dec) < 1e-9
+        res = decode_joint(y, gold, tag, reg)
+        gs_joint, gr_joint = iterative_channel_update(
+            y, gold.words[res.c_index], tag.words[res.x_index], reg)
+        assert np.linalg.norm(gs_joint - res.g_str_hat) < 1e-9
+        assert np.linalg.norm(gr_joint - res.g_sr_hat) < 1e-9
 
     def test_all_ones_tag_word_needs_regularization(self, gold):
         # coincident sensing blocks: lambda > 0 restores uniqueness
@@ -706,8 +725,7 @@ def _reference_decode_noniterative(y, layout):
     q = y.shape[1] - layout.n
     n_p, n_d = layout.c_pilot.size, layout.n_data
     l_p, l_d = layout.x_pilot.size, layout.l_data
-    basis_pinv, xi_pilot_pinv = _pilot_pinvs(layout.x_pilot.tobytes(),
-                                             layout.c_pilot.tobytes(), q)
+    basis_pinv, xi_pilot_pinv = _pilot_pinvs(layout, q)
     shapes = basis_pinv @ y[:l_p]
     alpha_str, alpha_sr = shapes[0], shapes[1]
     gammas = xi_pilot_pinv @ np.stack([alpha_str[:n_p], alpha_sr[:n_p]], axis=1)

@@ -1,5 +1,7 @@
 """Pilot-free decoders: exact noiseless recovery and objective identities."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +11,13 @@ from radartag import (
     RegularizationConfig,
     SourceCodebook,
     TagCodebook,
-    channel_estimates_given,
     check_source_separability,
     decode_disjoint,
     decode_joint,
     decode_perfect_csi,
     gen_gold,
     gen_tag_codebook,
+    iterative_channel_update,
     sample_channel,
     synthesize_frame,
 )
@@ -107,6 +109,9 @@ def _decomposed_objective(y, c, x, g_str, g_sr, reg):
 
 
 class TestChannelEstimatesGiven:
+    """Channel estimates given a fixed codebook pair: the single-pair fit
+    ``iterative_channel_update``, on the pilot-free codebooks."""
+
     def test_noiseless_exact_recovery(self, books):
         src, tag = books
         rng = np.random.default_rng(0)
@@ -114,7 +119,21 @@ class TestChannelEstimatesGiven:
             g_str, g_sr = _draw_channels(rng)
             c, x = src.words[3], tag.words[5]
             y = synthesize_frame(c, x, g_str, g_sr, 0.0, rng)
-            gs, gr = channel_estimates_given(c, x, y, REG0)
+            gs, gr = iterative_channel_update(y, c, x, REG0)
+            assert np.linalg.norm(gs - g_str) < 1e-10
+            assert np.linalg.norm(gr - g_sr) < 1e-10
+
+    def test_noiseless_exact_recovery_for_non_zero_sum_word(self, books):
+        # the joint fit does not need the zero-sum split: a tag word with one
+        # symbol flipped sums to +/-2, and the channels still come back exactly
+        src, tag = books
+        rng = np.random.default_rng(23)
+        for k in range(10):
+            c, x = src.words[k], tag.words[k].copy()
+            x[0] = -x[0]
+            g_str, g_sr = _draw_channels(rng)
+            y = synthesize_frame(c, x, g_str, g_sr, 0.0, rng)
+            gs, gr = iterative_channel_update(y, c, x, REG0)
             assert np.linalg.norm(gs - g_str) < 1e-10
             assert np.linalg.norm(gr - g_sr) < 1e-10
 
@@ -124,7 +143,7 @@ class TestChannelEstimatesGiven:
         g_str, g_sr = _draw_channels(rng)
         y = synthesize_frame(src.words[0], tag.words[0], g_str, g_sr, 0.0, rng)
         big = RegularizationConfig(kind="l2", lambda_str=1e14, lambda_sr=1e14)
-        gs, gr = channel_estimates_given(src.words[0], tag.words[0], y, big)
+        gs, gr = iterative_channel_update(y, src.words[0], tag.words[0], big)
         assert np.linalg.norm(gs) < 1e-8
         assert np.linalg.norm(gr) < 1e-8
 
@@ -134,7 +153,7 @@ class TestChannelEstimatesGiven:
         g_str, g_sr = _draw_channels(rng)
         y = synthesize_frame(src.words[0], tag.words[0], g_str, g_sr, 0.0, rng)
         big = RegularizationConfig(kind="l1", lambda_str=1e9, lambda_sr=1e9)
-        gs, gr = channel_estimates_given(src.words[0], tag.words[0], y, big)
+        gs, gr = iterative_channel_update(y, src.words[0], tag.words[0], big)
         assert np.all(gs == 0)
         assert np.all(gr == 0)
 
@@ -145,13 +164,13 @@ class TestChannelEstimatesGiven:
                              np.random.default_rng(3))
         reg = RegularizationConfig(kind=kind, lambda_str=0.0, lambda_sr=0.0)
         with pytest.raises(SingularSystemError):
-            channel_estimates_given(np.zeros(31), tag.words[0], y, reg)
+            iterative_channel_update(y, np.zeros(31), tag.words[0], reg)
 
     def test_zero_frame_gives_zero_estimates(self, books):
         src, tag = books
         y = np.zeros((10, 33), dtype=complex)
         for reg in (REG0, RegularizationConfig(kind="l1", lambda_str=0.5, lambda_sr=0.5)):
-            gs, gr = channel_estimates_given(src.words[0], tag.words[0], y, reg)
+            gs, gr = iterative_channel_update(y, src.words[0], tag.words[0], reg)
             assert np.allclose(gs, 0, atol=1e-12)
             assert np.allclose(gr, 0, atol=1e-12)
 
@@ -215,7 +234,7 @@ class TestDecodeJoint:
                 u_1 = y.sum(axis=0)
                 metric_proof = (np.sum(np.abs(proj @ u_x) ** 2)
                                 + np.sum(np.abs(proj @ u_1) ** 2)) / big_l
-                gs, gr = channel_estimates_given(c, x, y, REG0)
+                gs, gr = iterative_channel_update(y, c, x, REG0)
                 quad = np.real(u_x.conj() @ (xi_m @ gs) + u_1.conj() @ (xi_m @ gr))
                 assert quad == pytest.approx(metric_proof, rel=1e-10)
 
@@ -226,7 +245,7 @@ class TestDecodeJoint:
         rng = np.random.default_rng(15)
         reg = RegularizationConfig(kind="l2", lambda_str=0.1, lambda_sr=0.1)
         ops = pilot_free._source_ops(src, 2, 10, reg)
-        xis = pilot_free._cached_xi_stack(*pilot_free._words_key(src), 2)
+        xis = pilot_free._cached_xi_stack(src, 2)
         for _ in range(100):
             g_str, g_sr = _draw_channels(rng, sigma2=0.3)
             y = synthesize_frame(src.words[rng.integers(16)],
@@ -271,17 +290,14 @@ class TestDecodeJoint:
         assert np.allclose(res.g_sr_hat, 0)
 
     def test_empty_codebook_rejected(self, books):
-        # the type invariant already forbids empty codebooks at construction
-        with pytest.raises(ValueError):
-            TagCodebook(l=10, words=np.zeros((0, 10), dtype=np.int64))
-        # the decoder guard still fires if one sneaks past the constructor
-        src, tag = books
-        hollow = object.__new__(TagCodebook)
-        hollow.l = 10
-        hollow.words = tag.words[:0]
-        hollow.zero_sum = True
+        # emptiness is decided at construction, so the decoders need no guard
         with pytest.raises(EmptyCodebookError):
-            decode_joint(np.zeros((10, 33)), src, hollow, REG0)
+            TagCodebook(l=10, words=np.zeros((0, 10), dtype=np.int64))
+        # and no object can be hollowed out after it
+        _, tag = books
+        hollow = object.__new__(TagCodebook)
+        with pytest.raises(FrozenInstanceError):
+            hollow.words = tag.words[:0]
 
 
 @pytest.mark.slow
@@ -407,7 +423,7 @@ class TestStackedQuadraticForm:
             fits = {}
             for ci, c in enumerate(src.words):
                 for xi, x in enumerate(tag.words):
-                    gs, gr = channel_estimates_given(c, x, y, reg)
+                    gs, gr = iterative_channel_update(y, c, x, reg)
                     fits[ci, xi] = (_raw_objective(y, c, x, gs, gr, reg), gs, gr)
 
             joint = decode_joint(y, src, tag, reg)
@@ -517,7 +533,7 @@ class TestWhitenedRidgeFits:
                 u_x = (y.T @ x.astype(np.complex128))[:, None]
                 _, gs, _, gr = _block_l2_fits(conv_matrix_from_code(c, q)[None], u_x,
                                               y.sum(axis=0), l, reg)
-                est_str, est_sr = channel_estimates_given(c, x, y, reg)
+                est_str, est_sr = iterative_channel_update(y, c, x, reg)
                 self._assert_close(est_str, gs[0, :, 0])
                 self._assert_close(est_sr, gr[0])
 
@@ -526,7 +542,7 @@ class TestWhitenedRidgeFits:
         # every pair's fit and estimate, not just the decoded ones
         src, tag = books
         rng = np.random.default_rng(40 + q)
-        xis = pilot_free._cached_xi_stack(*pilot_free._words_key(src), q)
+        xis = pilot_free._cached_xi_stack(src, q)
         for lams in ((0.0, 0.0), (0.1, 0.1), (0.1, 3.0)):
             reg = RegularizationConfig(kind="l2", lambda_str=lams[0], lambda_sr=lams[1])
             ops = pilot_free._source_ops(src, q, 10, reg)
@@ -589,7 +605,7 @@ def test_l1_fits_are_the_residual_objectives_at_the_estimates(books, lams):
     reg = RegularizationConfig(kind="l1", lambda_str=lams[0], lambda_sr=lams[1])
     rng = np.random.default_rng(91)
     ops = pilot_free._source_ops(src, 2, 10, reg)
-    xis = pilot_free._cached_xi_stack(*pilot_free._words_key(src), 2)
+    xis = pilot_free._cached_xi_stack(src, 2)
     u_all = tag.words.T.astype(np.complex128)
     for _ in range(5):
         g_str, g_sr = _draw_channels(rng, sigma2=0.3)
@@ -679,8 +695,8 @@ class TestNonFiniteFrames:
                        lambda: decode_joint(y, src, tag, l1),
                        lambda: decode_disjoint(y, src, tag, REG0),
                        lambda: decode_perfect_csi(y, src, tag, g_str, g_sr),
-                       lambda: channel_estimates_given(src.words[1], tag.words[2], y, REG0),
-                       lambda: channel_estimates_given(src.words[1], tag.words[2], y, l1)):
+                       lambda: iterative_channel_update(y, src.words[1], tag.words[2], REG0),
+                       lambda: iterative_channel_update(y, src.words[1], tag.words[2], l1)):
             with pytest.raises(ValueError, match="non-finite"):
                 decode()
 
