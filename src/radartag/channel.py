@@ -105,7 +105,7 @@ def conv_matrix_from_code(c, q: int) -> np.ndarray:
     n = c.shape[-1]
     padded = np.zeros(c.shape[:-1] + (n + 2 * q,), dtype=np.complex128)
     padded[..., q:q + n] = c
-    return np.take(padded, _delay_index(n, q), axis=-1)
+    return padded.take(_delay_index(n, q), axis=-1)
 
 
 def response_vector(c, g) -> np.ndarray:

@@ -68,6 +68,7 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+_gold = lru_cache(maxsize=1)(lambda: gen_gold(5))   # frozen: every context shares it
 
 # scheme -> (pilot_aided, decoder call (ctx, y, side)); side is the pilot
 # layout, or the true (g_str, g_sr) for pilot-free schemes.  Decoders are
@@ -263,7 +264,7 @@ class _Context:
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self.gold = gen_gold(5)
+        self.gold = _gold()
         setup_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)))
         if cfg.scheme in PILOT_FREE_SCHEMES:

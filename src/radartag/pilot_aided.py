@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import conv_matrix_from_channel, conv_matrix_from_code
+from .channel import _delay_index, conv_matrix_from_channel, conv_matrix_from_code
 from .codebooks import _binary_candidates, check_pilot_conditions
 from .errors import (
     BudgetExceededError,
@@ -118,8 +118,9 @@ def _slice_pm1(values) -> np.ndarray:
 def _with_pilot(pilot, data) -> np.ndarray:
     """Complex full words: the pilot ahead of the data (or of each row of it)."""
     data = np.asarray(data)
-    pilot = np.broadcast_to(pilot, data.shape[:-1] + np.shape(pilot))
-    return np.concatenate([pilot, data], axis=-1).astype(np.complex128)
+    word = np.empty(data.shape[:-1] + (pilot.size + data.shape[-1],), dtype=np.complex128)
+    word[..., :pilot.size], word[..., pilot.size:] = pilot, data
+    return word
 
 
 def _full_word(pilot, data, length: int) -> np.ndarray:
@@ -199,7 +200,7 @@ def _source_split(g_str, g_sr, layout: PilotLayout):
     """Both channels' responses to the source pilot, (2, n+q), and their
     data columns, (2, n+q, n_data): the source word split by the layout."""
     pilot_cols, data_cols = conv_matrix_from_channel(
-        np.stack([g_str, g_sr]), layout.c_pilot.size, layout.n_data)
+        (g_str, g_sr), layout.c_pilot.size, layout.n_data)
     return pilot_cols @ layout.c_pilot, data_cols
 
 
@@ -235,7 +236,7 @@ def _noniterative(y, layout: PilotLayout, q: int) -> PilotAidedResult:
 
     shapes = basis_pinv @ y[:l_p]                    # rows: backscatter, direct
     alpha_str, alpha_sr = shapes[0], shapes[1]
-    gammas = xi_pilot_pinv @ np.stack([alpha_str[:n_p], alpha_sr[:n_p]], axis=1)
+    gammas = xi_pilot_pinv @ shapes[:, :n_p].T.copy()
     g_str, g_sr = gammas[:, 0], gammas[:, 1]
 
     # both channels' source data by one stacked normal-equation solve: a
@@ -255,7 +256,13 @@ def _noniterative(y, layout: PilotLayout, q: int) -> PilotAidedResult:
                             degenerate=float(np.linalg.norm(alpha_str)) == 0.0)
 
 
-def _channel_fit(frame: _Frame, xi, x, reg: RegularizationConfig):
+def _tag_moments(x):
+    """(conj x, sum |x|^2, sum conj x): what the fits read of a tag word (stack)."""
+    xc = np.conj(x)
+    return xc, (np.abs(x) ** 2).sum(axis=-1), xc.sum(axis=-1)
+
+
+def _channel_fit(frame: _Frame, xi, x, reg: RegularizationConfig, *, moments=None, value=True):
     """Joint channel fits (g_str, g_sr, objective) of a stack of pairs (Xi_c, x).
 
     Row-wise, the frame is linear in [g_str; g_sr] with sensing matrix
@@ -266,26 +273,31 @@ def _channel_fit(frame: _Frame, xi, x, reg: RegularizationConfig):
     l1 path refines the stack by one FISTA run on the same Grams (exact
     1/lambda_max steps, per-block weights, warm started at the l2 solution)
     with a stop family per pair, so each pair stops as it would alone.
+    ``moments``: x's ``_tag_moments``; ``value=False`` skips the l2 objective (None).
     """
-    m = xi.shape[-1]
     xi_h = np.conj(xi).swapaxes(-1, -2)
-    gram0 = xi_h @ xi
-    sxx = (np.abs(x) ** 2).sum(axis=-1)[..., None, None]
-    sx1 = np.conj(x).sum(axis=-1)[..., None, None]
-    top_left = sxx * gram0
-    sensing = np.empty(top_left.shape[:-2] + (2 * m, 2 * m), dtype=np.complex128)
-    sensing[..., :m, :m] = top_left
+    xc, sxx, sx1 = _tag_moments(x) if moments is None else moments
+    return _joint_fit(frame, xi_h @ xi, xi_h @ (frame.yt @ xc[..., None]),
+                      xi_h @ frame.ysum[:, None], sxx, sx1, reg, value)
+
+
+def _joint_fit(frame: _Frame, gram0, rhs_x, rhs_1, sxx, sx1, reg, value: bool):
+    """The fit from G0, Xi^H Y^T conj(x), Xi^H Y^T 1, sum |x|^2 and sum conj x."""
+    m = gram0.shape[-1]
+    sxx, sx1 = sxx[..., None, None], sx1[..., None, None]
+    sensing = np.empty(gram0.shape[:-2] + (2 * m, 2 * m), dtype=np.complex128)
+    sensing[..., :m, :m] = sxx * gram0
     sensing[..., :m, m:] = sx1 * gram0
     sensing[..., m:, :m] = np.conj(sx1) * gram0
     sensing[..., m:, m:] = frame.y.shape[0] * gram0
-    rhs = np.concatenate([xi_h @ (frame.yt @ np.conj(x)[..., None]),
-                          xi_h @ frame.ysum[:, None]], axis=-2)
+    rhs = np.concatenate([rhs_x, rhs_1], axis=-2)
     try:
         solution = np.linalg.solve(sensing + frame.ridge, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError("joint channel system is singular") from exc
     if reg.kind == "l2":
-        value = frame.ynorm2 - (np.conj(rhs) * solution).sum(axis=(-2, -1)).real
+        value = (frame.ynorm2 - (np.conj(rhs) * solution).sum(axis=(-2, -1)).real
+                 if value else None)
     else:
         grams = sensing.reshape(-1, 2 * m, 2 * m)
         s = len(grams)
@@ -307,25 +319,24 @@ def iterative_channel_update(y, c, x, reg: RegularizationConfig):
     if c.ndim != 1 or x.ndim != 1:
         raise DimensionMismatchError("codewords must be 1-D")
     y, q = _checked_frame(y, x.size, c.size)
-    return _channel_fit(_Frame(y, q, reg), conv_matrix_from_code(c, q), x, reg)[:2]
+    return _channel_fit(_Frame(y, q, reg), conv_matrix_from_code(c, q), x, reg, value=False)[:2]
 
 
-def _source_form(y, x, layout: PilotLayout, g_str, g_sr):
+def _source_form(y, x, layout: PilotLayout, g_str, g_sr, moments=None):
     """(gram, rhs) of the residual as a quadratic form in the source data.
 
     With the pilot response removed, row p sees the data through
     x_p Gamma_str_D + Gamma_sr_D; for real c the residual energy is
-    Re(c^T gram c) - 2 Re(c^T rhs) plus a constant.
+    Re(c^T gram c) - 2 Re(c^T rhs) plus a constant.  ``moments``: x's ``_tag_moments``.
     """
     pilot_resp, (g1_d, g2_d) = _source_split(g_str, g_sr, layout)
     big_l = y.shape[0]
     resid = y - x[:, None] * pilot_resp[0] - pilot_resp[1]
-    sxx = float((np.abs(x) ** 2).sum())
-    sx1 = np.conj(x).sum()
+    xc, sxx, sx1 = _tag_moments(x) if moments is None else moments
     g1_h, g2_h = g1_d.conj().T, g2_d.conj().T
     gram = (sxx * (g1_h @ g1_d) + sx1 * (g1_h @ g2_d)
             + np.conj(sx1) * (g2_h @ g1_d) + big_l * (g2_h @ g2_d))
-    rhs = g1_h @ (resid.T @ np.conj(x)) + g2_h @ resid.sum(axis=0)
+    rhs = g1_h @ (resid.T @ xc) + g2_h @ resid.sum(axis=0)
     return gram, rhs
 
 
@@ -425,15 +436,12 @@ def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
     """Block-coordinate descent: channels, then source data, then tag data.
 
     The descent starts from ``init_data = (c_data, x_data)``, or, when it is
-    None, from the data of :func:`decode_noniterative`.  The full codewords
-    are built once; each data update writes its block in place.  The trace
-    records the objective at the initial state and after each full sweep; it
-    is non-increasing because every block update is an exact minimizer over
-    its block (the inexact l1 channel update is guarded: a step that fails to
-    improve the objective is discarded).  The channels fitted at the initial
-    data serve sweep 1, so a decode makes one channel update per computed
-    sweep.  The loop stops after ``MAX_SWEEPS`` sweeps, or once the relative
-    objective change falls below ``REL_TOL``.
+    None, from the data of :func:`decode_noniterative`.  The trace records
+    the objective at the initial state and after each full sweep; it is
+    non-increasing because every block update is an exact minimizer over its
+    block (the inexact l1 channel update is guarded: a step that fails to
+    improve the objective is discarded).  The loop stops after ``MAX_SWEEPS``
+    sweeps, or once the relative objective change falls below ``REL_TOL``.
     In discrete mode it also stops at the exact fixed point: a sweep whose
     source and tag updates return the words they were given had its
     channels fitted to those words, so the next sweep would reproduce its
@@ -445,10 +453,13 @@ def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
     In relaxed mode the data blocks stay continuous until a single slice at
     exit and the trace includes the quadratic data penalties.
 
-    The frame is checked once.  The sweeps then run the kernels of the
-    public block updates directly: the tag update's convolution matrix and
-    pulse shapes serve the sweep's objective and the next sweep's channel
-    fit, since neither the codeword nor the channels change in between.
+    The frame is checked once, and the sweeps run the block updates' kernels
+    on a state that computes each shared quantity once: c sits between q
+    zeros a side, so after the in-place data writes its convolution matrix
+    is one gather; the tag moments serve a sweep's channel fit and source
+    form; the tag update's pulse shapes serve the objective and the next
+    fit.  The fit at the initial data serves sweep 1, so a decode makes one
+    channel fit per computed sweep; no fit computes the l2 objective.
     """
     y, q = _checked_frame(y, layout.l, layout.n)
     if mode not in ("discrete", "relaxed"):
@@ -465,10 +476,11 @@ def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
     if init_data is None:
         start = _noniterative(y, layout, q)
         init_data = (start.c_data_hat, start.x_data_hat)
-    c = _full_word(layout.c_pilot, init_data[0], layout.n)
+    n, n_p, l_p, n_d = layout.n, layout.c_pilot.size, layout.x_pilot.size, layout.n_data
+    c_pad = np.zeros(n + 2 * q, dtype=np.complex128)
+    c_pad[q:q + n] = _full_word(layout.c_pilot, init_data[0], n)
     x = _full_word(layout.x_pilot, init_data[1], layout.l)
-    n_p, l_p, n_d = layout.c_pilot.size, layout.x_pilot.size, layout.n_data
-    c_data, x_data = c[n_p:], x[l_p:]       # views: the blocks the updates write
+    c_data, x_data = c_pad[q + n_p:q + n], x[l_p:]   # views: the blocks the updates write
     data_rows = y[l_p:]
     frame = _Frame(y, q, reg)
     penalized = {"c_data": c_data, "x_data": x_data} if relaxed else {}
@@ -479,8 +491,8 @@ def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
 
     # trace[0] is the objective after a channel update at the initial data,
     # so initial objectives are comparable across initializations
-    xi = conv_matrix_from_code(c, q)
-    g_str, g_sr, _ = _channel_fit(frame, xi, x, reg)
+    xi, moments = c_pad.take(_delay_index(n, q)), _tag_moments(x)
+    g_str, g_sr, _ = _channel_fit(frame, xi, x, reg, moments=moments, value=False)
     a_str, a_sr = _pulse_shapes(xi, g_str, g_sr)
     trace = [score(a_str, a_sr, g_str, g_sr)]
     if relaxed:
@@ -490,23 +502,23 @@ def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
         lam_eye, cands = None, _binary_candidates(n_d)
     # objective values this close to zero are float crumbs, treated as equal
     zero_floor = (np.finfo(float).eps * frame.ynorm2) ** 2
-    converged = False
-    iters = 0
+    converged, iters = False, 0
     for iters in range(1, MAX_SWEEPS + 1):
         # sweep 1 starts from the data the channels were just fitted to
         if iters > 1:
-            g_new = _channel_fit(frame, xi, x, reg)[:2]
+            moments = _tag_moments(x)
+            g_new = _channel_fit(frame, xi, x, reg, moments=moments, value=False)[:2]
             # FISTA is inexact; never accept a step that worsens the objective
             if reg.kind == "l1" and score(*_pulse_shapes(xi, *g_new), *g_new) > trace[-1]:
                 g_new = g_str, g_sr
             g_str, g_sr = g_new
 
-        gram, rhs = _source_form(y, x, layout, g_str, g_sr)
+        gram, rhs = _source_form(y, x, layout, g_str, g_sr, moments)
         c_new = (_source_relaxed(gram, rhs, lam_eye, lambda_c) if relaxed
                  else _source_best(gram, rhs, cands))
         fixed = not relaxed and np.array_equal(c_new, c_data)
         c_data[:] = c_new
-        xi = conv_matrix_from_code(c, q)
+        xi = c_pad.take(_delay_index(n, q))
         a_str, a_sr = _pulse_shapes(xi, g_str, g_sr)
         x_new = (_tag_relaxed(data_rows, a_str, a_sr, lambda_x) if relaxed
                  else _tag_signs(data_rows, a_str, a_sr))
@@ -537,11 +549,12 @@ def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
 def exhaustive_search(y, layout: PilotLayout, reg: RegularizationConfig) -> PilotAidedResult:
     """Global minimizer over all +/-1 data pairs, with inner channel updates.
 
-    Pairs run in (source, tag) order, ``_SEARCH_CHUNK`` at a time: each
-    source word's convolution matrix is built once, every chunk is fitted
-    and scored by one stacked channel fit, whose minimized objective is the
-    pair's score, and the first minimum wins.  The reported objective is
-    recomputed from the residual at the winning pair only.
+    Pairs run in (source, tag) order, ``_SEARCH_CHUNK`` at a time.  The fit's
+    pieces are computed once per word (G0 and Xi^H Y^T 1 per source word,
+    Y^T conj(x) and the moments per tag word) and gathered per chunk; one
+    stacked channel fit scores a chunk by its minimized objectives, and the
+    first minimum wins.  The reported objective is recomputed from the
+    residual at the winning pair only.
     """
     y, q = _checked_frame(y, layout.l, layout.n)
     n_d, l_d = layout.n_data, layout.l_data
@@ -553,11 +566,17 @@ def exhaustive_search(y, layout: PilotLayout, reg: RegularizationConfig) -> Pilo
     x_words = _with_pilot(layout.x_pilot, x_data)
     xi_words = conv_matrix_from_code(_with_pilot(layout.c_pilot, c_data), q)
     frame = _Frame(y, q, reg)
+    xic = np.conj(xi_words)
+    xi_h = xic.swapaxes(-1, -2)
+    gram0, rhs_1 = xi_h @ xi_words, xi_h @ frame.ysum[:, None]
+    xc, sxx, sx1 = _tag_moments(x_words)
+    yx = frame.yt @ xc[..., None]
     pairs = len(c_data) * len(x_words)
     best = None
     for start in range(0, pairs, _SEARCH_CHUNK):
         ci, ti = np.divmod(np.arange(start, min(start + _SEARCH_CHUNK, pairs)), len(x_words))
-        g_str, g_sr, values = _channel_fit(frame, xi_words[ci], x_words[ti], reg)
+        g_str, g_sr, values = _joint_fit(frame, gram0[ci], xic[ci].swapaxes(-1, -2) @ yx[ti],
+                                         rhs_1[ci], sxx[ti], sx1[ti], reg, value=True)
         i = int(np.argmin(values))
         if best is None or values[i] < best[0]:
             best = (values[i], ci[i], ti[i], g_str[i], g_sr[i])

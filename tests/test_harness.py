@@ -672,6 +672,28 @@ def test_runs_of_one_experiment_share_one_context():
         assert harness._context_for.cache_info().misses == 1
 
 
+def test_contexts_share_one_gold_codebook_built_through_gen_gold(monkeypatch):
+    # the Gold codebook is frozen, so every context of a process reads one
+    # copy; it is built once, through the module name the benchmark traces
+    calls = []
+    original = harness.gen_gold
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(harness, "gen_gold", counted)
+    harness._gold.cache_clear()
+    harness._context_for.cache_clear()
+    cfgs = [_quick_cfg(seed=1), _quick_cfg(seed=2),
+            _quick_cfg(scheme="pilot_aided_noniter", n_source_words=None, n_tag_words=None,
+                       n_pilot=27, l_pilot=2)]
+    contexts = [harness._context_for(harness._context_key(cfg)) for cfg in cfgs]
+    assert len({id(ctx) for ctx in contexts}) == 3
+    assert calls == [(5,)]
+    assert all(ctx.gold is contexts[0].gold for ctx in contexts)
+
+
 def test_run_trials_decodes_per_trial_and_calls_the_draw_names(monkeypatch):
     # the benchmark tracer wraps these module names and counts one decoder
     # call per trial; the draw must still go through the two draw names

@@ -74,9 +74,9 @@ def _count_calls(monkeypatch, *names):
     for name in names:
         kernel, made = getattr(pilot_aided, name), []
 
-        def counted(*args, _kernel=kernel, _made=made):
+        def counted(*args, _kernel=kernel, _made=made, **kwargs):
             _made.append(args)
-            return _kernel(*args)
+            return _kernel(*args, **kwargs)
 
         monkeypatch.setattr(pilot_aided, name, counted)
         calls.append(made)
@@ -350,6 +350,31 @@ def test_channel_fit_value_is_the_objective_at_its_estimates(gold, reg):
                                  g_str, g_sr, reg)
             assert np.shape(value) == np.shape(want)
             np.testing.assert_allclose(value, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("reg", [REG, REG0, REG_L1], ids=["l2", "l2_zero", "l1"])
+def test_fit_without_value_returns_the_same_channel_bits(gold, reg):
+    # decode_iterative's fits pass the tag moments and skip the l2 value;
+    # the channels must keep every bit of the full fit, for one pair and a stack
+    rng = np.random.default_rng(34)
+    c_words = _with_pilot(gold.words[5][:27], _binary_candidates(4))
+    for _ in range(4):
+        layout = _layout(gold, rng, n_pilot=27, n_data=4, l_pilot=2, l_data=8)
+        x_words = _with_pilot(layout.x_pilot, rng.standard_normal((24, 8)) + 1j)
+        y, *_ = _frame(layout, rng, sigma_str2=10 ** rng.uniform(-2, 0), noise=1.0)
+        frame = pilot_aided._Frame(y, 2, reg)
+        ci = rng.integers(16, size=24)
+        xi = conv_matrix_from_code(c_words[ci], 2)
+        for pair in (xi[0], x_words[0]), (xi, x_words):
+            want = pilot_aided._channel_fit(frame, *pair, reg)
+            got = pilot_aided._channel_fit(frame, *pair, reg, value=False,
+                                           moments=pilot_aided._tag_moments(pair[1]))
+            for a, b in zip(got[:2], want[:2]):
+                assert np.array_equal(_bits(a), _bits(b))
+            if reg.kind == "l2":
+                assert got[2] is None
+            else:
+                assert np.array_equal(got[2], want[2])
 
 
 class TestRelaxedDataUpdates:
@@ -932,6 +957,43 @@ def test_exhaustive_search_matches_the_reference_channel_fit(gold, reg):
         assert np.array_equal(res.x_data_hat, _binary_candidates(4)[best[2]])
         assert np.array_equal(_bits(res.g_str_hat), _bits(best[3]))
         assert np.array_equal(_bits(res.g_sr_hat), _bits(best[4]))
+
+
+@pytest.mark.parametrize("mode", ["discrete", "relaxed"])
+def test_sweep_gathers_equal_the_built_convolution_matrices(gold, monkeypatch, mode):
+    # decode_iterative keeps c between q zeros a side, writes each source
+    # update into that buffer in place and gathers the convolution matrix
+    # from it.  Every gathered matrix, the one the pulse shapes and the next
+    # channel fit read, must equal conv_matrix_from_code of the word it stands
+    # for, bit for bit: +/-1 words, and complex words in relaxed mode.
+    source = "_source_relaxed" if mode == "relaxed" else "_source_best"
+    update, pulse_shapes = getattr(pilot_aided, source), pilot_aided._pulse_shapes
+    words, gathered = [], []
+
+    def recorded_update(*args):
+        words.append(np.array(update(*args)))
+        return words[-1]
+
+    def recorded_shapes(xi, *args):
+        gathered.append(xi.copy())
+        return pulse_shapes(xi, *args)
+
+    monkeypatch.setattr(pilot_aided, source, recorded_update)
+    monkeypatch.setattr(pilot_aided, "_pulse_shapes", recorded_shapes)
+    rng = np.random.default_rng(640)
+    for _ in range(10):
+        layout = _layout(gold, rng, n_pilot=27, n_data=4, l_pilot=2, l_data=8)
+        y, *_ = _frame(layout, rng, sigma_str2=0.3, noise=1.0)
+        start = _random_start(layout, rng)
+        words.clear()
+        gathered.clear()
+        res = decode_iterative(y, layout, REG, mode=mode, init_data=start)
+        assert len(gathered) == len(words) + 1 == res.iters + 1 - (mode == "discrete")
+        for xi, c_data in zip(gathered, [start[0]] + words):
+            want = conv_matrix_from_code(_with_pilot(layout.c_pilot, c_data), 2)
+            assert xi.shape == want.shape and np.array_equal(_bits(xi), _bits(want))
+        if mode == "relaxed":
+            assert all(np.iscomplexobj(w) and np.any(w.imag != 0) for w in words)
 
 
 @pytest.mark.parametrize("reg", [REG, REG_L1], ids=["l2", "l1"])
