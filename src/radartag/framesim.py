@@ -118,7 +118,7 @@ def _checked_frame(y, l: int, n: int) -> tuple[np.ndarray, int]:
     y = np.asarray(y, dtype=np.complex128)
     if y.ndim != 2:
         raise DimensionMismatchError(f"frame must be 2-D, got shape {y.shape}")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise ValueError("frame contains non-finite samples")
     big_l, k = y.shape
     if big_l != l:

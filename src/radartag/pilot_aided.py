@@ -239,14 +239,15 @@ def _noniterative(y, layout: PilotLayout, q: int) -> PilotAidedResult:
     gammas = xi_pilot_pinv @ shapes[:, :n_p].T.copy()
     g_str, g_sr = gammas[:, 0], gammas[:, 1]
 
-    # both channels' source data by one stacked normal-equation solve: a
-    # nonzero channel's data columns have full column rank, and a zero
-    # channel's zero Gram (its right side is zero too) becomes an identity,
-    # which keeps the pseudoinverse's zero answer
+    # both channels' source data by one stacked normal-equation solve.  A
+    # nonzero channel's data columns have full column rank; a zero channel's
+    # zero Gram (its right side is zero too) becomes an identity, keeping
+    # pinv's zero answer; only a Gram with a zero diagonal entry can be zero
     pilot_resp, data_cols = _source_split(g_str, g_sr, layout)
     data_h = np.conj(data_cols).swapaxes(-1, -2)
     gram = data_h @ data_cols
-    gram[~gram.any(axis=(-2, -1))] = np.eye(layout.n_data)
+    if not gram.diagonal(0, -2, -1).all():
+        gram[~gram.any(axis=(-2, -1))] = np.eye(layout.n_data)
     c_conts = np.linalg.solve(gram, data_h @ (shapes - pilot_resp)[..., None])
     c_data = _slice_pm1(0.5 * (c_conts[0, :, 0] + c_conts[1, :, 0]))
     x_data = _tag_signs(y[l_p:], alpha_str, alpha_sr)

@@ -120,31 +120,28 @@ def _source_ops(source: SourceCodebook, q: int, big_l: int, reg: RegularizationC
 def _candidate_fits(ops, u_cols, u_ones, big_l, reg):
     """Channel fits of every source codeword against every projection column.
 
-    Returns (f_str (Mc, r), f_sr (Mc,), estimates).  ``f_str`` is the
+    Returns (f_str (Mc, r), f_sr (Mc,), coords).  ``f_str`` is the
     backscatter fit minus the projection energy ||u||^2/L, i.e. the
     tag-dependent part of the joint objective; ``f_sr`` is the direct fit;
-    ``estimates(c, j)`` gives the minimizers (g_str, g_sr) of codeword c
-    with column j (c and j may also be slices).  With l2 a fit is
-    ||u||^2/L - ||W_c u||^2, and only the pairs a caller asks for are
-    mapped back to estimates C_c^{-H} W_c u.  With l1 one matmul of the
-    operator block against [u_cols, u_ones] gives Xi^H u and the ridge
-    estimates, which warm-start one stacked FISTA run over all r + 1
-    columns, in which the direct fit is its own stop family with its own
-    weight, and the fits are FISTA's objectives.
+    :func:`_estimates` reads the minimizers of any pair off ``coords``.
+    With l2 a fit is ||u||^2/L - ||W_c u||^2, and ``coords`` are the
+    whitened projections W_c u.  With l1 one matmul of the operator block
+    against [u_cols, u_ones] gives Xi^H u and the ridge estimates, which
+    warm-start one stacked FISTA run over all r + 1 columns, in which the
+    direct fit is its own stop family with its own weight; the fits are
+    FISTA's objectives and ``coords`` its solutions.
     """
     r = u_cols.shape[1]
     if reg.kind == "l2":
-        w_str, w_sr, back_str, back_sr = ops
+        w_str, w_sr, back_str, _ = ops
         mc, q1 = back_str.shape[:2]
         # whole codewords per product, each at most _PROJECTION_MACS
         rows = q1 * max(1, _PROJECTION_MACS // (w_str.shape[1] * q1 * r))
-        parts = [w_str[i:i + rows] @ u_cols for i in range(0, mc * q1, rows)]
-        z_str = (parts[0] if len(parts) == 1 else np.concatenate(parts)).reshape(mc, q1, r)
+        z_str = _chunked_product(w_str, u_cols, rows, axis=0).reshape(mc, q1, r)
         z_sr = (w_sr @ u_ones).reshape(mc, q1)
         f_str = -np.square(np.abs(z_str)).sum(axis=1)
         f_sr = np.vdot(u_ones, u_ones).real / big_l - np.square(np.abs(z_sr)).sum(axis=1)
-        return f_str, f_sr, lambda c, j: (back_str[c] @ z_str[c, :, j],
-                                          (back_sr[c] @ z_sr[c, :, None])[..., 0])
+        return f_str, f_sr, (z_str, z_sr)
 
     block, grams, lips = ops
     q1 = block.shape[1] // 3
@@ -159,22 +156,42 @@ def _candidate_fits(ops, u_cols, u_ones, big_l, reg):
     sol = fista_stacked(grams, prod[:, :q1], np.broadcast_to(energy, (block.shape[0], r + 1)),
                         lips, lam, reg, warm, families=np.repeat([0, 1], [r, 1]))
     fits, gam = sol.objective, sol.gamma
-    return fits[:, :r] - energy[:r], fits[:, r], lambda c, j: (gam[c, :, j].copy(),
-                                                              gam[c, :, r].copy())
+    return fits[:, :r] - energy[:r], fits[:, r], (gam[:, :, :r], gam[:, :, r])
+
+
+def _estimates(ops, coords, c, j):
+    """Minimizers (g_str, g_sr) of codeword c with column j off ``coords`` (c and
+    j may be slices): l2 maps W_c u back by C_c^{-H}, l1 copies FISTA's."""
+    s_str, s_sr = coords
+    if len(ops) == 3:                            # l1 ops: (block, grams, lips)
+        return s_str[c, :, j].copy(), s_sr[c].copy()
+    return ops[2][c] @ s_str[c, :, j], (ops[3][c] @ s_sr[c, :, None])[..., 0]
+
+
+def _chunked_product(a, b, size: int, axis: int) -> np.ndarray:
+    """a @ b in blocks of ``size`` rows of a (axis 0) or columns of b (axis 1);
+    one block covering it is a single product, without the copy."""
+    n = b.shape[1] if axis else a.shape[0]
+    if size >= n:
+        return a @ b
+    return np.concatenate([a @ b[:, i:i + size] if axis else a[i:i + size] @ b
+                           for i in range(0, n, size)], axis=axis)
+
+
+@lru_cache(maxsize=64)
+def _cached_correlators(tag: TagCodebook) -> np.ndarray:
+    """Complex slow-time correlators (|X| + 1, l): every tag word, then all-ones."""
+    rows = np.vstack([tag.words, np.ones(tag.l)]).astype(np.complex128)
+    rows.setflags(write=False)
+    return rows
 
 
 def _tag_projections(y, tag: TagCodebook) -> np.ndarray:
-    """Y^T x for every tag word x, as the columns of a (k, |X|) array.
-
-    Computed in column chunks of at most ``_PROJECTION_MACS`` multiply-adds;
-    a codebook that fits in one chunk takes a single product.
-    """
-    words_t = tag.words.T.astype(np.complex128)     # words are real
+    """Y^T x for every tag word x, as the columns of a (k, |X|) array, in column
+    chunks of at most ``_PROJECTION_MACS`` multiply-adds."""
     big_l, k = y.shape
-    chunk = max(1, _PROJECTION_MACS // (big_l * k))
-    parts = [y.T @ words_t[:, i:i + chunk] for i in range(0, words_t.shape[1], chunk)]
-    # one chunk skips the copy, about 2 us of a small pilot-free decode
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    return _chunked_product(y.T, _cached_correlators(tag)[:-1].T,
+                            max(1, _PROJECTION_MACS // (big_l * k)), axis=1)
 
 
 def decode_joint(y, source: SourceCodebook, tag: TagCodebook,
@@ -191,12 +208,12 @@ def decode_joint(y, source: SourceCodebook, tag: TagCodebook,
     u_cols = _tag_projections(y, tag)
     u_ones = y.sum(axis=0)
 
-    f_str, f_sr, estimates = _candidate_fits(ops, u_cols, u_ones, big_l, reg)
+    f_str, f_sr, coords = _candidate_fits(ops, u_cols, u_ones, big_l, reg)
     metric = f_str + f_sr[:, None]
 
-    flat = int(np.argmin(metric))
-    ci, xi_idx = divmod(flat, len(tag))
-    return PilotFreeResult(ci, xi_idx, *estimates(ci, xi_idx), float(metric[ci, xi_idx]))
+    ci, xi_idx = divmod(int(metric.argmin()), len(tag))
+    return PilotFreeResult(ci, xi_idx, *_estimates(ops, coords, ci, xi_idx),
+                           float(metric[ci, xi_idx]))
 
 
 def decode_disjoint(y, source: SourceCodebook, tag: TagCodebook,
@@ -214,47 +231,41 @@ def decode_disjoint(y, source: SourceCodebook, tag: TagCodebook,
     ops = _source_ops(source, q, big_l, reg)
 
     u_cols = _tag_projections(y, tag)
-    energies = np.sum(np.abs(u_cols) ** 2, axis=0)
-    xi_idx = int(np.argmax(energies))
+    xi_idx = int((np.abs(u_cols) ** 2).sum(axis=0).argmax())
     u_x = u_cols[:, xi_idx:xi_idx + 1]
     u_ones = y.sum(axis=0)
 
-    f_str, f_sr, estimates = _candidate_fits(ops, u_x, u_ones, big_l, reg)
+    f_str, f_sr, coords = _candidate_fits(ops, u_x, u_ones, big_l, reg)
     scores = f_sr + (f_str[:, 0] if use_str_for_source else 0.0)
-    ci = int(np.argmin(scores))
+    ci = int(scores.argmin())
 
     # report the full joint objective at the returned pair either way
-    return PilotFreeResult(ci, xi_idx, *estimates(ci, 0), float(f_str[ci, 0] + f_sr[ci]))
+    return PilotFreeResult(ci, xi_idx, *_estimates(ops, coords, ci, 0),
+                           float(f_str[ci, 0] + f_sr[ci]))
 
 
 def decode_perfect_csi(y, source: SourceCodebook, tag: TagCodebook,
                        g_str, g_sr) -> PilotFreeResult:
     """Benchmark decoder: exhaustive data-fidelity minimization at known channels.
 
-    ``g_str`` and ``g_sr`` are the true (q+1,) tap vectors.  Every pair is
-    scored in closed form from the pulse shapes a_c = Xi_c g_str and
-    b_c = Xi_c g_sr: ||y - x a_c^T - 1 b_c^T||^2 = ||y - 1 b_c^T||^2
-    + L ||a_c||^2 - 2 Re x^T (y - 1 b_c^T) a_c^*, as tag words are +/-1.
+    ``g_str`` and ``g_sr`` are the true (q+1,) tap vectors.  With pulse shapes
+    a_c = Xi_c g_str, b_c = Xi_c g_sr and +/-1 tag words that sum to zero,
+    ||y - x a_c^T - 1 b_c^T||^2 = ||y||^2 + L ||a_c||^2 + L ||b_c||^2
+    - 2 Re(a_c^H Y^T x + b_c^H Y^T 1); pairs are scored without ||y||^2, in
+    (source, tag) order, so ties break toward the smallest index pair.
     Raises ``ValueError`` on a non-finite frame.
     """
     y, q = _checked_frame(y, tag.l, source.n)
-    g_str, g_sr = _checked_taps(g_str, g_sr, q)
-    big_l, k = y.shape
+    taps = _checked_taps(g_str, g_sr, q)
     xis = _cached_xi_stack(source, q)
-    mc = xis.shape[0]
-    a = (xis.reshape(mc * k, q + 1) @ g_str).reshape(mc, k)
-    b = (xis.reshape(mc * k, q + 1) @ g_sr).reshape(mc, k)
-    a_conj = a.conj()
-
-    # ||y - 1 b^T||^2 expanded, plus L ||a||^2
-    base = (np.vdot(y, y).real - 2.0 * (b @ y.sum(axis=0).conj()).real
-            + big_l * (np.sum(np.abs(b) ** 2, axis=1) + np.sum(np.abs(a) ** 2, axis=1)))
-    cross = (tag.words @ (y @ a_conj.T - np.sum(b * a_conj, axis=1))).real
-    metric = base[:, None] - 2.0 * cross.T
-    flat = int(np.argmin(metric))
-    ci, xi_idx = divmod(flat, len(tag))
-    return PilotFreeResult(
-        c_index=ci, x_index=xi_idx,
-        g_str_hat=g_str.copy(), g_sr_hat=g_sr.copy(),
-        metric=float(metric[ci, xi_idx]),
-    )
+    (big_l, k), mc = y.shape, xis.shape[0]
+    # conjugate pulses a_c^*, then b_c^* (Xi_c is real), and ||a_c||^2 + ||b_c||^2
+    pulses = (np.conj(taps) @ xis.reshape(mc * k, q + 1).T).reshape(2, mc, k)
+    energy = np.einsum("icj,icj->c", pulses.view(np.float64), pulses.view(np.float64))
+    # Re(p^H Y^T v) of every pulse p and correlator v, in column chunks
+    corr = _chunked_product(pulses.reshape(2 * mc, k) @ y.T, _cached_correlators(tag).T,
+                            max(1, _PROJECTION_MACS // (2 * mc * big_l)), axis=1).real
+    pair = (big_l * energy - 2.0 * corr[mc:, -1])[:, None] - 2.0 * corr[:mc, :-1]
+    ci, xi_idx = divmod(int(pair.argmin()), len(tag))
+    return PilotFreeResult(ci, xi_idx, taps[0].copy(), taps[1].copy(),
+                           float(pair[ci, xi_idx] + np.vdot(y, y).real))

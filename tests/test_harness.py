@@ -694,10 +694,9 @@ def test_contexts_share_one_gold_codebook_built_through_gen_gold(monkeypatch):
     assert all(ctx.gold is contexts[0].gold for ctx in contexts)
 
 
-def test_run_trials_decodes_per_trial_and_calls_the_draw_names(monkeypatch):
-    # the benchmark tracer wraps these module names and counts one decoder
-    # call per trial; the draw must still go through the two draw names
-    calls = {"decode_joint": 0, "sample_channel": 0, "synthesize_frame": 0}
+def _count_harness_calls(monkeypatch, names):
+    """Wrap each ``harness`` module name with a call counter: {name: calls}."""
+    calls = dict.fromkeys(names, 0)
 
     def counting(name):
         original = getattr(harness, name)
@@ -707,11 +706,39 @@ def test_run_trials_decodes_per_trial_and_calls_the_draw_names(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(harness, name, counting(name))
+    return calls
+
+
+def test_run_trials_decodes_per_trial_and_calls_the_draw_names(monkeypatch):
+    # the benchmark tracer wraps these module names and counts one decoder
+    # call per trial; the draw must still go through the two draw names
+    calls = _count_harness_calls(monkeypatch, ("decode_joint", "sample_channel",
+                                               "synthesize_frame"))
     run_trials(ExperimentConfig(trials=2))
     assert calls["decode_joint"] == 2
     assert calls["sample_channel"] > 0 and calls["synthesize_frame"] > 0
+
+
+# the harness-level decoder names the benchmark's tracer wraps
+_DECODER_NAMES = ("decode_joint", "decode_disjoint", "decode_perfect_csi",
+                  "decode_noniterative", "decode_iterative", "exhaustive_search")
+
+
+@pytest.mark.parametrize("scheme", sorted(harness.SCHEMES))
+def test_run_trials_makes_one_decoder_call_per_trial(monkeypatch, scheme):
+    # perfbench counts one call of a harness decoder name as one trial, so
+    # every scheme must decode each trial by exactly one such call
+    calls = _count_harness_calls(monkeypatch, _DECODER_NAMES)
+    layout = {}
+    if scheme in harness.PILOT_AIDED_SCHEMES:
+        layout = dict(n_source_words=None, n_tag_words=None, n_pilot=27,
+                      l_pilot=6 if scheme == "pilot_aided_exhaustive" else 2)
+    run_trials(_quick_cfg(scheme=scheme, trials=5,
+                          snr_grid=[SnrConfig(-5.0, 0.0), SnrConfig(5.0, 10.0)], **layout))
+    assert sum(calls.values()) == 10
+    assert sum(count > 0 for count in calls.values()) == 1
 
 
 class TestSerialization:

@@ -1051,3 +1051,33 @@ def test_noniterative_solve_matches_the_pinv_reference(gold):
                        noise=1.0)[0]
             _assert_same_bits(decode_noniterative(y, layout),
                               _reference_decode_noniterative(y, layout))
+
+
+@pytest.mark.parametrize("case", ["zero_backscatter", "zero_direct", "underflow"])
+def test_noniterative_zero_gram_guard_keeps_its_answers(gold, case):
+    # _noniterative turns an all-zero Gram into an identity, and it looks for
+    # one only when some Gram has a zero on its diagonal.  An exactly zero
+    # channel estimate and a frame scaled by 1e-170, whose Grams underflow to
+    # zero although its estimates do not, must still decode as before.
+    rng = np.random.default_rng(640)
+    l_pilot, sigmas, noise = {"zero_backscatter": (4, (0.0, 1.0), 0.0),
+                              "zero_direct": (2, (1.0, 0.0), 0.0),
+                              "underflow": (2, (1.0, 1.0), 1.0)}[case]
+    layout = _layout(gold, rng, n_pilot=27, n_data=4, l_pilot=l_pilot, l_data=10 - l_pilot)
+    y = _frame(layout, rng, sigma_str2=sigmas[0], sigma_sr2=sigmas[1], noise=noise)[0]
+    if case == "underflow":
+        y = y * 1e-170
+    res = decode_noniterative(y, layout)
+    data_cols = pilot_aided._source_split(res.g_str_hat, res.g_sr_hat, layout)[1]
+    grams = np.conj(data_cols).swapaxes(-1, -2) @ data_cols
+    assert not grams[0 if case == "zero_backscatter" else 1].any()
+    want = _reference_decode_noniterative(y, layout)
+    if case != "underflow":
+        _assert_same_bits(res, want)
+        return
+    # both Grams are zero: the source estimate is the identity's zero, sliced
+    # to +1, where the pseudoinverse still resolves the data
+    assert not grams.any() and res.g_str_hat.any() and res.g_sr_hat.any()
+    for a, b in ((res.g_str_hat, want.g_str_hat), (res.g_sr_hat, want.g_sr_hat)):
+        assert np.array_equal(_bits(a), _bits(b))
+    assert np.all(res.c_data_hat == 1) and np.all(res.x_data_hat == 1) and res.degenerate

@@ -253,8 +253,8 @@ class TestDecodeJoint:
                                  g_str, g_sr, 1.0, rng)
             u_cols = y.T @ tag.words.T.astype(np.complex128)
             u_ones = y.sum(axis=0)
-            _, _, estimates = pilot_free._candidate_fits(ops, u_cols, u_ones, 10, reg)
-            gam_str, gam_sr = estimates(slice(None), slice(None))
+            _, _, coords = pilot_free._candidate_fits(ops, u_cols, u_ones, 10, reg)
+            gam_str, gam_sr = pilot_free._estimates(ops, coords, slice(None), slice(None))
             r_str, r_sr = _residual_fits(xis, u_cols, u_ones, gam_str, gam_sr, 10, reg)
             tag_term = -np.sum(np.abs(u_cols) ** 2, axis=0) / 10
             flat = int(np.argmin(tag_term[None, :] + r_str + r_sr[:, None]))
@@ -402,6 +402,20 @@ class TestDecodePerfectCsi:
                             best = (val, ci, xi)
                 assert (res.c_index, res.x_index) == (best[1], best[2])
                 assert res.metric == pytest.approx(best[0], rel=1e-9)
+
+    def test_exact_tie_breaks_toward_the_smaller_source_index(self):
+        # source words c, -c and tag words x, -x: the frame (-x) a_c^T is
+        # both (0, 1) and (1, 0) exactly, and the known channels (no direct
+        # link) rule out the other two pairs, which tie with these under
+        # joint decoding's sign ambiguity
+        rng = np.random.default_rng(19)
+        c, x = 1 - 2 * rng.integers(0, 2, 7), np.array([1, 1, -1, -1])
+        src = SourceCodebook(n=7, words=np.array([c, -c]))
+        tag = TagCodebook(l=4, words=np.array([x, -x]))
+        g_str = sample_channel(1, 2, 1.0, -10.0, False, rng)
+        y = np.outer(-x, response_vector(c, g_str))
+        res = decode_perfect_csi(y, src, tag, g_str, np.zeros(2))
+        assert (res.c_index, res.x_index) == (0, 1)
 
 
 class TestStackedQuadraticForm:
@@ -551,12 +565,12 @@ class TestWhitenedRidgeFits:
                                      sample_channel(q, 3, 0.3, -10.0, q > 2, rng),
                                      sample_channel(q, 3, 1.0, -10.0, q > 2, rng), 1.0, rng)
                 u_cols, u_ones = pilot_free._tag_projections(y, tag), y.sum(axis=0)
-                f_str, f_sr, estimates = pilot_free._candidate_fits(ops, u_cols, u_ones, 10, reg)
+                f_str, f_sr, coords = pilot_free._candidate_fits(ops, u_cols, u_ones, 10, reg)
                 r_str, r_gs, r_sr, r_gr = _block_l2_fits(xis, u_cols, u_ones, 10, reg)
                 scale = 1e-12 * np.vdot(y, y).real
                 np.testing.assert_allclose(f_str, r_str, rtol=1e-12, atol=scale)
                 np.testing.assert_allclose(f_sr, r_sr, rtol=1e-12, atol=scale)
-                gam_str, gam_sr = estimates(slice(None), slice(None))
+                gam_str, gam_sr = pilot_free._estimates(ops, coords, slice(None), slice(None))
                 for c in range(len(src)):
                     self._assert_close(gam_sr[c], r_gr[c])
                     for j in range(len(tag)):
@@ -568,6 +582,91 @@ class TestWhitenedRidgeFits:
             pilot_free._operators(xis, 10, 0.0, 0.0, l1=False)
         with pytest.raises(SingularSystemError):
             pilot_free._operators(xis, 10, 0.1, 0.0, l1=False)
+
+
+def _reference_perfect_csi(y, source, tag, g_str, g_sr):
+    """(c, x) of decode_perfect_csi as it scored every pair before dropping
+    the terms that the zero-sum tag words cancel or that no pair changes:
+    ||y - 1 b_c^T||^2 + L ||a_c||^2 - 2 Re x^T (y - 1 b_c^T) a_c^*."""
+    big_l, k = y.shape
+    q = k - source.n
+    xis = conv_matrix_from_code(source.words, q).reshape(-1, q + 1)
+    a, b = ((xis @ g).reshape(len(source), k) for g in (g_str, g_sr))
+    a_conj = a.conj()
+    base = (np.vdot(y, y).real - 2.0 * (b @ y.sum(axis=0).conj()).real
+            + big_l * (np.sum(np.abs(b) ** 2, axis=1) + np.sum(np.abs(a) ** 2, axis=1)))
+    cross = (tag.words @ (y @ a_conj.T - np.sum(b * a_conj, axis=1))).real
+    return divmod(int(np.argmin(base[:, None] - 2.0 * cross.T)), len(tag))
+
+
+def _pre_change_l2_decodes(y, source, tag, reg):
+    """(c, x, g_str, g_sr, metric) of decode_joint and of decode_disjoint with
+    and without the backscatter fit, as computed before the tag words were
+    cached and the estimate closure was dropped."""
+    big_l, k = y.shape
+    w_str, w_sr, back_str, back_sr = pilot_free._source_ops(source, k - source.n, big_l, reg)
+    mc, q1 = back_str.shape[:2]
+    words_t = tag.words.T.astype(np.complex128)
+    chunk = max(1, pilot_free._PROJECTION_MACS // (big_l * k))
+    parts = [y.T @ words_t[:, i:i + chunk] for i in range(0, words_t.shape[1], chunk)]
+    u_cols = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    u_ones = y.sum(axis=0)
+
+    def fits(u):
+        rows = q1 * max(1, pilot_free._PROJECTION_MACS // (w_str.shape[1] * q1 * u.shape[1]))
+        parts = [w_str[i:i + rows] @ u for i in range(0, mc * q1, rows)]
+        z_str = (parts[0] if len(parts) == 1 else np.concatenate(parts)).reshape(mc, q1, -1)
+        z_sr = (w_sr @ u_ones).reshape(mc, q1)
+        f_sr = np.vdot(u_ones, u_ones).real / big_l - np.square(np.abs(z_sr)).sum(axis=1)
+        return -np.square(np.abs(z_str)).sum(axis=1), f_sr, lambda c, j: (
+            back_str[c] @ z_str[c, :, j], (back_sr[c] @ z_sr[c, :, None])[..., 0])
+
+    f_str, f_sr, estimates = fits(u_cols)
+    metric = f_str + f_sr[:, None]
+    ci, xi = divmod(int(np.argmin(metric)), len(tag))
+    out = [(ci, xi, *estimates(ci, xi), float(metric[ci, xi]))]
+    xi = int(np.argmax(np.sum(np.abs(u_cols) ** 2, axis=0)))
+    f_str, f_sr, estimates = fits(u_cols[:, xi:xi + 1])
+    for use_str in (True, False):
+        ci = int(np.argmin(f_sr + (f_str[:, 0] if use_str else 0.0)))
+        out.append((ci, xi, *estimates(ci, 0), float(f_str[ci, 0] + f_sr[ci])))
+    return out
+
+
+# (q, source words, tag length, tag words, frames); the last row's 128-word
+# book takes several chunks in every product that is chunked
+@pytest.mark.parametrize("q,n_src,l,n_tag,frames", [
+    (2, 16, 10, 16, 2000), (14, 16, 10, 16, 2000), (2, 32, 16, 128, 100)])
+def test_decoders_match_their_pre_change_paths(q, n_src, l, n_tag, frames):
+    # perfect CSI scores only the pair-dependent terms, so its metric moves by
+    # rounding but no decision may; the l2 decoders keep every bit, and so
+    # do their estimates.  The l2 paths are checked on every fourth frame.
+    rng = np.random.default_rng(700 + q + n_tag)
+    pool = gen_tag_codebook(l).words
+    tag = TagCodebook(l=l, words=pool[np.sort(rng.choice(len(pool), n_tag, replace=False))])
+    src = SourceCodebook(n=31, words=gen_gold(5).words[
+        np.sort(rng.choice(33, n_src, replace=False))])
+    reg = RegularizationConfig(kind="l2", lambda_str=0.1, lambda_sr=0.1)
+    sigma_w2, sigma_str2, sigma_sr2 = noise_variance(SnrConfig(5.0, 10.0), 31)
+    for f in range(frames):
+        g_str = sample_channel(q, 3, sigma_str2, -10.0, q > 2, rng)
+        g_sr = sample_channel(q, 3, sigma_sr2, -10.0, q > 2, rng)
+        y = synthesize_frame(src.words[rng.integers(n_src)], tag.words[rng.integers(n_tag)],
+                             g_str, g_sr, sigma_w2 * 10 ** rng.uniform(-1, 1), rng)
+        res = decode_perfect_csi(y, src, tag, g_str, g_sr)
+        assert (res.c_index, res.x_index) == _reference_perfect_csi(y, src, tag, g_str, g_sr)
+        resid = (y - np.outer(tag.words[res.x_index], response_vector(src.words[res.c_index], g_str))
+                 - response_vector(src.words[res.c_index], g_sr))
+        residual = np.vdot(resid, resid).real
+        assert abs(res.metric - residual) <= 1e-12 * residual
+        if f % 4:
+            continue
+        got = [decode_joint(y, src, tag, reg), decode_disjoint(y, src, tag, reg),
+               decode_disjoint(y, src, tag, reg, use_str_for_source=False)]
+        for res, (ci, xi, gs, gr, metric) in zip(got, _pre_change_l2_decodes(y, src, tag, reg)):
+            assert (res.c_index, res.x_index, res.metric) == (ci, xi, metric)
+            assert res.g_str_hat.tobytes() == gs.tobytes()
+            assert res.g_sr_hat.tobytes() == gr.tobytes()
 
 
 @pytest.mark.parametrize("l", [16, 18])
@@ -612,8 +711,8 @@ def test_l1_fits_are_the_residual_objectives_at_the_estimates(books, lams):
         y = synthesize_frame(src.words[rng.integers(16)], tag.words[rng.integers(16)],
                              g_str, g_sr, 1.0, rng)
         u_cols, u_ones = y.T @ u_all, y.sum(axis=0)
-        f_str, f_sr, estimates = pilot_free._candidate_fits(ops, u_cols, u_ones, 10, reg)
-        gam_str, gam_sr = estimates(slice(None), slice(None, u_cols.shape[1]))
+        f_str, f_sr, coords = pilot_free._candidate_fits(ops, u_cols, u_ones, 10, reg)
+        gam_str, gam_sr = pilot_free._estimates(ops, coords, slice(None), slice(None))
         r_str, r_sr = _residual_fits(xis, u_cols, u_ones, gam_str, gam_sr, 10, reg)
         energy = np.sum(np.abs(u_cols) ** 2, axis=0) / 10
         np.testing.assert_allclose(f_str + energy, r_str, rtol=1e-12, atol=0)
@@ -638,7 +737,7 @@ def _two_call_l1_fits(ops, u_cols, u_ones, big_l, reg):
                                 prod[:, 2 * q1:, r:])[0][:, :, 0]
     xis = block[:, :q1].conj().swapaxes(1, 2)
     f_str, f_sr = _residual_fits(xis, u_cols, u_ones, gam_str, gam_sr, big_l, reg)
-    return f_str - energy, f_sr, lambda c, j: (gam_str[c, :, j], gam_sr[c])
+    return f_str - energy, f_sr, (gam_str, gam_sr)
 
 
 # (q, sparse channels, (lambda_str, lambda_sr), (snr_str, snr_sr) dB, frames):
