@@ -50,13 +50,15 @@ PSL_BUDGET = 2 ** 16
 
 def _freeze_words(book, length: int) -> None:
     """Copy ``book.words`` into a validated read-only int64 array, in place."""
-    words = np.array(book.words, dtype=np.int64)
+    words = np.asarray(book.words)
     if words.ndim != 2 or words.shape[1] != length:
         raise ValueError(f"words must be a (count, {length}) array")
     if words.shape[0] == 0:
         raise EmptyCodebookError("a codebook needs at least one codeword")
-    if not np.all(np.abs(words) == 1):
-        raise ValueError("codewords must be unimodular (+1/-1)")
+    # checked before the int64 cast, which would truncate 1.7 to 1
+    if words.dtype.kind not in "iuf" or not np.all(np.abs(words) == 1):
+        raise ValueError("codewords must be real and unimodular (+1/-1)")
+    words = words.astype(np.int64)
     if np.unique(words, axis=0).shape[0] != words.shape[0]:
         raise ValueError("codewords must be distinct")
     words.setflags(write=False)

@@ -80,7 +80,9 @@ def _operators(xis, big_l: int, lam_str: float, lam_sr: float, l1: bool):
     shape (3(q+1), n+q), with the ridge solve operators
     Op = (L Xi_c^H Xi_c + lam I)^{-1} Xi_c^H, so one matmul gives Xi^H u
     and both ridge warm starts; ``grams`` is the (Mc, q+1, q+1) stack
-    L Xi^H Xi and ``lips`` their largest eigenvalues.
+    L Xi^H Xi, real for +/-1 codewords and so kept as float64 for FISTA's
+    real products, and ``lips`` their largest eigenvalues, estimated by
+    power iteration on the complex stack.
     """
     xi_h = xis.conj().transpose(0, 2, 1)
     grams = big_l * (xi_h @ xis)
@@ -94,7 +96,7 @@ def _operators(xis, big_l: int, lam_str: float, lam_sr: float, l1: bool):
             "convolution matrices"
         ) from exc
     if l1:
-        ops = (np.concatenate([xi_h, *factors], axis=1), grams,
+        ops = (np.concatenate([xi_h, *factors], axis=1), np.ascontiguousarray(grams.real),
                np.array([_power_iteration_largest(gram) for gram in grams]))
     else:
         ops = (*[(inv @ xi_h).reshape(-1, xis.shape[1]) for inv in factors],

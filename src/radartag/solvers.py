@@ -9,7 +9,9 @@ acceptance criterion 8 checks.
 There is one FISTA loop, :func:`fista_stacked`, which iterates a stack of
 normal-equation LASSO problems with one Gram product per iteration; its
 columns may form several stop families, each stopping and freezing on its
-own, so unrelated problem families can share one call.
+own, so unrelated problem families can share one call.  It takes a
+float64 or a complex128 Gram stack: a real stack, such as the integer
+Grams of the pilot-free +/-1 codewords, is multiplied in real arithmetic.
 :func:`fista_precomputed` and :func:`lasso_solve` are its single-problem
 entry points.  Callers choose the
 step: ``lasso_solve`` and the pilot-aided channel fit take the exact largest
@@ -73,8 +75,10 @@ class RegularizationConfig:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
         if not (math.isfinite(self.fista_tol) and self.fista_tol > 0):
             raise ValueError(f"fista_tol must be finite and positive, got {self.fista_tol!r}")
-        if not 1 <= self.fista_max_iter <= MAX_FISTA_ITER:
-            raise ValueError(f"fista_max_iter must lie in [1, {MAX_FISTA_ITER}], "
+        if (not isinstance(self.fista_max_iter, (int, np.integer))
+                or isinstance(self.fista_max_iter, bool)
+                or not 1 <= self.fista_max_iter <= MAX_FISTA_ITER):
+            raise ValueError(f"fista_max_iter must be an integer in [1, {MAX_FISTA_ITER}], "
                              f"got {self.fista_max_iter!r}")
 
 
@@ -184,11 +188,23 @@ def fista_stacked(grams, atbs, bnorm2s, lipschitzes, lam,
 
     Each iteration takes one Gram product, G x: the next gradient's G z is
     G x_new + beta (G x_new - G x), and the objective is
-    Re x^H (G x - 2 A^H b) + ||b||^2 + sum_i lam_i |x_i|.  This is the one
+    Re x^H (G x - 2 A^H b) + ||b||^2 + sum_i lam_i |x_i|.  A float64
+    ``grams`` gives G x as one real product on the interleaved (re, im)
+    pairs of x, half the arithmetic of the complex product; any other dtype
+    is cast to complex128.  With OpenBLAS 0.3.31 both round alike, bit for
+    bit, for n <= 15 and r >= 2; one column (a matrix-vector product) or a
+    larger n may differ in the last bits.  This is the one
     FISTA loop: :func:`fista_precomputed` and :func:`lasso_solve` are its
     s = 1 case.
     """
-    grams = np.asarray(grams, dtype=np.complex128)
+    grams = np.asarray(grams)
+    if grams.dtype == np.float64:
+        def gram_product(v):
+            # one real product on v's interleaved (re, im) pairs
+            return (grams @ v.view(np.float64)).view(np.complex128)
+    else:
+        grams = grams.astype(np.complex128, copy=False)
+        gram_product = grams.__matmul__
     atbs = np.asarray(atbs, dtype=np.complex128)
     s, n, r = atbs.shape
     lam = np.broadcast_to(np.asarray(lam, dtype=float), (n, r))
@@ -204,7 +220,7 @@ def fista_stacked(grams, atbs, bnorm2s, lipschitzes, lam,
                 + np.einsum("ij,sij->sj", lam, np.abs(x)))
 
     x = np.array(x0, dtype=np.complex128).reshape(s, n, r)
-    gx = grams @ x
+    gx = gram_product(x)
     z, gz = x, gx
     t = 1.0
     obj = objective(x, gx)
@@ -218,7 +234,7 @@ def fista_stacked(grams, atbs, bnorm2s, lipschitzes, lam,
         x_new = soft_threshold(z - steps * (gz - atbs), thresh)
         if frozen is not None:
             np.copyto(x_new, x, where=frozen)
-        gx_new = grams @ x_new
+        gx_new = gram_product(x_new)
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_new
         z = x_new + beta * (x_new - x)

@@ -206,6 +206,28 @@ class TestCodebookInvariants:
         given[0, 0] = -1      # the caller's array stays writable and separate
         assert book.words[0, 0] == 1 and book.words.dtype == np.int64
 
+    @pytest.mark.parametrize("make", [lambda w: SourceCodebook(n=4, words=w),
+                                      lambda w: TagCodebook(l=4, words=w)])
+    @pytest.mark.parametrize("words", [
+        [[1.7, -1.2, 1.0, 1.9], [1, 1, -1, -1]],      # int64 would truncate to +/-1
+        [[1.5, -1.5, 1.2, -1.9]],                     # would pass as [1, -1, 1, -1]
+        [[1, -1, 1j, -1]],
+        [[1 + 0j, -1, 1, -1]],
+        [[1, -1, np.nan, -1]],
+        [[1, -1, np.inf, -1]],
+        [[True, True, True, True]],
+    ], ids=["float", "float_zero_sum", "complex", "complex_real", "nan", "inf", "bool"])
+    def test_non_pm1_words_rejected(self, make, words):
+        with pytest.raises(ValueError, match="unimodular"):
+            make(words)
+
+    @pytest.mark.parametrize("make", [lambda w: SourceCodebook(n=4, words=w),
+                                      lambda w: TagCodebook(l=4, words=w)])
+    def test_float_pm1_words_stored_as_int64(self, make):
+        book = make(np.array([[1.0, -1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]]))
+        assert book.words.dtype == np.int64
+        assert book.words.tolist() == [[1, -1, 1, -1], [-1, -1, 1, 1]]
+
 
 class TestSeparabilityClosedForms:
     def test_tag_check_matches_pairwise_rank_oracle(self):

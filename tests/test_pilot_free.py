@@ -576,6 +576,22 @@ class TestWhitenedRidgeFits:
                     for j in range(len(tag)):
                         self._assert_close(gam_str[c, :, j], r_gs[c, :, j])
 
+    @pytest.mark.parametrize("q", [2, 14])
+    def test_l1_grams_are_real_with_complex_stack_steps(self, books, q):
+        # +/-1 codewords make every Gram L Xi^T Xi a real matrix of integers,
+        # which FISTA multiplies in float64; the power-iteration steps are
+        # still taken on the complex stack, so each keeps its bits
+        src, _ = books
+        xis = conv_matrix_from_code(src.words, q)
+        _, grams, lips = pilot_free._operators(xis, 10, 12.0, 12.0, l1=True)
+        assert grams.dtype == np.float64 and grams.flags.c_contiguous
+        assert not grams.flags.writeable
+        xis_real = xis.real
+        assert np.array_equal(grams, 10 * (xis_real.transpose(0, 2, 1) @ xis_real))
+        complex_grams = 10 * (xis.conj().transpose(0, 2, 1) @ xis)
+        steps = np.array([solvers._power_iteration_largest(g) for g in complex_grams])
+        assert lips.tobytes() == steps.tobytes()
+
     def test_zero_codeword_at_lambda_zero_is_singular(self):
         xis = conv_matrix_from_code(np.zeros((2, 31)), 2)
         with pytest.raises(SingularSystemError):

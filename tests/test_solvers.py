@@ -250,6 +250,18 @@ class TestLassoSolve:
         assert sol.objective <= obj_oracle * (1 + 1e-6)
 
 
+def _pm1_gram_stack(rng, s, n, r):
+    """(real grams, atbs, bnorm2s, exact steps) of s sparse-truth problems whose
+    operators are convolution matrices of random +/-1 codewords, as in the
+    pilot-free l1 fits: each Gram 10 Xi^T Xi is a real matrix of integers."""
+    mats = conv_matrix_from_code(1 - 2 * rng.integers(0, 2, (s, 2 * n)), n - 1).real
+    truth = _randc(rng, s, n, r) * (rng.random((s, n, r)) < 0.3)
+    b = mats @ truth + 0.3 * _randc(rng, s, mats.shape[1], r)
+    grams = 10.0 * (mats.transpose(0, 2, 1) @ mats)
+    return (grams, 10.0 * (mats.transpose(0, 2, 1) @ b), 10.0 * np.sum(np.abs(b) ** 2, axis=1),
+            np.linalg.eigvalsh(grams)[:, -1])
+
+
 class TestFistaStacked:
     def test_families_reach_their_own_minimizers(self):
         # three families of two right-hand sides, iterated in lockstep
@@ -343,6 +355,42 @@ class TestFistaStacked:
         if s > 1:
             assert len(set(stacked.iterations.tolist())) > 1   # the Grams stop apart
 
+    @pytest.mark.parametrize("n", [3, 15])
+    @pytest.mark.parametrize("r", [2, 17])
+    def test_real_gram_stack_equals_complex_oracle_bit_for_bit(self, n, r):
+        # a float64 stack takes one real product on the iterate's (re, im)
+        # pairs; with n <= 15 and at least two columns it rounds exactly as
+        # the complex product of the same stack cast to complex128, here with
+        # two families that stop apart, so the first to stop is frozen while
+        # the other runs
+        rng = np.random.default_rng(80 + n + r)
+        cfg = RegularizationConfig()
+        grams, atbs, bnorm2s, lips = _pm1_gram_stack(rng, 16, n, r)
+        lam = np.repeat([0.7, 3.0], [r - 1, 1])
+        families = np.repeat([0, 1], [r - 1, 1])
+        x0 = np.linalg.solve(grams + np.eye(n), atbs)
+        real = fista_stacked(grams, atbs, bnorm2s, lips, lam, cfg, x0, families=families)
+        oracle = fista_stacked(grams.astype(np.complex128), atbs, bnorm2s, lips, lam, cfg, x0,
+                               families=families)
+        assert real.iterations[0] != real.iterations[1]
+        assert real.gamma.dtype == np.complex128 and real.objective.dtype == np.float64
+        for field in ("gamma", "objective", "iterations", "converged"):
+            assert getattr(real, field).tobytes() == getattr(oracle, field).tobytes(), field
+
+    @pytest.mark.parametrize("n", [16, 21])
+    def test_real_gram_stack_rounds_like_complex_oracle_above_15(self, n):
+        # from 16 columns on BLAS may sum the real and the complex products in
+        # another order, so the last bits may differ: the same stops, and
+        # objectives within 1e-12 relative
+        rng = np.random.default_rng(90 + n)
+        cfg = RegularizationConfig()
+        grams, atbs, bnorm2s, lips = _pm1_gram_stack(rng, 16, n, 17)
+        x0 = np.linalg.solve(grams + np.eye(n), atbs)
+        real = fista_stacked(grams, atbs, bnorm2s, lips, 3.0, cfg, x0)
+        oracle = fista_stacked(grams.astype(np.complex128), atbs, bnorm2s, lips, 3.0, cfg, x0)
+        assert real.iterations.tolist() == oracle.iterations.tolist()
+        np.testing.assert_allclose(real.objective, oracle.objective, rtol=1e-12, atol=0)
+
 
 class TestPinvApply:
     def test_identity(self):
@@ -386,6 +434,15 @@ class TestRegularizationConfig:
             RegularizationConfig(fista_tol=0.0)
         with pytest.raises(ValueError):
             RegularizationConfig(fista_max_iter=0)
+
+    @pytest.mark.parametrize("max_iter", [5.0, 2.5, np.float64(5.0), True, "5", None])
+    def test_rejects_non_integer_max_iter(self, max_iter):
+        # range() inside fista_stacked would raise TypeError on these
+        with pytest.raises(ValueError, match="fista_max_iter"):
+            RegularizationConfig(kind="l1", fista_max_iter=max_iter)
+
+    def test_accepts_numpy_integer_max_iter(self):
+        assert RegularizationConfig(fista_max_iter=np.int64(7)).fista_max_iter == 7
 
     def test_relaxed_penalties_default_unset(self):
         cfg = RegularizationConfig()
