@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .codebooks import (
     check_source_separability,
@@ -16,7 +17,7 @@ from .codebooks import (
     gen_tag_codebook,
     pilot_table,
 )
-from .errors import BudgetExceededError, ConfigInvalidError, RadarTagError
+from .errors import BudgetExceededError, ConfigInvalidError, RadarTagError, require
 from .framesim import COHERENCE_THRESHOLD, check_assumptions
 from .harness import (MAX_FRAME_L, SWEEP_AXES, load_config, rows_to_csv, rows_to_json,
                       run_trials, sweep)
@@ -46,17 +47,14 @@ def _parse_rates(spec: str, n: int) -> list[int]:
         rates = [int(lo), int(hi)] if dots else [int(tok) for tok in spec.split(",") if tok]
     except ValueError as exc:
         raise ConfigInvalidError(f"--rates {spec!r} is not a rate list") from exc
-    if not all(0 <= rate < n for rate in rates):
-        raise ConfigInvalidError(f"--rates must lie in [0, {n}), got {spec!r}")
+    require(all(0 <= rate < n for rate in rates), f"--rates must lie in [0, {n}), got {spec!r}")
     rates = list(range(rates[0], rates[1] + 1)) if dots else rates
-    if not rates:
-        raise ConfigInvalidError(f"--rates {spec!r} names no rate")
+    require(rates, f"--rates {spec!r} names no rate")
     return rates
 
 
 def _tag_book(length: int):
-    if not (4 <= length <= MAX_FRAME_L and length % 2 == 0):
-        raise ConfigInvalidError(
+    require(4 <= length <= MAX_FRAME_L and length % 2 == 0,
             f"--len must be an even length in [4, {MAX_FRAME_L}], got {length}")
     return gen_tag_codebook(length)
 
@@ -72,8 +70,7 @@ def _cmd_gen_tag(args) -> int:
 
 
 def _cmd_rank_check(args) -> int:
-    if args.q < 0:
-        raise ConfigInvalidError(f"--q must be >= 0, got {args.q}")
+    require(args.q >= 0, f"--q must be >= 0, got {args.q}")
     source = gen_gold()
     tag = _tag_book(args.len)
     src_ok = check_source_separability(source, args.q)
@@ -98,7 +95,7 @@ def _cmd_run(args) -> int:
     """``simulate`` runs the config's SNR grid, ``sweep`` one axis of it."""
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = replace(cfg, seed=args.seed)
     # open --out before the run, as a shell redirect would: an unwritable path
     # fails at once, not after the whole simulation
     _write("", args.out)

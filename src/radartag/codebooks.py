@@ -65,15 +65,8 @@ def _freeze_words(book, length: int) -> None:
     object.__setattr__(book, "words", words)
 
 
-@dataclass(frozen=True, eq=False)
-class SourceCodebook:
-    """Finite set of length-n +/-1 radar codewords; immutable, compared by identity."""
-
-    n: int
-    words: np.ndarray
-
-    def __post_init__(self):
-        _freeze_words(self, self.n)
+class _Words:
+    """Size and rate of a codebook, read off its words."""
 
     def __len__(self) -> int:
         return self.words.shape[0]
@@ -84,7 +77,18 @@ class SourceCodebook:
 
 
 @dataclass(frozen=True, eq=False)
-class TagCodebook:
+class SourceCodebook(_Words):
+    """Finite set of length-n +/-1 radar codewords; immutable, compared by identity."""
+
+    n: int
+    words: np.ndarray
+
+    def __post_init__(self):
+        _freeze_words(self, self.n)
+
+
+@dataclass(frozen=True, eq=False)
+class TagCodebook(_Words):
     """Finite set of length-l zero-sum +/-1 slow-time codewords; immutable,
     compared by identity."""
 
@@ -95,13 +99,6 @@ class TagCodebook:
         _freeze_words(self, self.l)
         if np.any(self.words.sum(axis=1) != 0):
             raise ValueError("tag codewords must sum to zero")
-
-    def __len__(self) -> int:
-        return self.words.shape[0]
-
-    @property
-    def rate_bits(self) -> float:
-        return float(np.log2(len(self)))
 
 
 @dataclass

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import _generator_stack, conv_matrix_from_code
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, check_fields, is_finite, require
 
 __all__ = [
     "SystemParams",
@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemParams:
     """Frame geometry plus the physical constants used by the feasibility checks."""
 
@@ -40,10 +40,11 @@ class SystemParams:
     nu_max_hz: float = 0.0 # max absolute Doppler / carrier offset (Hz)
 
     def __post_init__(self):
-        if self.n < 1 or self.l < 1 or self.q < 0:
-            raise ValueError("need n >= 1, l >= 1, q >= 0")
-        if self.n_pri < 1 or self.pri_s <= 0 or self.nu_max_hz < 0:
-            raise ValueError("invalid PRI parameters")
+        check_fields(self)
+        require(self.n >= 1 and self.l >= 1 and self.q >= 0, "need n >= 1, l >= 1, q >= 0")
+        require(self.n_pri >= 1 and is_finite(self.pri_s) and self.pri_s > 0
+                and is_finite(self.nu_max_hz) and self.nu_max_hz >= 0,
+                "need n_pri >= 1, a finite pri_s > 0 and a finite nu_max_hz >= 0")
 
     @property
     def k(self) -> int:
@@ -51,12 +52,15 @@ class SystemParams:
         return self.n + self.q
 
 
-@dataclass
+@dataclass(frozen=True)
 class SnrConfig:
-    """Per-link SNR targets in dB; -inf switches a link off."""
+    """Per-link SNR targets in dB; -inf switches a link off (ExperimentConfig checks ranges)."""
 
     snr_str_db: float
     snr_sr_db: float
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 # the channel counts as constant over a frame when l * pri_s * nu_max is below this

@@ -26,14 +26,15 @@ import logging
 import math
 import os
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .channel import sample_channel
 from .codebooks import SourceCodebook, TagCodebook, gen_gold, gen_tag_codebook
-from .errors import ConfigInvalidError, IndexOutOfRangeError
+from .errors import (ConfigInvalidError, IndexOutOfRangeError, check_fields, is_int, is_real,
+                     require)
 from .framesim import SnrConfig, SystemParams, noise_variance, snr_pair, synthesize_frame
 from .pilot_aided import (
     PilotLayout,
@@ -109,30 +110,40 @@ MAX_FRAME_L = 18
 MAX_TRIALS = 2 ** 32
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelConfig:
-    """Tap statistics shared by both links."""
+    """Tap statistics shared by both links; types only, ExperimentConfig checks ranges."""
 
     n_taps: int = 3
     kappa_db: float = -10.0
     sparse: bool = False
 
+    def __post_init__(self):
+        check_fields(self)
 
-@dataclass
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    params: SystemParams = field(default_factory=SystemParams)
+    """One experiment, valid by construction (field types, then :func:`validate_config`);
+    lists are stored as tuples, and ``dataclasses.replace`` derives a new config."""
+
+    params: SystemParams = SystemParams()
     scheme: str = "pilot_free_joint"
-    snr_grid: list[SnrConfig] = field(default_factory=lambda: [SnrConfig(15.0, 20.0)])
+    snr_grid: tuple[SnrConfig, ...] = (SnrConfig(15.0, 20.0),)
     rho_db: float = -5.0
-    reg: RegularizationConfig = field(default_factory=RegularizationConfig)
-    channel: ChannelConfig = field(default_factory=ChannelConfig)
+    reg: RegularizationConfig = RegularizationConfig()
+    channel: ChannelConfig = ChannelConfig()
     n_source_words: int | None = 16
     n_tag_words: int | None = 16
     n_pilot: int | None = None
     l_pilot: int | None = None
     trials: int = 1000
     seed: int = 0
-    axis_values: list[float] | None = None
+    axis_values: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        check_fields(self)
+        validate_config(self)
 
 
 @dataclass
@@ -173,90 +184,56 @@ def index_from_bits(bits) -> int:
 # experiment context: everything derived from the config once per process
 
 
-def _require(cond: bool, message: str):
-    if not cond:
-        raise ConfigInvalidError(message)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return _is_int(value) or isinstance(value, (float, np.floating))
-
-
 def _db_ok(value) -> bool:
     """A real dB value whose linear power 10^(value/10) is a finite float."""
     try:
-        return _is_real(value) and math.isfinite(10.0 ** (value / 10.0))
+        return is_real(value) and math.isfinite(10.0 ** (value / 10.0))
     except OverflowError:
         return False
 
 
-# a check per field annotation; "T | None" fields may also be None
-_KIND_CHECKS = {
-    "int": _is_int, "float": _is_real,
-    "bool": lambda v: isinstance(v, bool), "str": lambda v: isinstance(v, str),
-    "list[float]": lambda v: isinstance(v, list) and all(map(_is_real, v)),
-    "list[SnrConfig]": lambda v: isinstance(v, list) and all(
-        isinstance(p, SnrConfig) and _is_real(p.snr_str_db) and _is_real(p.snr_sr_db)
-        for p in v),
-}
-
-
-def _check_types(obj, prefix: str = ""):
-    """Check every field of a config read from JSON against its annotation."""
-    for f in fields(obj):
-        value, kind = getattr(obj, f.name), f.type.removesuffix(" | None")
-        if is_dataclass(value):
-            _check_types(value, f"{prefix}{f.name}.")
-        elif kind in _KIND_CHECKS and not (value is None and kind != f.type):
-            if not _KIND_CHECKS[kind](value):
-                raise ConfigInvalidError(f"{prefix}{f.name} must be {kind}, got {value!r}")
-
-
 def validate_config(cfg: ExperimentConfig):
-    _require(cfg.scheme in SCHEMES, f"unknown scheme {cfg.scheme!r}")
-    _require(1 <= cfg.trials <= MAX_TRIALS, f"trials must lie in [1, {MAX_TRIALS}]")
-    _require(cfg.seed >= 0, "seed must be >= 0")
-    _require(len(cfg.snr_grid) >= 1, "snr_grid must be nonempty")
-    _require(all(_db_ok(v) for p in cfg.snr_grid for v in (p.snr_str_db, p.snr_sr_db))
-             and _db_ok(cfg.rho_db),
-             "SNR and rho_db values must be dB values with a finite linear power")
-    _require(_db_ok(cfg.channel.kappa_db) or cfg.channel.kappa_db in (math.inf, -math.inf),
-             "channel kappa_db must be +/-inf or a dB value with a finite linear power")
-    _require(cfg.channel.n_taps >= 1, "channel n_taps must be >= 1")
-    _require(cfg.channel.n_taps <= cfg.params.q + 1,
-             "channel n_taps exceeds q + 1 delay bins")
-    _require(cfg.params.n == 31,
-             "the harness draws codewords and pilots from the 33 Gold words "
-             "of length 31; other lengths are library-API territory")
+    """The rules between a config's fields, run by every ExperimentConfig it builds."""
+    require(cfg.scheme in SCHEMES, f"unknown scheme {cfg.scheme!r}")
+    require(1 <= cfg.trials <= MAX_TRIALS, f"trials must lie in [1, {MAX_TRIALS}]")
+    require(cfg.seed >= 0, "seed must be >= 0")
+    require(len(cfg.snr_grid) >= 1, "snr_grid must be nonempty")
+    require(all(_db_ok(v) for p in cfg.snr_grid for v in (p.snr_str_db, p.snr_sr_db))
+            and _db_ok(cfg.rho_db),
+            "SNR and rho_db values must be dB values with a finite linear power")
+    require(_db_ok(cfg.channel.kappa_db) or cfg.channel.kappa_db in (math.inf, -math.inf),
+            "channel kappa_db must be +/-inf or a dB value with a finite linear power")
+    require(1 <= cfg.channel.n_taps <= cfg.params.q + 1,
+            "channel n_taps must lie in [1, q + 1], q + 1 being the delay bins")
+    require(cfg.axis_values is None or all(v == v for v in cfg.axis_values),
+            "axis_values must not hold NaN")
+    require(cfg.params.n == 31,
+            "the harness draws codewords and pilots from the 33 Gold words "
+            "of length 31; other lengths are library-API territory")
     l = cfg.params.l
-    _require(l <= MAX_FRAME_L, f"params.l must be at most {MAX_FRAME_L}, got {l}")
+    require(l <= MAX_FRAME_L, f"params.l must be at most {MAX_FRAME_L}, got {l}")
     if cfg.scheme in PILOT_FREE_SCHEMES:
-        _require(cfg.n_source_words is not None and cfg.n_tag_words is not None,
-                 "pilot-free schemes need codebook sizes")
-        _require(cfg.n_pilot is None and cfg.l_pilot is None,
-                 "pilot-free schemes take codebook sizes, not a pilot layout")
-        _require(cfg.params.q <= cfg.params.n - 2,
-                 "pilot-free schemes need q <= n - 2 for source separability")
-        _require(l >= 4 and l % 2 == 0,
-                 "pilot-free schemes need an even tag codeword length l >= 4")
+        require(None not in (cfg.n_source_words, cfg.n_tag_words)
+                and cfg.n_pilot is None and cfg.l_pilot is None,
+                "pilot-free schemes take codebook sizes, not a pilot layout")
+        require(cfg.params.q <= cfg.params.n - 2,
+                "pilot-free schemes need q <= n - 2 for source separability")
+        require(l >= 4 and l % 2 == 0,
+                "pilot-free schemes need an even tag codeword length l >= 4")
         # the tag pool: every zero-sum word of length l, complements included
         tag_pool = 2 * math.comb(l - 1, l // 2)
         for name, size, cap in (("source", cfg.n_source_words, 33),
                                 ("tag", cfg.n_tag_words, min(252, tag_pool))):
-            _require(1 <= size <= cap and size & (size - 1) == 0,
-                     f"{name} codebook size must be a power of two in [1, {cap}]")
+            require(1 <= size <= cap and size & (size - 1) == 0,
+                    f"{name} codebook size must be a power of two in [1, {cap}]")
     else:
-        _require(cfg.n_pilot is not None and cfg.l_pilot is not None,
-                 "pilot-aided schemes need n_pilot and l_pilot")
-        _require(cfg.n_source_words is None and cfg.n_tag_words is None,
-                 "pilot-aided schemes take a pilot layout, not codebook sizes")
-        _require(cfg.params.q + 1 <= cfg.n_pilot <= cfg.params.n,
-                 "need q + 1 <= n_pilot <= n")
-        _require(2 <= cfg.l_pilot <= cfg.params.l, "need 2 <= l_pilot <= l")
+        require(None not in (cfg.n_pilot, cfg.l_pilot)
+                and cfg.n_source_words is None and cfg.n_tag_words is None,
+                "pilot-aided schemes take a pilot layout (n_pilot, l_pilot), "
+                "not codebook sizes")
+        require(cfg.params.q + 1 <= cfg.n_pilot <= cfg.params.n,
+                "need q + 1 <= n_pilot <= n")
+        require(2 <= cfg.l_pilot <= cfg.params.l, "need 2 <= l_pilot <= l")
 
 
 class _Context:
@@ -279,8 +256,7 @@ class _Context:
                                                replace=False))
             self.source = SourceCodebook(n=31, words=self.gold.words[src_idx])
             self.tag = TagCodebook(l=cfg.params.l, words=tag_pool[tag_idx])
-            self.src_bits = int(np.log2(len(self.source)))
-            self.tag_bits = int(np.log2(len(self.tag)))
+            self.src_bits, self.tag_bits = int(self.source.rate_bits), int(self.tag.rate_bits)
             log.info("codebook subsets: source %s, tag %s",
                      src_idx.tolist(), tag_idx.tolist())
         else:
@@ -504,9 +480,8 @@ def _reduce(scheme: str, snr: SnrConfig, batches, trials: int, seed: int) -> Met
 
 def _worker_count(workers) -> int:
     """Validated worker count, capped at the machine's CPU count."""
-    if not _is_int(workers):
-        raise ConfigInvalidError(f"workers must be an integer, got {workers!r}")
-    _require(workers >= 1, f"workers must be >= 1, got {workers}")
+    require(is_int(workers), f"workers must be an integer, got {workers!r}")
+    require(workers >= 1, f"workers must be >= 1, got {workers}")
     return min(int(workers), os.cpu_count() or 1)
 
 
@@ -523,7 +498,6 @@ def _run(cfgs: list[ExperimentConfig], workers) -> list[MetricsRow]:
     workers = _worker_count(workers)
     points, tasks = [], []
     for i, cfg in enumerate(cfgs):
-        validate_config(cfg)
         key = _context_key(cfg)
         chunk = min(_MAX_CHUNK, -(-cfg.trials // (workers * 4)))
         for g, snr in enumerate(cfg.snr_grid):
@@ -561,16 +535,14 @@ def _derived_config(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig
         return replace(cfg, snr_grid=[SnrConfig(value, value - cfg.rho_db)])
     if axis == "rho":
         return replace(cfg, snr_grid=[snr_pair(base_sr, value)], rho_db=value)
-    if axis == "rate_source":
-        rate = int(value)
-        if cfg.scheme in PILOT_FREE_SCHEMES:
-            return replace(cfg, snr_grid=[cfg.snr_grid[0]], n_source_words=2 ** rate)
-        return replace(cfg, snr_grid=[cfg.snr_grid[0]], n_pilot=cfg.params.n - rate)
-    if axis == "rate_tag":
-        rate = int(value)
-        if cfg.scheme in PILOT_FREE_SCHEMES:
-            return replace(cfg, snr_grid=[cfg.snr_grid[0]], n_tag_words=2 ** rate)
-        return replace(cfg, snr_grid=[cfg.snr_grid[0]], l_pilot=cfg.params.l - rate)
+    if axis in ("rate_source", "rate_tag"):
+        rate, source = int(value), axis == "rate_source"
+        if cfg.scheme in PILOT_FREE_SCHEMES:    # codebook size 2^rate
+            change = {"n_source_words" if source else "n_tag_words": 2 ** rate}
+        else:                                   # rate data symbols after the pilot
+            change = {"n_pilot": cfg.params.n - rate} if source else {
+                "l_pilot": cfg.params.l - rate}
+        return replace(cfg, snr_grid=[cfg.snr_grid[0]], **change)
     raise ConfigInvalidError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
 
 
@@ -585,16 +557,16 @@ def sweep(cfg: ExperimentConfig, axis: str, values=None,
     """
     if values is None:
         values = cfg.axis_values
-    if not values:
-        raise ConfigInvalidError("sweep needs a nonempty axis grid")
+    require(values, "sweep needs a nonempty axis grid")
     rate_caps = {"rate_source": cfg.params.n, "rate_tag": cfg.params.l}
     for value in values:
         if axis in rate_caps:
-            _require(_is_real(value) and 0 <= value <= rate_caps[axis],
-                     f"{axis} values must lie in [0, {rate_caps[axis]}], got {value!r}")
+            cap = rate_caps[axis]
+            require(is_real(value) and 0 <= value <= cap and float(value).is_integer(),
+                    f"{axis} values must be whole numbers in [0, {cap}], got {value!r}")
         else:
-            _require(_db_ok(value), f"{axis} value {value!r} is not a dB value "
-                                    "with a finite linear power")
+            require(_db_ok(value), f"{axis} value {value!r} is not a dB value "
+                                   "with a finite linear power")
     rows = _run([_derived_config(cfg, axis, value) for value in values], workers)
     for row, value in zip(rows, values):
         row.axis_name = axis
@@ -614,14 +586,8 @@ def frame_to_csv(y: np.ndarray) -> str:
     precision, so the dump is text-only and loadable by
     :func:`frame_from_csv`.
     """
-    y = np.asarray(y, dtype=np.complex128)
-    lines = []
-    for row in y:
-        cells = []
-        for value in row:
-            cells.append(f"{float(value.real)!r},{float(value.imag)!r}")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    rows = np.asarray(y, dtype=np.complex128).tolist()
+    return "".join(",".join(f"{v.real!r},{v.imag!r}" for v in row) + "\n" for row in rows)
 
 
 def frame_from_csv(text: str) -> np.ndarray:
@@ -632,26 +598,20 @@ def frame_from_csv(text: str) -> np.ndarray:
             parts = [float(tok) for tok in line.split(",")]
         except ValueError as exc:
             raise ConfigInvalidError(f"frame dump cell is not a number: {exc}") from exc
-        if len(parts) % 2 != 0:
-            raise ConfigInvalidError("frame dump lines need re,im pairs")
+        require(len(parts) % 2 == 0, "frame dump lines need re,im pairs")
         values = np.array(parts).reshape(-1, 2)
         rows.append(values[:, 0] + 1j * values[:, 1])
-    if len({row.size for row in rows}) != 1:
-        raise ConfigInvalidError("frame dump rows differ in length")
+    require(len({row.size for row in rows}) == 1, "frame dump rows differ in length")
     return np.vstack(rows)
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.10g}"
-    return str(value)
+    return f"{value:.10g}" if isinstance(value, float) else str(value)
 
 
 def rows_to_csv(rows: list[MetricsRow]) -> str:
     lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        record = asdict(row)
-        lines.append(",".join(_fmt(record[col]) for col in CSV_COLUMNS))
+    lines += [",".join(_fmt(getattr(row, col)) for col in CSV_COLUMNS) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -682,7 +642,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
                    {"n_pilot": cfg.n_pilot, "l_pilot": cfg.l_pilot}),
         "trials": cfg.trials,
         "seed": cfg.seed,
-        "axis_values": cfg.axis_values,
+        "axis_values": None if cfg.axis_values is None else list(cfg.axis_values),
     }
 
 
@@ -696,55 +656,48 @@ _BLOCK_KEYS = {"codebook": frozenset({"n_source", "n_tag"}),
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ConfigInvalidError(f"a config is a JSON object, not {type(data).__name__}")
+    require(isinstance(data, dict), f"a config is a JSON object, not {type(data).__name__}")
     unknown = {str(key) for key in set(data) - _CONFIG_KEYS}
     for name, known in _BLOCK_KEYS.items():
         if isinstance(data.get(name), dict):
             unknown |= {f"{name}.{key}" for key in set(data[name]) - known}
-    _require(not unknown, f"unknown config keys {sorted(unknown)}")
+    require(not unknown, f"unknown config keys {sorted(unknown)}")
     try:
-        if data.get("version", CONFIG_VERSION) != CONFIG_VERSION:
-            raise ConfigInvalidError(f"unsupported config version {data['version']}")
-        params = SystemParams(**data.get("params", {}))
-        scheme = data.get("scheme", "pilot_free_joint")
+        require(data.get("version", CONFIG_VERSION) == CONFIG_VERSION,
+                f"unsupported config version {data.get('version')}")
         rho_db = data.get("rho_db", -5.0)
-        if "snr_grid" in data and data["snr_grid"] is not None:
+        if data.get("snr_grid") is not None:
             grid = [SnrConfig(**point) for point in data["snr_grid"]]
         else:
             sr = data.get("snr_sr_db", 20.0)
             sr_values = sr if isinstance(sr, (list, tuple)) else [sr]
-            _require(all(map(_is_real, sr_values)),
-                     f"snr_sr_db must be a number or a list of numbers, got {sr!r}")
+            require(all(map(is_real, sr_values)),
+                    f"snr_sr_db must be a number or a list of numbers, got {sr!r}")
             grid = [snr_pair(float(v), rho_db) for v in sr_values]
-        reg = RegularizationConfig(**data.get("reg", {}))
-        chan = ChannelConfig(**data.get("channel", {}))
-        codebook = data.get("codebook")
-        layout = data.get("layout")
-        cfg = ExperimentConfig(
-            params=params, scheme=scheme, snr_grid=grid, rho_db=rho_db,
-            reg=reg, channel=chan,
+        codebook, layout = data.get("codebook"), data.get("layout")
+        return ExperimentConfig(
+            params=SystemParams(**data.get("params", {})),
+            scheme=data.get("scheme", "pilot_free_joint"), snr_grid=grid, rho_db=rho_db,
+            reg=RegularizationConfig(**data.get("reg", {})),
+            channel=ChannelConfig(**data.get("channel", {})),
             n_source_words=codebook["n_source"] if codebook else None,
             n_tag_words=codebook["n_tag"] if codebook else None,
             n_pilot=layout["n_pilot"] if layout else None,
             l_pilot=layout["l_pilot"] if layout else None,
-            trials=data.get("trials", 1000),
-            seed=data.get("seed", 0),
-            axis_values=data.get("axis_values"),
-        )
+            trials=data.get("trials", 1000), seed=data.get("seed", 0),
+            axis_values=data.get("axis_values"))
+    except ConfigInvalidError:
+        raise
     except (TypeError, KeyError, ValueError, OverflowError) as exc:
-        if isinstance(exc, ConfigInvalidError):
-            raise
         raise ConfigInvalidError(f"malformed config: {exc}") from exc
-    _check_types(cfg)
-    validate_config(cfg)
-    return cfg
 
 
 def load_config(path: str) -> ExperimentConfig:
+    # ValueError: bad JSON, not UTF-8, or an int of over 4300 digits;
+    # RecursionError: nesting too deep to parse
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigInvalidError(f"cannot read config {path}: {exc}") from exc
     return config_from_dict(data)

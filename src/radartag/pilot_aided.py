@@ -22,10 +22,10 @@ from .channel import _delay_index, conv_matrix_from_channel, conv_matrix_from_co
 from .codebooks import _binary_candidates, check_pilot_conditions
 from .errors import (
     BudgetExceededError,
-    ConfigInvalidError,
     DimensionMismatchError,
     PilotConditionViolatedError,
     SingularSystemError,
+    require,
 )
 from .framesim import _checked_frame, _checked_taps
 from .solvers import RegularizationConfig, fista_stacked, numeric_rank
@@ -466,11 +466,9 @@ def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
     if mode not in ("discrete", "relaxed"):
         raise ValueError(f"unknown mode {mode!r}")
     relaxed = mode == "relaxed"
-    if relaxed and (reg.lambda_c is None or reg.lambda_x is None):
-        raise ConfigInvalidError(
+    require(not relaxed or (reg.lambda_c is not None and reg.lambda_x is not None),
             "relaxed updates need numeric lambda_c/lambda_x (the harness "
-            "defaults them to the noise variance)"
-        )
+            "defaults them to the noise variance)")
     lambda_c = float(reg.lambda_c) if relaxed else 0.0
     lambda_x = float(reg.lambda_x) if relaxed else 0.0
 

@@ -107,16 +107,11 @@ def _operators(xis, big_l: int, lam_str: float, lam_sr: float, l1: bool):
 
 
 @lru_cache(maxsize=64)
-def _cached_source_ops(source: SourceCodebook, q: int, big_l: int,
-                       lam_str: float, lam_sr: float, l1: bool):
-    """:func:`_operators` of a source codebook, built once per (codebook, q,
-    L, lambdas, penalty)."""
-    return _operators(_cached_xi_stack(source, q), big_l, lam_str, lam_sr, l1)
-
-
 def _source_ops(source: SourceCodebook, q: int, big_l: int, reg: RegularizationConfig):
-    return _cached_source_ops(source, q, big_l, float(reg.lambda_str), float(reg.lambda_sr),
-                              reg.kind == "l1")
+    """:func:`_operators` of a source codebook, built once per (codebook, q,
+    L, regularization); the frozen config is its own cache key."""
+    return _operators(_cached_xi_stack(source, q), big_l, float(reg.lambda_str),
+                      float(reg.lambda_sr), reg.kind == "l1")
 
 
 def _candidate_fits(ops, u_cols, u_ones, big_l, reg):

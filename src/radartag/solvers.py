@@ -22,12 +22,12 @@ benchmark reference pins the rows those fits produce.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SingularSystemError
+from .errors import (DimensionMismatchError, SingularSystemError, check_fields, is_finite,
+                     require)
 
 __all__ = [
     "RegularizationConfig",
@@ -46,7 +46,7 @@ _RANK_TOL = 1e-10
 MAX_FISTA_ITER = 10_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegularizationConfig:
     """Channel-regularization settings shared by all decoders.
 
@@ -65,21 +65,16 @@ class RegularizationConfig:
     fista_max_iter: int = 500
 
     def __post_init__(self):
-        if self.kind not in ("l2", "l1"):
-            raise ValueError(f"kind must be 'l2' or 'l1', got {self.kind!r}")
+        check_fields(self)
+        require(self.kind in ("l2", "l1"), f"kind must be 'l2' or 'l1', got {self.kind!r}")
         for name in ("lambda_str", "lambda_sr", "lambda_c", "lambda_x"):
             value = getattr(self, name)
-            if name in ("lambda_c", "lambda_x") and value is None:
-                continue
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-        if not (math.isfinite(self.fista_tol) and self.fista_tol > 0):
-            raise ValueError(f"fista_tol must be finite and positive, got {self.fista_tol!r}")
-        if (not isinstance(self.fista_max_iter, (int, np.integer))
-                or isinstance(self.fista_max_iter, bool)
-                or not 1 <= self.fista_max_iter <= MAX_FISTA_ITER):
-            raise ValueError(f"fista_max_iter must be an integer in [1, {MAX_FISTA_ITER}], "
-                             f"got {self.fista_max_iter!r}")
+            require(value is None or (is_finite(value) and value >= 0),
+                    f"{name} must be finite and nonnegative, got {value!r}")
+        require(is_finite(self.fista_tol) and self.fista_tol > 0,
+                f"fista_tol must be finite and positive, got {self.fista_tol!r}")
+        require(1 <= self.fista_max_iter <= MAX_FISTA_ITER,
+                f"fista_max_iter must lie in [1, {MAX_FISTA_ITER}], got {self.fista_max_iter!r}")
 
 
 @dataclass
@@ -285,7 +280,7 @@ def fista_precomputed(gram, atb, bnorm2, lipschitz, lam, cfg: RegularizationConf
                          objective=float(objective[0]) if single else objective)
 
 
-def lasso_solve(a, b, lam, cfg: RegularizationConfig | None = None,
+def lasso_solve(a, b, lam, cfg: RegularizationConfig = RegularizationConfig(),
                 x0: np.ndarray | None = None) -> LassoSolution:
     """Minimize ||b - A g||^2 + sum_i lam_i |g_i| with FISTA.
 
@@ -304,8 +299,6 @@ def lasso_solve(a, b, lam, cfg: RegularizationConfig | None = None,
         raise DimensionMismatchError(
             f"A has {a.shape[0]} rows but b has leading dimension {bm.shape[0]}"
         )
-    if cfg is None:
-        cfg = RegularizationConfig()
     gram = a.conj().T @ a
     atb = a.conj().T @ b
     bnorm2 = np.sum(np.abs(bm) ** 2, axis=0)

@@ -211,12 +211,32 @@ class TestCheck:
         assert "33.3" in out  # kHz bound for l=10, pri 3 us
         assert "ok" in out
 
+    def test_non_finite_pri_is_config_error(self, tmp_path, capsys):
+        cfg = _config_file(tmp_path,
+                           params={"n": 31, "l": 10, "q": 2, "n_pri": 150,
+                                   "pri_s": float("nan"), "nu_max_hz": float("nan")})
+        assert main(["check", "--config", cfg]) == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_flags_violated_timing(self, tmp_path, capsys):
         cfg = _config_file(tmp_path,
                            params={"n": 31, "l": 10, "q": 2, "n_pri": 30,
                                    "pri_s": 3e-6, "nu_max_hz": 0.0})
         assert main(["check", "--config", cfg]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe" + '{"seed": 1}'.encode("utf-16-le"),     # not UTF-8
+    b'{"seed": ' + b"9" * 5000 + b"}",                    # over Python's 4300-digit int limit
+    b"[" * 100_000,                                       # deeper than the recursion limit
+], ids=["utf16_bom", "seed_5000_digits", "nested_100000"])
+def test_unparsable_config_file_exits_2(content, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    for cmd in (["simulate"], ["sweep", "--axis", "snr_sr"], ["check"]):
+        assert main(cmd + ["--config", str(path)]) == 2
+        assert "config error:" in capsys.readouterr().err
 
 
 def test_console_entry_point_installed():

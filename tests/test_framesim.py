@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from radartag import (
+    ConfigInvalidError,
     DimensionMismatchError,
     PilotLayout,
     RegularizationConfig,
@@ -63,6 +64,15 @@ class TestCheckAssumptions:
     def test_fast_scatterers_fail(self):
         params = SystemParams(nu_max_hz=50e3)
         assert not check_assumptions(params).coherence_ok
+
+    @pytest.mark.parametrize("name,value", [
+        ("pri_s", float("nan")), ("pri_s", float("inf")), ("pri_s", 0.0),
+        ("pri_s", 10 ** 400), ("nu_max_hz", float("nan")), ("nu_max_hz", float("inf")),
+        ("nu_max_hz", -1.0)])
+    def test_pri_and_doppler_must_be_finite(self, name, value):
+        # a NaN or infinite PRI once built and gave a NaN coherence product
+        with pytest.raises(ConfigInvalidError):
+            SystemParams(**{name: value})
 
 
 class TestNoiseVariance:

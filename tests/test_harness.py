@@ -2,9 +2,12 @@
 
 import json
 import warnings
+from dataclasses import FrozenInstanceError, asdict, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radartag import (
     ChannelConfig,
@@ -304,17 +307,22 @@ _OUT_OF_RANGE_DB = {
 def test_out_of_range_db_is_a_config_error(name, tmp_path):
     from radartag.cli import main
 
-    cfg = _quick_cfg(trials=1, **_OUT_OF_RANGE_DB[name])
     with pytest.raises(ConfigInvalidError):
-        run_trials(cfg)
+        _quick_cfg(trials=1, **_OUT_OF_RANGE_DB[name])
+    # the valid config's dict with the same offending values set
+    data = config_to_dict(_quick_cfg(trials=1))
+    data.update({key: [asdict(p) for p in value] if key == "snr_grid" else
+                 asdict(value) if is_dataclass(value) else value
+                 for key, value in _OUT_OF_RANGE_DB[name].items()})
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config_to_dict(cfg)))   # NaN and inf as Python's json writes them
+    path.write_text(json.dumps(data))   # NaN and inf as Python's json writes them
     assert main(["simulate", "--config", str(path)]) == 2
 
 
 @pytest.mark.parametrize("axis,value", [("snr_sr", 4000.0), ("snr_str", -2 ** 1100),
                                         ("rho", float("nan")), ("rate_tag", float("inf")),
-                                        ("rate_source", 10 ** 300)])
+                                        ("rate_source", 10 ** 300), ("rate_tag", 2.5),
+                                        ("rate_source", 3.7)])
 def test_out_of_range_axis_value_is_a_config_error(axis, value):
     with pytest.raises(ConfigInvalidError):
         sweep(_quick_cfg(trials=1), axis, values=[value])
@@ -593,6 +601,94 @@ def test_batch_seeding_equals_seed_sequence(seed, grid_idx):
                      lambda g: g.integers(2 ** 40), lambda g: g.standard_normal(5),
                      lambda g: g.random(3)):
             assert np.array_equal(draw(gen), draw(want))
+
+
+# configs built in Python that must fail at construction, before any trial
+_INVALID_CONSTRUCTIONS = {
+    "trials_fraction": lambda: ExperimentConfig(trials=10.5),
+    "n_source_float": lambda: ExperimentConfig(n_source_words=16.0),
+    "seed_fraction": lambda: ExperimentConfig(seed=1.5),
+    "reg_none": lambda: ExperimentConfig(reg=None),
+    "snr_overflow": lambda: ExperimentConfig(snr_grid=[SnrConfig(4000.0, 10.0)]),
+    "axis_nan": lambda: ExperimentConfig(axis_values=[1.0, float("nan")]),
+    "seed_5000_digits": lambda: ExperimentConfig(seed=10 ** 5000),
+    "q_float": lambda: SystemParams(q=2.0),
+    "n_string": lambda: SystemParams(n="31"),
+    "pri_nan": lambda: SystemParams(pri_s=float("nan")),
+    "fista_tol_bool": lambda: RegularizationConfig(fista_tol=True),
+    "lambda_bool": lambda: RegularizationConfig(lambda_str=True),
+    "lambda_string": lambda: RegularizationConfig(lambda_str="0.1"),
+    "fista_tol_complex": lambda: RegularizationConfig(fista_tol=1j),
+    "lambda_list": lambda: RegularizationConfig(lambda_c=[1.0]),
+    "snr_string": lambda: SnrConfig("5", 10.0),
+    "sparse_int": lambda: ChannelConfig(sparse=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INVALID_CONSTRUCTIONS))
+def test_invalid_config_fails_at_construction(name):
+    with pytest.raises(ConfigInvalidError):
+        _INVALID_CONSTRUCTIONS[name]()
+
+
+def test_configs_are_frozen_and_store_tuples():
+    cfg = _quick_cfg(axis_values=[1.0, 2.0])
+    assert cfg.snr_grid == (SnrConfig(15.0, 20.0),)
+    assert cfg.axis_values == (1.0, 2.0)
+    for obj, name in ((cfg, "seed"), (cfg.params, "q"), (cfg.reg, "lambda_str"),
+                      (cfg.channel, "n_taps"), (cfg.snr_grid[0], "snr_sr_db")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, 0)
+    # a derived config runs the same checks
+    with pytest.raises(ConfigInvalidError):
+        replace(cfg, trials=0)
+
+
+def test_numpy_scalars_are_stored_as_python_numbers():
+    cfg = _quick_cfg(trials=np.int64(2), seed=np.uint32(3), rho_db=np.float64(-5.0),
+                     axis_values=[np.float32(1.5)])
+    assert [type(v) for v in (cfg.trials, cfg.seed, cfg.rho_db, cfg.axis_values[0])] == [
+        int, int, float, float]
+    # the config writes as JSON, so it runs
+    assert rows_to_csv(run_trials(cfg)) == rows_to_csv(run_trials(_quick_cfg(trials=2, seed=3)))
+
+
+# values no config field may take unchecked (None, bools, huge ints,
+# non-finite floats, complex numbers, strings and lists), and values that
+# some fields take, so that many examples build
+_ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.sampled_from([2 ** 64, -2 ** 200, 10 ** 400, -10 ** 5000]),
+    st.floats(), st.complex_numbers(), st.text(max_size=3),
+    st.lists(st.one_of(st.floats(), st.integers()), max_size=2),
+    st.integers(0, 40), st.floats(-50.0, 50.0),
+    st.sampled_from(["l1", "l2", *sorted(harness.SCHEMES)]))
+_PARTS = {"params": SystemParams, "reg": RegularizationConfig, "channel": ChannelConfig,
+          "snr": SnrConfig, "top": ExperimentConfig}
+_FIELD_NAMES = [(part, f.name) for part, cls in _PARTS.items() for f in fields(cls)]
+_BASES = [{"snr": {"snr_str_db": 15.0, "snr_sr_db": 20.0}, "top": {}},
+          {"snr": {"snr_str_db": 5.0, "snr_sr_db": 10.0},
+           "top": {"scheme": "pilot_aided_iter_relaxed", "n_source_words": None,
+                   "n_tag_words": None, "n_pilot": 27, "l_pilot": 2}}]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(data=st.data())
+def test_config_construction_rejects_or_round_trips(data):
+    kwargs = {part: {} for part in _PARTS}
+    for part, values in data.draw(st.sampled_from(_BASES)).items():
+        kwargs[part].update(values)
+    for part, name in data.draw(st.lists(st.sampled_from(_FIELD_NAMES), max_size=3)):
+        kwargs[part][name] = data.draw(_ANY_VALUE)
+    try:
+        cfg = ExperimentConfig(**{
+            "params": SystemParams(**kwargs["params"]),
+            "reg": RegularizationConfig(**kwargs["reg"]),
+            "channel": ChannelConfig(**kwargs["channel"]),
+            "snr_grid": [SnrConfig(**kwargs["snr"])], **kwargs["top"]})
+    except ConfigInvalidError:
+        return
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
 
 def test_trial_count_limit_is_the_hash_word():
