@@ -21,6 +21,7 @@ at most 2**32 trials.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import logging
 import math
@@ -28,13 +29,14 @@ import os
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
 from .channel import sample_channel
 from .codebooks import SourceCodebook, TagCodebook, gen_gold, gen_tag_codebook
-from .errors import (ConfigInvalidError, IndexOutOfRangeError, check_fields, is_int, is_real,
-                     require)
+from .errors import (ConfigInvalidError, IndexOutOfRangeError, _shown, check_fields, is_int,
+                     is_real, require)
 from .framesim import SnrConfig, SystemParams, noise_variance, snr_pair, synthesize_frame
 from .pilot_aided import (
     PilotLayout,
@@ -485,6 +487,28 @@ def _worker_count(workers) -> int:
     return min(int(workers), os.cpu_count() or 1)
 
 
+@lru_cache(maxsize=1)
+def _blas_thread_control():
+    """(get, set) of numpy's bundled OpenBLAS thread count; no-ops where not found."""
+    try:
+        lib = ctypes.CDLL(str(next(Path(np.__file__).parent.parent.glob(
+            "numpy.libs/libscipy_openblas64_*.so"))))
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (StopIteration, OSError, AttributeError):
+        log.info("numpy's OpenBLAS thread control not found: BLAS keeps its thread count")
+        return (lambda: None), (lambda count: None)
+    get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+    return get, put
+
+
+def _set_blas_threads(count):
+    """Set BLAS to ``count`` threads; returns the count it had (None if not found)."""
+    get, put = _blas_thread_control()
+    before = get()
+    put(count)
+    return before
+
+
 def _run(cfgs: list[ExperimentConfig], workers) -> list[MetricsRow]:
     """One MetricsRow per (config, grid point), in that order.
 
@@ -493,7 +517,9 @@ def _run(cfgs: list[ExperimentConfig], workers) -> list[MetricsRow]:
     no two points share a substream.  All trial chunks, at most _MAX_CHUNK
     trials each, go through the builtin map, or through one process pool
     when ``workers`` > 1, and each point is reduced in trial order, chunk by
-    chunk as they arrive.
+    chunk as they arrive.  BLAS runs on one thread here and in each worker
+    until the run ends: a frame's products are too small to gain from BLAS
+    worker threads, which stall for milliseconds when other cores are busy.
     """
     workers = _worker_count(workers)
     points, tasks = [], []
@@ -508,14 +534,18 @@ def _run(cfgs: list[ExperimentConfig], workers) -> list[MetricsRow]:
     if workers > 1:
         # imported here: the pool modules cost start-up time no serial run needs
         from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = ProcessPoolExecutor(workers, initializer=_set_blas_threads, initargs=(1,))
     else:
         pool = nullcontext()
-    with pool:
-        batches = iter((pool.map if workers > 1 else map)(_trial_batch, tasks))
-        return [_reduce(cfg.scheme, snr, (next(batches) for _ in range(n_batches)),
-                        cfg.trials, cfg.seed)
-                for cfg, snr, n_batches in points]
+    threads = _set_blas_threads(1)
+    try:
+        with pool:
+            batches = iter((pool.map if workers > 1 else map)(_trial_batch, tasks))
+            return [_reduce(cfg.scheme, snr, (next(batches) for _ in range(n_batches)),
+                            cfg.trials, cfg.seed)
+                    for cfg, snr, n_batches in points]
+    finally:
+        _set_blas_threads(threads)
 
 
 def run_trials(cfg: ExperimentConfig, workers: int = 1) -> list[MetricsRow]:
@@ -555,17 +585,17 @@ def sweep(cfg: ExperimentConfig, axis: str, values=None,
     codebooks (pilot-free) or the pilot split (pilot-aided).  ``workers`` is
     validated and capped as in :func:`run_trials`.
     """
-    if values is None:
-        values = cfg.axis_values
-    require(values, "sweep needs a nonempty axis grid")
+    values = cfg.axis_values if values is None else values
+    values = tuple(values) if np.iterable(values) else ()   # read once: it may be a generator
+    require(values, "sweep needs a nonempty iterable of axis values")
     rate_caps = {"rate_source": cfg.params.n, "rate_tag": cfg.params.l}
     for value in values:
         if axis in rate_caps:
             cap = rate_caps[axis]
             require(is_real(value) and 0 <= value <= cap and float(value).is_integer(),
-                    f"{axis} values must be whole numbers in [0, {cap}], got {value!r}")
+                    f"{axis} values must be whole numbers in [0, {cap}], got {_shown(value)}")
         else:
-            require(_db_ok(value), f"{axis} value {value!r} is not a dB value "
+            require(_db_ok(value), f"{axis} value {_shown(value)} is not a dB value "
                                    "with a finite linear power")
     rows = _run([_derived_config(cfg, axis, value) for value in values], workers)
     for row, value in zip(rows, values):

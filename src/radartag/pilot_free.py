@@ -41,12 +41,6 @@ __all__ = [
     "decode_perfect_csi",
 ]
 
-# most multiply-adds in one Y^T X^T or l2 W U product.  On a 2-core x86 VM,
-# OpenBLAS handed complex products of 67k-81k multiply-adds and more to its
-# worker threads, which stall for milliseconds when the other cores are busy,
-# so larger tag codebooks (128 words at l >= 16) are projected in chunks
-_PROJECTION_MACS = 60_000
-
 
 @dataclass
 class PilotFreeResult:
@@ -131,11 +125,8 @@ def _candidate_fits(ops, u_cols, u_ones, big_l, reg):
     r = u_cols.shape[1]
     if reg.kind == "l2":
         w_str, w_sr, back_str, _ = ops
-        mc, q1 = back_str.shape[:2]
-        # whole codewords per product, each at most _PROJECTION_MACS
-        rows = q1 * max(1, _PROJECTION_MACS // (w_str.shape[1] * q1 * r))
-        z_str = _chunked_product(w_str, u_cols, rows, axis=0).reshape(mc, q1, r)
-        z_sr = (w_sr @ u_ones).reshape(mc, q1)
+        z_str = (w_str @ u_cols).reshape(*back_str.shape[:2], r)
+        z_sr = (w_sr @ u_ones).reshape(back_str.shape[:2])
         f_str = -np.square(np.abs(z_str)).sum(axis=1)
         f_sr = np.vdot(u_ones, u_ones).real / big_l - np.square(np.abs(z_sr)).sum(axis=1)
         return f_str, f_sr, (z_str, z_sr)
@@ -143,9 +134,6 @@ def _candidate_fits(ops, u_cols, u_ones, big_l, reg):
     block, grams, lips = ops
     q1 = block.shape[1] // 3
     u_all = np.column_stack([u_cols, u_ones])
-    # stacked, each BLAS call is one codeword in size; one 2-D product of the
-    # whole block is big enough for OpenBLAS to use worker threads, which
-    # stall for milliseconds when the other cores are busy
     prod = block @ u_all
     energy = np.sum(np.abs(u_all) ** 2, axis=0) / big_l
     lam = np.repeat([reg.lambda_str, reg.lambda_sr], [r, 1])
@@ -165,16 +153,6 @@ def _estimates(ops, coords, c, j):
     return ops[2][c] @ s_str[c, :, j], (ops[3][c] @ s_sr[c, :, None])[..., 0]
 
 
-def _chunked_product(a, b, size: int, axis: int) -> np.ndarray:
-    """a @ b in blocks of ``size`` rows of a (axis 0) or columns of b (axis 1);
-    one block covering it is a single product, without the copy."""
-    n = b.shape[1] if axis else a.shape[0]
-    if size >= n:
-        return a @ b
-    return np.concatenate([a @ b[:, i:i + size] if axis else a[i:i + size] @ b
-                           for i in range(0, n, size)], axis=axis)
-
-
 @lru_cache(maxsize=64)
 def _cached_correlators(tag: TagCodebook) -> np.ndarray:
     """Complex slow-time correlators (|X| + 1, l): every tag word, then all-ones."""
@@ -184,11 +162,8 @@ def _cached_correlators(tag: TagCodebook) -> np.ndarray:
 
 
 def _tag_projections(y, tag: TagCodebook) -> np.ndarray:
-    """Y^T x for every tag word x, as the columns of a (k, |X|) array, in column
-    chunks of at most ``_PROJECTION_MACS`` multiply-adds."""
-    big_l, k = y.shape
-    return _chunked_product(y.T, _cached_correlators(tag)[:-1].T,
-                            max(1, _PROJECTION_MACS // (big_l * k)), axis=1)
+    """Y^T x for every tag word x, as the columns of a (k, |X|) array."""
+    return y.T @ _cached_correlators(tag)[:-1].T
 
 
 def decode_joint(y, source: SourceCodebook, tag: TagCodebook,
@@ -259,9 +234,8 @@ def decode_perfect_csi(y, source: SourceCodebook, tag: TagCodebook,
     # conjugate pulses a_c^*, then b_c^* (Xi_c is real), and ||a_c||^2 + ||b_c||^2
     pulses = (np.conj(taps) @ xis.reshape(mc * k, q + 1).T).reshape(2, mc, k)
     energy = np.einsum("icj,icj->c", pulses.view(np.float64), pulses.view(np.float64))
-    # Re(p^H Y^T v) of every pulse p and correlator v, in column chunks
-    corr = _chunked_product(pulses.reshape(2 * mc, k) @ y.T, _cached_correlators(tag).T,
-                            max(1, _PROJECTION_MACS // (2 * mc * big_l)), axis=1).real
+    # Re(p^H Y^T v) of every pulse p and correlator v
+    corr = ((pulses.reshape(2 * mc, k) @ y.T) @ _cached_correlators(tag).T).real
     pair = (big_l * energy - 2.0 * corr[mc:, -1])[:, None] - 2.0 * corr[:mc, :-1]
     ci, xi_idx = divmod(int(pair.argmin()), len(tag))
     return PilotFreeResult(ci, xi_idx, taps[0].copy(), taps[1].copy(),

@@ -3,6 +3,7 @@
 import json
 import warnings
 from dataclasses import FrozenInstanceError, asdict, fields, is_dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -191,6 +192,20 @@ class TestSweep:
         with pytest.raises(ConfigInvalidError):
             sweep(_quick_cfg(), "snr_sr", values=[])
 
+    def test_array_and_generator_values_give_the_list_rows(self):
+        cfg = _quick_cfg(trials=4)
+        want = rows_to_csv(sweep(cfg, "rho", values=[1.0, 2.0]))
+        assert rows_to_csv(sweep(cfg, "rho", values=np.array([1.0, 2.0]))) == want
+        assert rows_to_csv(sweep(cfg, "rho", values=(v for v in [1.0, 2.0]))) == want
+
+    @pytest.mark.parametrize("values", [[10 ** 5000], 5.0, None, np.array(3.0)])
+    def test_unusable_values_are_config_errors(self, values):
+        # an int too long to write as text, and values that are not iterable
+        with pytest.raises(ConfigInvalidError):
+            sweep(_quick_cfg(trials=1), "rho", values=values)
+        with pytest.raises(ConfigInvalidError):
+            sweep(_quick_cfg(trials=1), "rate_tag", values=values)
+
     def test_unknown_axis_rejected(self):
         with pytest.raises(ConfigInvalidError):
             sweep(_quick_cfg(), "bandwidth", values=[1.0])
@@ -218,8 +233,9 @@ class TestWorkers:
         sizes = []
 
         class InlinePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 sizes.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -241,6 +257,70 @@ class TestWorkers:
         swept = rows_to_csv(sweep(cfg, "snr_sr", values=[5.0, 10.0], workers=64))
         assert sizes == [3]
         assert swept == rows_to_csv(sweep(cfg, "snr_sr", values=[5.0, 10.0]))
+
+
+class TestBlasThreads:
+    """The runner sets BLAS to one thread for a run and restores the caller's count."""
+
+    @pytest.fixture
+    def blas(self):
+        # the caller runs BLAS at two threads; the original count comes back after
+        get, put = harness._blas_thread_control()
+        if get() is None:
+            pytest.skip("numpy's OpenBLAS thread control is not found on this platform")
+        before = get()
+        put(2)
+        yield get
+        put(before)
+
+    @staticmethod
+    def _one_thread_decoder(monkeypatch, get, error=None):
+        decode = harness.decode_joint
+
+        def checked(*args, **kwargs):
+            if get() != 1:
+                raise AssertionError(f"decoder ran at {get()} BLAS threads")
+            if error is not None:
+                raise error
+            return decode(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "decode_joint", checked)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_decoders_run_on_one_thread_and_the_count_is_restored(self, blas, monkeypatch,
+                                                                  workers):
+        # workers=2 starts a real process pool, whose workers are forked with the
+        # checked decoder in place
+        cfg = _quick_cfg(trials=16)
+        want = rows_to_csv(run_trials(cfg))
+        assert blas() == 2
+        self._one_thread_decoder(monkeypatch, blas)
+        assert rows_to_csv(run_trials(cfg, workers=workers)) == want
+        assert rows_to_csv(sweep(cfg, "rho", (v for v in [-5.0, 0.0]), workers)) == \
+            rows_to_csv(sweep(cfg, "rho", [-5.0, 0.0]))
+        assert blas() == 2
+
+    def test_count_is_restored_when_a_decode_raises(self, blas, monkeypatch):
+        self._one_thread_decoder(monkeypatch, blas, error=RuntimeError("decode failed"))
+        with pytest.raises(RuntimeError, match="decode failed"):
+            run_trials(_quick_cfg(trials=4))
+        assert blas() == 2
+
+    def test_missing_thread_control_logs_once_and_runs_as_is(self, monkeypatch, caplog):
+        def no_library(path):
+            raise OSError(f"cannot load {path}")
+
+        cfg = _quick_cfg(trials=16)
+        want = rows_to_csv(run_trials(cfg))
+        monkeypatch.setattr(harness, "ctypes", SimpleNamespace(CDLL=no_library))
+        harness._blas_thread_control.cache_clear()
+        caplog.set_level("INFO", logger="radartag.harness")
+        try:
+            assert [rows_to_csv(run_trials(cfg)) for _ in range(2)] == [want, want]
+        finally:
+            harness._blas_thread_control.cache_clear()
+        assert [r.getMessage() for r in caplog.records if "OpenBLAS" in r.getMessage()] == [
+            "numpy's OpenBLAS thread control not found: BLAS keeps its thread count"]
 
 
 _VALID_CONFIG = {

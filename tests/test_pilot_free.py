@@ -508,7 +508,7 @@ class TestWhitenedRidgeFits:
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     # (q, (lambda_str, lambda_sr), source words, tag length, tag words, frames);
-    # the last row's backscatter product takes several codeword chunks
+    # the last row has the harness's largest tag codebook
     @pytest.mark.parametrize("q,lams,n_src,l,n_tag,frames", [
         (2, (0.0, 0.0), 16, 10, 16, 150), (2, (0.1, 0.1), 16, 10, 16, 150),
         (2, (0.1, 3.0), 16, 10, 16, 150), (14, (0.0, 0.0), 16, 10, 16, 80),
@@ -521,8 +521,6 @@ class TestWhitenedRidgeFits:
         source = SourceCodebook(n=31, words=gen_gold(5).words[
             np.sort(rng.choice(33, n_src, replace=False))])
         reg = RegularizationConfig(kind="l2", lambda_str=lams[0], lambda_sr=lams[1])
-        if n_tag == 128:
-            assert n_src * (q + 1) * (31 + q) * n_tag > pilot_free._PROJECTION_MACS
         sigma_w2, sigma_str2, sigma_sr2 = noise_variance(SnrConfig(5.0, 10.0), 31)
         for _ in range(frames):
             ci, xi = int(rng.integers(n_src)), int(rng.integers(n_tag))
@@ -615,23 +613,33 @@ def _reference_perfect_csi(y, source, tag, g_str, g_sr):
     return divmod(int(np.argmin(base[:, None] - 2.0 * cross.T)), len(tag))
 
 
+# most multiply-adds in one product of the chunked references below: the
+# decoders once split their larger products at this size, and must still
+# match the chunked products bit for bit now that each is one product
+_CHUNK_MACS = 60_000
+
+
+def _chunked_product(a, b, size: int, axis: int) -> np.ndarray:
+    """a @ b in blocks of ``size`` rows of a (axis 0) or columns of b (axis 1)."""
+    n = b.shape[1] if axis else a.shape[0]
+    parts = [a @ b[:, i:i + size] if axis else a[i:i + size] @ b for i in range(0, n, size)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+
+
 def _pre_change_l2_decodes(y, source, tag, reg):
     """(c, x, g_str, g_sr, metric) of decode_joint and of decode_disjoint with
     and without the backscatter fit, as computed before the tag words were
-    cached and the estimate closure was dropped."""
+    cached and the estimate closure was dropped, with the products chunked."""
     big_l, k = y.shape
     w_str, w_sr, back_str, back_sr = pilot_free._source_ops(source, k - source.n, big_l, reg)
     mc, q1 = back_str.shape[:2]
-    words_t = tag.words.T.astype(np.complex128)
-    chunk = max(1, pilot_free._PROJECTION_MACS // (big_l * k))
-    parts = [y.T @ words_t[:, i:i + chunk] for i in range(0, words_t.shape[1], chunk)]
-    u_cols = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    u_cols = _chunked_product(y.T, tag.words.T.astype(np.complex128),
+                              max(1, _CHUNK_MACS // (big_l * k)), axis=1)
     u_ones = y.sum(axis=0)
 
     def fits(u):
-        rows = q1 * max(1, pilot_free._PROJECTION_MACS // (w_str.shape[1] * q1 * u.shape[1]))
-        parts = [w_str[i:i + rows] @ u for i in range(0, mc * q1, rows)]
-        z_str = (parts[0] if len(parts) == 1 else np.concatenate(parts)).reshape(mc, q1, -1)
+        rows = q1 * max(1, _CHUNK_MACS // (w_str.shape[1] * q1 * u.shape[1]))
+        z_str = _chunked_product(w_str, u, rows, axis=0).reshape(mc, q1, -1)
         z_sr = (w_sr @ u_ones).reshape(mc, q1)
         f_sr = np.vdot(u_ones, u_ones).real / big_l - np.square(np.abs(z_sr)).sum(axis=1)
         return -np.square(np.abs(z_str)).sum(axis=1), f_sr, lambda c, j: (
@@ -685,31 +693,48 @@ def test_decoders_match_their_pre_change_paths(q, n_src, l, n_tag, frames):
             assert res.g_sr_hat.tobytes() == gr.tobytes()
 
 
+def _chunked_perfect_csi(y, source, tag, g_str, g_sr):
+    """(c, x, metric) of decode_perfect_csi with its correlator product in
+    column chunks of at most _CHUNK_MACS multiply-adds."""
+    (big_l, k), mc = y.shape, len(source)
+    xis = pilot_free._cached_xi_stack(source, k - source.n)
+    pulses = (np.conj([g_str, g_sr]) @ xis.reshape(mc * k, -1).T).reshape(2, mc, k)
+    energy = np.einsum("icj,icj->c", pulses.view(np.float64), pulses.view(np.float64))
+    corr = _chunked_product(pulses.reshape(2 * mc, k) @ y.T, pilot_free._cached_correlators(tag).T,
+                            max(1, _CHUNK_MACS // (2 * mc * big_l)), axis=1).real
+    pair = (big_l * energy - 2.0 * corr[mc:, -1])[:, None] - 2.0 * corr[:mc, :-1]
+    ci, xi = divmod(int(pair.argmin()), len(tag))
+    return ci, xi, float(pair[ci, xi] + np.vdot(y, y).real)
+
+
 @pytest.mark.parametrize("l", [16, 18])
-def test_chunked_tag_projections_match_one_product(monkeypatch, l):
-    # 128 tags, the harness's largest codebook, take two column chunks at k = 33
+def test_chunked_tag_projections_match_one_product(l):
+    # 128 tags, the harness's largest codebook, take two column chunks at
+    # k = 33 in the chunked references; the decoders' single products must
+    # give the same bits
     n_tags = 128
     rng = np.random.default_rng(l)
     pool = gen_tag_codebook(l).words
     tag = TagCodebook(l=l, words=pool[np.sort(rng.choice(len(pool), n_tags, replace=False))])
     source = SourceCodebook(n=31, words=gen_gold(5).words[:16])
     reg = RegularizationConfig(kind="l2", lambda_str=0.1, lambda_sr=0.1)
-    assert n_tags * l * 33 > pilot_free._PROJECTION_MACS
-    frames = []
+    assert n_tags * l * 33 > _CHUNK_MACS
     for _ in range(500):
         g_str, g_sr = _draw_channels(rng, sigma2=10 ** rng.uniform(-2, 0))
-        frames.append(synthesize_frame(source.words[rng.integers(16)],
-                                       tag.words[rng.integers(n_tags)], g_str, g_sr, 1.0, rng))
-    decoders = (pilot_free.decode_joint, pilot_free.decode_disjoint)
-    chunked = [[decode(y, source, tag, reg) for decode in decoders] for y in frames]
-    monkeypatch.setattr(pilot_free, "_PROJECTION_MACS", 10 ** 9)
-    for y, results in zip(frames, chunked):
-        for decode, got in zip(decoders, results):
-            want = decode(y, source, tag, reg)
-            assert (got.c_index, got.x_index, got.metric) == (
-                want.c_index, want.x_index, want.metric)
-            assert np.array_equal(got.g_str_hat, want.g_str_hat)
-            assert np.array_equal(got.g_sr_hat, want.g_sr_hat)
+        y = synthesize_frame(source.words[rng.integers(16)], tag.words[rng.integers(n_tags)],
+                             g_str, g_sr, 1.0, rng)
+        want = _chunked_product(y.T, tag.words.T.astype(np.complex128),
+                                _CHUNK_MACS // (l * 33), axis=1)
+        assert pilot_free._tag_projections(y, tag).tobytes() == want.tobytes()
+        got = [decode_joint(y, source, tag, reg), decode_disjoint(y, source, tag, reg),
+               decode_disjoint(y, source, tag, reg, use_str_for_source=False)]
+        for res, (ci, xi, gs, gr, metric) in zip(got, _pre_change_l2_decodes(y, source, tag, reg)):
+            assert (res.c_index, res.x_index, res.metric) == (ci, xi, metric)
+            assert res.g_str_hat.tobytes() == gs.tobytes()
+            assert res.g_sr_hat.tobytes() == gr.tobytes()
+        res = decode_perfect_csi(y, source, tag, g_str, g_sr)
+        assert (res.c_index, res.x_index, res.metric) == _chunked_perfect_csi(
+            y, source, tag, g_str, g_sr)
 
 
 @pytest.mark.parametrize("lams", [(0.3, 0.3), (0.3, 3.0), (12.0, 12.0)])
