@@ -34,7 +34,6 @@ from .errors import (
     ConfigInvalidError,
     DimensionMismatchError,
     EmptyCodebookError,
-    IndexOutOfRangeError,
     InfeasibleDimensionsError,
     NotPreferredPairError,
     OddLengthError,
@@ -58,10 +57,8 @@ from .harness import (
     ChannelConfig,
     ExperimentConfig,
     MetricsRow,
-    bits_from_index,
     frame_from_csv,
     frame_to_csv,
-    index_from_bits,
     load_config,
     rows_to_csv,
     rows_to_json,

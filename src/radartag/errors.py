@@ -55,10 +55,6 @@ class RateTooLargeError(BudgetExceededError):
     """A rate grid point implies more codewords than the enumeration budget."""
 
 
-class IndexOutOfRangeError(RadarTagError, ValueError):
-    """Message index does not fit in the requested bit width."""
-
-
 class ConfigInvalidError(RadarTagError, ValueError):
     """Experiment configuration failed validation."""
 

@@ -35,8 +35,7 @@ import numpy as np
 
 from .channel import sample_channel
 from .codebooks import SourceCodebook, TagCodebook, gen_gold, gen_tag_codebook
-from .errors import (ConfigInvalidError, IndexOutOfRangeError, _shown, check_fields, is_int,
-                     is_real, require)
+from .errors import ConfigInvalidError, _shown, check_fields, is_finite, is_int, is_real, require
 from .framesim import SnrConfig, SystemParams, noise_variance, snr_pair, synthesize_frame
 from .pilot_aided import (
     PilotLayout,
@@ -57,8 +56,6 @@ __all__ = [
     "PILOT_AIDED_SCHEMES",
     "SCHEMES",
     "SWEEP_AXES",
-    "bits_from_index",
-    "index_from_bits",
     "run_trials",
     "sweep",
     "rows_to_csv",
@@ -110,6 +107,11 @@ MAX_FRAME_L = 18
 # most trials per grid point: a trial index must fit one 32-bit word of the
 # substream hash (see _trial_states)
 MAX_TRIALS = 2 ** 32
+# largest tag codebook: _trial_stack counts bit errors on one-byte indices
+MAX_TAG_WORDS = 128
+# largest dB value a config may hold; every scheme runs finite and
+# warning-free up to it, while near 3080 dB the frame energy overflows
+MAX_DB = 300.0
 
 
 @dataclass(frozen=True)
@@ -166,32 +168,13 @@ class MetricsRow:
     axis_value: float = float("nan")
 
 
-def bits_from_index(index: int, width: int) -> np.ndarray:
-    """Natural binary representation, most-significant bit first."""
-    if width < 0 or not 0 <= index < 2 ** width:
-        raise IndexOutOfRangeError(f"index {index} does not fit in {width} bits")
-    return np.array([(index >> (width - 1 - b)) & 1 for b in range(width)],
-                    dtype=np.int64)
-
-
-def index_from_bits(bits) -> int:
-    """Inverse of :func:`bits_from_index`."""
-    value = 0
-    for b in np.asarray(bits, dtype=np.int64):
-        value = (value << 1) | int(b)
-    return value
-
-
 # ---------------------------------------------------------------------------
 # experiment context: everything derived from the config once per process
 
 
 def _db_ok(value) -> bool:
-    """A real dB value whose linear power 10^(value/10) is a finite float."""
-    try:
-        return is_real(value) and math.isfinite(10.0 ** (value / 10.0))
-    except OverflowError:
-        return False
+    """-inf (no power), or a finite dB value of at most MAX_DB."""
+    return is_real(value) and (value == -math.inf or is_finite(value) and value <= MAX_DB)
 
 
 def validate_config(cfg: ExperimentConfig):
@@ -202,9 +185,9 @@ def validate_config(cfg: ExperimentConfig):
     require(len(cfg.snr_grid) >= 1, "snr_grid must be nonempty")
     require(all(_db_ok(v) for p in cfg.snr_grid for v in (p.snr_str_db, p.snr_sr_db))
             and _db_ok(cfg.rho_db),
-            "SNR and rho_db values must be dB values with a finite linear power")
-    require(_db_ok(cfg.channel.kappa_db) or cfg.channel.kappa_db in (math.inf, -math.inf),
-            "channel kappa_db must be +/-inf or a dB value with a finite linear power")
+            f"SNR and rho_db values must be -inf or finite and at most {MAX_DB:g} dB")
+    require(_db_ok(cfg.channel.kappa_db) or cfg.channel.kappa_db == math.inf,
+            f"channel kappa_db must be +/-inf or finite and at most {MAX_DB:g} dB")
     require(1 <= cfg.channel.n_taps <= cfg.params.q + 1,
             "channel n_taps must lie in [1, q + 1], q + 1 being the delay bins")
     require(cfg.axis_values is None or all(v == v for v in cfg.axis_values),
@@ -222,10 +205,11 @@ def validate_config(cfg: ExperimentConfig):
                 "pilot-free schemes need q <= n - 2 for source separability")
         require(l >= 4 and l % 2 == 0,
                 "pilot-free schemes need an even tag codeword length l >= 4")
-        # the tag pool: every zero-sum word of length l, complements included
-        tag_pool = 2 * math.comb(l - 1, l // 2)
+        # a word and its negation give one frame under g_str and -g_str, so a
+        # tag book holds at most the C(l-1, l/2) zero-sum words, one per sign pair
         for name, size, cap in (("source", cfg.n_source_words, 33),
-                                ("tag", cfg.n_tag_words, min(252, tag_pool))):
+                                ("tag", cfg.n_tag_words,
+                                 min(MAX_TAG_WORDS, math.comb(l - 1, l // 2)))):
             require(1 <= size <= cap and size & (size - 1) == 0,
                     f"{name} codebook size must be a power of two in [1, {cap}]")
     else:
@@ -250,11 +234,7 @@ class _Context:
             src_idx = np.sort(setup_rng.choice(len(self.gold), cfg.n_source_words,
                                                replace=False))
             tag_pool = gen_tag_codebook(cfg.params.l).words
-            if cfg.n_tag_words > len(tag_pool):
-                # beyond the separable set: admit the antipodal complements,
-                # which keep the zero-sum constraint but break pairwise rank 2
-                tag_pool = np.vstack([tag_pool, -tag_pool])
-            tag_idx = np.sort(setup_rng.choice(tag_pool.shape[0], cfg.n_tag_words,
+            tag_idx = np.sort(setup_rng.choice(len(tag_pool), cfg.n_tag_words,
                                                replace=False))
             self.source = SourceCodebook(n=31, words=self.gold.words[src_idx])
             self.tag = TagCodebook(l=cfg.params.l, words=tag_pool[tag_idx])
@@ -275,20 +255,10 @@ class _Context:
                            lambda_x=1.0 if reg.lambda_x is None else reg.lambda_x)
 
 
-def _context_key(cfg: ExperimentConfig) -> str:
-    """The JSON of the config fields a context reads.  The trial count and
-    the SNR points stay out, so every run and sweep point of one experiment
-    shares its codebooks and layouts, and with them the decoders' caches,
-    which are keyed by those objects."""
-    data = config_to_dict(cfg)
-    for key in ("snr_grid", "rho_db", "trials", "axis_values"):
-        del data[key]
-    return json.dumps(data, sort_keys=True)
-
-
-@lru_cache(maxsize=8)
-def _context_for(key: str) -> _Context:
-    return _Context(config_from_dict(json.loads(key)))
+# _run keys a context by the config with its trial count and SNR points
+# reset, so every run and sweep point of one experiment shares its codebooks
+# and layouts, and with them the decoders' caches, which are keyed by those objects
+_context_for = lru_cache(maxsize=8)(_Context)
 
 
 # trials per stacked draw: one sample_channel call per link and one
@@ -445,7 +415,7 @@ def _trial_stack(ctx: _Context, noise, rngs: list[np.random.Generator]) -> np.nd
         bits, iters = (ctx.n_data, ctx.l_data), [r.iters for r in results]
     else:
         # bit errors are popcounts of index XORs; the codebooks hold at most
-        # 128 words, so every index fits in one byte
+        # MAX_TAG_WORDS words, so every index fits in one byte
         wrong = messages ^ np.array([(r.c_index, r.x_index) for r in results])
         src_err, tag_err = np.unpackbits(wrong.astype(np.uint8)[..., None],
                                          axis=-1).sum(axis=-1).T
@@ -524,7 +494,8 @@ def _run(cfgs: list[ExperimentConfig], workers) -> list[MetricsRow]:
     workers = _worker_count(workers)
     points, tasks = [], []
     for i, cfg in enumerate(cfgs):
-        key = _context_key(cfg)
+        key = replace(cfg, snr_grid=(SnrConfig(0.0, 0.0),), rho_db=0.0, trials=1,
+                      axis_values=None)
         chunk = min(_MAX_CHUNK, -(-cfg.trials // (workers * 4)))
         for g, snr in enumerate(cfg.snr_grid):
             starts = range(0, cfg.trials, chunk)
@@ -595,8 +566,8 @@ def sweep(cfg: ExperimentConfig, axis: str, values=None,
             require(is_real(value) and 0 <= value <= cap and float(value).is_integer(),
                     f"{axis} values must be whole numbers in [0, {cap}], got {_shown(value)}")
         else:
-            require(_db_ok(value), f"{axis} value {_shown(value)} is not a dB value "
-                                   "with a finite linear power")
+            require(_db_ok(value), f"{axis} value {_shown(value)} is not -inf or "
+                                   f"finite and at most {MAX_DB:g} dB")
     rows = _run([_derived_config(cfg, axis, value) for value in values], workers)
     for row, value in zip(rows, values):
         row.axis_name = axis

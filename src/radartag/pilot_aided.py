@@ -442,7 +442,8 @@ def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
     non-increasing because every block update is an exact minimizer over its
     block (the inexact l1 channel update is guarded: a step that fails to
     improve the objective is discarded).  The loop stops after ``MAX_SWEEPS``
-    sweeps, or once the relative objective change falls below ``REL_TOL``.
+    sweeps, or once the objective change falls below ``REL_TOL`` times the
+    objective or to eps times the frame energy ‖Y‖².
     In discrete mode it also stops at the exact fixed point: a sweep whose
     source and tag updates return the words they were given had its
     channels fitted to those words, so the next sweep would reproduce its
@@ -499,8 +500,8 @@ def decode_iterative(y, layout: PilotLayout, reg: RegularizationConfig,
     else:
         _check_enum_budget(n_d)
         lam_eye, cands = None, _binary_candidates(n_d)
-    # objective values this close to zero are float crumbs, treated as equal
-    zero_floor = (np.finfo(float).eps * frame.ynorm2) ** 2
+    # objective changes this small against the frame energy are float crumbs
+    zero_floor = np.finfo(float).eps * frame.ynorm2
     converged, iters = False, 0
     for iters in range(1, MAX_SWEEPS + 1):
         # sweep 1 starts from the data the channels were just fitted to

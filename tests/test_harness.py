@@ -1,4 +1,4 @@
-"""Monte Carlo harness: bit mapping, trial loops, determinism, config handling."""
+"""Monte Carlo harness: bit error counts, trial loops, determinism, config handling."""
 
 import json
 import warnings
@@ -14,12 +14,9 @@ from radartag import (
     ChannelConfig,
     ConfigInvalidError,
     ExperimentConfig,
-    IndexOutOfRangeError,
     RegularizationConfig,
     SnrConfig,
     SystemParams,
-    bits_from_index,
-    index_from_bits,
     run_trials,
     sweep,
 )
@@ -52,18 +49,6 @@ def _quick_cfg(**kw):
 
 
 class TestBitsFromIndex:
-    def test_examples(self):
-        assert np.array_equal(bits_from_index(5, 4), [0, 1, 0, 1])
-        assert np.array_equal(bits_from_index(0, 3), [0, 0, 0])
-
-    def test_roundtrip_all_four_bit_values(self):
-        for idx in range(16):
-            assert index_from_bits(bits_from_index(idx, 4)) == idx
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexOutOfRangeError):
-            bits_from_index(16, 4)
-
     def test_always_zero_decoder_gives_half_ber(self, monkeypatch):
         # uniform indices against a stuck-at-zero decoder: mean bit error 0.5
         width = 4
@@ -524,7 +509,7 @@ def test_geometry_bounds_admit_their_edges():
     for data in ({**_VALID_CONFIG, "params": {"l": harness.MAX_FRAME_L}},
                  {**_VALID_CONFIG, "params": {"q": 29}, "channel": {"n_taps": 3}},
                  {**_VALID_CONFIG, "params": {"l": 4},
-                  "codebook": {"n_source": 16, "n_tag": 4}},
+                  "codebook": {"n_source": 16, "n_tag": 2}},
                  {**_PILOT_AIDED_CONFIG, "params": {"l": harness.MAX_FRAME_L}}):
         config_from_dict(data)
 
@@ -645,9 +630,8 @@ def test_stacked_trials_equal_per_trial_oracle(scheme, setting, start, stop):
                          reg=RegularizationConfig(kind="l1", lambda_str=12.0,
                                                   lambda_sr=12.0))
     snr = SnrConfig(5.0, 10.0)
-    cfg_json = json.dumps(config_to_dict(cfg), sort_keys=True)
-    got = harness._trial_batch((cfg_json, 1, snr, start, stop))
-    ctx = harness._context_for(cfg_json)
+    got = harness._trial_batch((cfg, 1, snr, start, stop))
+    ctx = harness._context_for(cfg)
     noise = noise_variance(snr, cfg.params.n)
     want = [_reference_trial(ctx, noise, 1, t) for t in range(start, stop)]
     assert got.dtype == np.float64
@@ -864,7 +848,7 @@ def test_contexts_share_one_gold_codebook_built_through_gen_gold(monkeypatch):
     cfgs = [_quick_cfg(seed=1), _quick_cfg(seed=2),
             _quick_cfg(scheme="pilot_aided_noniter", n_source_words=None, n_tag_words=None,
                        n_pilot=27, l_pilot=2)]
-    contexts = [harness._context_for(harness._context_key(cfg)) for cfg in cfgs]
+    contexts = [harness._context_for(cfg) for cfg in cfgs]
     assert len({id(ctx) for ctx in contexts}) == 3
     assert calls == [(5,)]
     assert all(ctx.gold is contexts[0].gold for ctx in contexts)

@@ -471,6 +471,18 @@ class TestDecodeIterative:
         assert set(np.unique(res.c_data_hat)) <= {-1, 1}
         assert set(np.unique(res.x_data_hat)) <= {-1, 1}
 
+    def test_relaxed_descent_runs_past_one_sweep_at_250_db(self, gold):
+        # the stop floor eps ||Y||^2 is an energy, as is the objective change
+        # it bounds; squared, it ended every decode at 250 dB after one sweep
+        rng = np.random.default_rng(23)
+        power = 10 ** 25 / 31
+        iters = []
+        for _ in range(10):
+            layout = _layout(gold, rng, n_pilot=27, n_data=4, l_pilot=2, l_data=8)
+            y, *_ = _frame(layout, rng, sigma_str2=power, sigma_sr2=power, noise=1.0)
+            iters.append(decode_iterative(y, layout, REG, mode="relaxed").iters)
+        assert max(iters) > 1
+
     @pytest.mark.parametrize("mode", ["discrete", "relaxed"])
     @pytest.mark.parametrize("reg", [REG, REG_L1], ids=["l2", "l1"])
     def test_one_channel_update_per_sweep(self, gold, monkeypatch, reg, mode):
@@ -796,7 +808,7 @@ def _reference_decode_iterative(y, layout, reg, mode, init_data=None):
 
     g_str, g_sr = _reference_channel_update(y, c, x, reg)
     trace = [score(g_str, g_sr)]
-    zero_floor = (np.finfo(float).eps * float(np.sum(np.abs(y) ** 2))) ** 2
+    zero_floor = np.finfo(float).eps * float(np.sum(np.abs(y) ** 2))
     converged = False
     iters = 0
     for iters in range(1, pilot_aided.MAX_SWEEPS + 1):
